@@ -205,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y")
     p.add_argument("--steps", type=int, default=32, help="samples per leg (default 32)")
     p.add_argument("--qpath", default=None, help="coefficient polyline file")
-    p.add_argument("--seed", type=_nonneg, default=0)
     p.add_argument("--tolerance", type=float, default=ss.PATH_TOL)
     p.set_defaults(handler=_cmd_connect)
 

@@ -100,7 +100,12 @@ def emit_algebra(a: Algebra) -> dict:
 def parse_element(doc) -> Element:
     a = parse_algebra(_need(doc, "alg", "element"))
     data = _need(doc, "data", "element")
-    return _parse_element_data(a, data)
+    # checked on the symmetrized coordinates, where (m + m.T) / 2 may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _parse_element_data(a, data)
+    if not np.isfinite(x.coords).all():
+        raise ValueError("element: coordinates must be finite numbers")
+    return x
 
 
 def _parse_element_data(a: Algebra, data) -> Element:

@@ -6,10 +6,12 @@ product algebra the eigenvalues of the factors are pooled and re-sorted
 globally; spectral decomposition keeps each idempotent paired with its
 eigenvalue through that sort.
 
-Degenerate eigenvalues admit many valid frames; this module returns the one
-induced by the solver's natural ordering (stable sort) and never attempts a
-canonical choice.  Spin-factor elements with vanishing vector part use the
-first coordinate axis for their idempotent pair.
+Matrix kinds are diagonalized by LAPACK through numpy (``eigvalsh`` /
+``eigh``), whose ascending output is reversed, values and eigenvector
+columns together.  Degenerate eigenvalues admit many valid frames; this
+module returns the one LAPACK computes, in that reversed order, and never
+attempts a canonical choice.  Spin-factor elements with vanishing vector
+part use the first coordinate axis for their idempotent pair.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .algebra import (
     RealSymmetric,
     SpinFactor,
 )
-from .eigen import jacobi_eigh_hermitian, jacobi_eigh_symmetric
-from .errors import AlgebraMismatchError, InvalidFrameError
+from .errors import AlgebraMismatchError, InvalidFrameError, NumericError
 
 FRAME_TOL = 1e-9
 
@@ -107,34 +108,55 @@ def _spin_radius(xbar: np.ndarray) -> float:
     return float(np.linalg.norm(xbar))
 
 
-def eigen_map(x: Element, max_sweeps: int | None = None) -> np.ndarray:
+def _eigh_desc(m: np.ndarray, vectors: bool):
+    """LAPACK eigenvalues of a symmetric or Hermitian matrix, non-increasing,
+    with the matching eigenvector columns when `vectors` is set (else None).
+
+    Non-finite input never reaches LAPACK; a LAPACK failure or a non-finite
+    result raises `NumericError`.
+    """
+    if not np.isfinite(m).all():
+        raise NumericError("eigensolver input has a non-finite entry")
+    try:
+        if vectors:
+            values, vecs = np.linalg.eigh(m)
+        else:
+            values, vecs = np.linalg.eigvalsh(m), None
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"LAPACK eigensolver failed: {exc}") from exc
+    if not (np.isfinite(values).all() and (vecs is None or np.isfinite(vecs).all())):
+        raise NumericError("LAPACK eigensolver returned a non-finite result")
+    if vecs is None:
+        return values[::-1].copy(), None
+    return values[::-1].copy(), vecs[:, ::-1].copy()
+
+
+def eigen_map(x: Element) -> np.ndarray:
     """Eigenvalues of x, sorted non-increasing."""
     a = x.algebra
     if isinstance(a, RealSymmetric):
-        values, _ = jacobi_eigh_symmetric(alg.sym_matrix(x), max_sweeps)
-        return values
+        return _eigh_desc(alg.sym_matrix(x), vectors=False)[0]
     if isinstance(a, ComplexHermitian):
-        values, _ = jacobi_eigh_hermitian(alg.herm_matrix(x), max_sweeps)
-        return values
+        return _eigh_desc(alg.herm_matrix(x), vectors=False)[0]
     if isinstance(a, SpinFactor):
         x0, xbar = alg.spin_parts(x)
         r = _spin_radius(xbar)
         return np.array([x0 + r, x0 - r])
-    pooled = np.concatenate([eigen_map(p, max_sweeps) for p in alg.split_product(x)])
+    pooled = np.concatenate([eigen_map(p) for p in alg.split_product(x)])
     return sort_desc(pooled)
 
 
-def _decompose_simple(x: Element, max_sweeps):
+def _decompose_simple(x: Element):
     a = x.algebra
     if isinstance(a, RealSymmetric):
-        values, vecs = jacobi_eigh_symmetric(alg.sym_matrix(x), max_sweeps)
+        values, vecs = _eigh_desc(alg.sym_matrix(x), vectors=True)
         idems = [
             alg.element_from_sym(a, np.outer(vecs[:, i], vecs[:, i]))
             for i in range(a.n)
         ]
         return values, idems
     if isinstance(a, ComplexHermitian):
-        values, vecs = jacobi_eigh_hermitian(alg.herm_matrix(x), max_sweeps)
+        values, vecs = _eigh_desc(alg.herm_matrix(x), vectors=True)
         idems = [
             alg.element_from_herm(a, np.outer(vecs[:, i], vecs[:, i].conj()))
             for i in range(a.n)
@@ -152,9 +174,7 @@ def _decompose_simple(x: Element, max_sweeps):
     return np.array([x0 + r, x0 - r]), [plus, minus]
 
 
-def spectral_decompose(
-    x: Element, max_sweeps: int | None = None
-) -> tuple[JordanFrame, np.ndarray]:
+def spectral_decompose(x: Element) -> tuple[JordanFrame, np.ndarray]:
     """Jordan frame F and eigenvalues q (non-increasing) with x = sum(q_i * F_i)."""
     a = x.algebra
     if isinstance(a, ProductAlgebra):
@@ -162,7 +182,7 @@ def spectral_decompose(
         idem_parts = []
         offsets = np.cumsum([0] + [f.dim for f in a.factors])
         for i, part in enumerate(alg.split_product(x)):
-            vals, idems = _decompose_simple(part, max_sweeps)
+            vals, idems = _decompose_simple(part)
             values_parts.append(vals)
             for e in idems:
                 coords = np.zeros(a.dim)
@@ -172,7 +192,7 @@ def spectral_decompose(
         order = np.argsort(-values, kind="stable")
         frame = JordanFrame(a, tuple(idem_parts[k] for k in order))
         return frame, values[order]
-    values, idems = _decompose_simple(x, max_sweeps)
+    values, idems = _decompose_simple(x)
     return JordanFrame(a, tuple(idems)), values
 
 

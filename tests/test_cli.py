@@ -14,16 +14,16 @@ from jspec import (
     element_from_sym,
     random_element,
 )
+from jspec import cli, spectral
 from jspec.io import emit_algebra, emit_element, parse_element, render_json
 
 
-def run_cli(args, stdin=None, env=None):
+def run_cli(args, stdin=None):
     return subprocess.run(
         [sys.executable, "-m", "jspec.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -62,16 +62,48 @@ def test_eig_asymmetric_matrix_exits_2():
     assert proc.returncode == 2
 
 
-def test_eig_sweep_cap_exits_3(tmp_path):
-    import os
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"alg": {"kind": "sym", "n": 2}, "data": [[float("nan"), 0.0], [0.0, 1.0]]},
+        {"alg": {"kind": "sym", "n": 2}, "data": [[float("inf"), 0.0], [0.0, 1.0]]},
+        {"alg": {"kind": "spin", "d": 3}, "data": {"x0": 1.0, "xbar": [float("nan"), 0.0]}},
+        # finite as written; symmetrizing (m + m.T) / 2 overflows to inf
+        {"alg": {"kind": "sym", "n": 2}, "data": [[1e308, 0.0], [0.0, 1.0]]},
+    ],
+    ids=["nan-sym", "inf-sym", "nan-spin-xbar", "overflow-sym"],
+)
+def test_eig_non_finite_element_exits_2(tmp_path, capsys, doc):
+    path = write_json(tmp_path, "x.json", doc)
+    assert cli.main(["eig", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "finite" in err
 
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        np.linalg.LinAlgError("Eigenvalues did not converge"),
+        np.array([np.nan, 1.0, 2.0]),
+    ],
+    ids=["lapack-raises", "lapack-returns-nan"],
+)
+def test_eig_lapack_failure_exits_3(tmp_path, capsys, monkeypatch, failure):
+    def broken_eigvalsh(m):
+        if isinstance(failure, Exception):
+            raise failure
+        return failure
+
+    monkeypatch.setattr(spectral.np.linalg, "eigvalsh", broken_eigvalsh)
     doc = {
         "alg": {"kind": "sym", "n": 3},
         "data": [[1.0, 0.5, 0.2], [0.5, 2.0, 0.1], [0.2, 0.1, 3.0]],
     }
-    env = dict(os.environ, JSPEC_MAX_SWEEPS="0")
-    proc = run_cli(["eig"], stdin=json.dumps(doc), env=env)
-    assert proc.returncode == 3
+    assert cli.main(["eig", write_json(tmp_path, "x.json", doc)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numeric failure" in err
 
 
 def test_decompose_reports_frame(tmp_path):

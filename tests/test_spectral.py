@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from jspec import (
     ComplexHermitian,
@@ -14,6 +15,7 @@ from jspec import (
     coordinate_algebra,
     distance,
     eigen_map,
+    element_from_herm,
     element_from_spin,
     element_from_sym,
     norm,
@@ -70,6 +72,53 @@ def test_eigen_map_product_pools_factors():
 
     pooled = np.concatenate([eigen_map(p) for p in split_product(x)])
     assert np.allclose(eigen_map(x), sort_desc(pooled), atol=0.0)
+
+
+def _random_matrix_element(a, rng):
+    m = rng.standard_normal((a.n, a.n))
+    if isinstance(a, RealSymmetric):
+        m = (m + m.T) / 2.0
+        return element_from_sym(a, m), m
+    m = m + 1j * rng.standard_normal((a.n, a.n))
+    m = (m + m.conj().T) / 2.0
+    return element_from_herm(a, m), m
+
+
+def _check_against_scipy_oracle(algebra, rng):
+    for _ in range(25):
+        x, m = _random_matrix_element(algebra, rng)
+        # independent oracle
+        expected = scipy.linalg.eigvalsh(m)[::-1]
+        frame, values = spectral_decompose(x)
+        for got in (eigen_map(x), values):
+            assert np.all(np.diff(got) <= 0.0)
+            assert np.abs(got - expected).max() <= 1e-12
+        assert np.abs(compose_theta(values, frame).coords - x.coords).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 8])
+def test_symmetric_against_scipy_oracle(n):
+    _check_against_scipy_oracle(RealSymmetric(n), np.random.default_rng(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_hermitian_against_scipy_oracle(n):
+    _check_against_scipy_oracle(ComplexHermitian(n), np.random.default_rng(100 + n))
+
+
+@pytest.mark.parametrize(
+    "m, expected",
+    [
+        (np.diag([3.0, 1.0, 2.0]), [3.0, 2.0, 1.0]),
+        (np.zeros((4, 4)), [0.0] * 4),
+        (2.0 * np.eye(5), [2.0] * 5),
+    ],
+    ids=["diagonal", "zero", "scalar"],
+)
+def test_exact_spectra(m, expected):
+    x = element_from_sym(RealSymmetric(len(m)), m)
+    assert np.array_equal(eigen_map(x), expected)
+    assert np.array_equal(spectral_decompose(x)[1], expected)
 
 
 # ---------------------------------------------------------------------------

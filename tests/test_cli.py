@@ -81,21 +81,30 @@ def test_eig_non_finite_element_exits_2(tmp_path, capsys, doc):
     assert "finite" in err
 
 
-@pytest.mark.parametrize(
-    "failure",
-    [
-        np.linalg.LinAlgError("Eigenvalues did not converge"),
-        np.array([np.nan, 1.0, 2.0]),
-    ],
-    ids=["lapack-raises", "lapack-returns-nan"],
-)
-def test_eig_lapack_failure_exits_3(tmp_path, capsys, monkeypatch, failure):
-    def broken_eigvalsh(m):
-        if isinstance(failure, Exception):
-            raise failure
-        return failure
+def test_eig_sweep_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # LAPACK gives up after its own iteration cap and raises LinAlgError;
+    # both the eigenvalue-only and the eigenvector path must map that to 3.
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(spectral.np.linalg, "eigvalsh", broken_eigvalsh)
+    monkeypatch.setattr(spectral.np.linalg, "eigvalsh", no_convergence)
+    monkeypatch.setattr(spectral.np.linalg, "eigh", no_convergence)
+    doc = {
+        "alg": {"kind": "sym", "n": 3},
+        "data": [[1.0, 0.5, 0.2], [0.5, 2.0, 0.1], [0.2, 0.1, 3.0]],
+    }
+    path = write_json(tmp_path, "x.json", doc)
+    for cmd in ("eig", "decompose"):
+        assert cli.main([cmd, path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "numeric failure" in err
+
+
+def test_eig_lapack_non_finite_result_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        spectral.np.linalg, "eigvalsh", lambda m: np.array([np.nan, 1.0, 2.0])
+    )
     doc = {
         "alg": {"kind": "sym", "n": 3},
         "data": [[1.0, 0.5, 0.2], [0.5, 2.0, 0.1], [0.2, 0.1, 3.0]],

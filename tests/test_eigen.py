@@ -1,79 +1,28 @@
+"""Failure path of the LAPACK eigensolver behind eigen_map and spectral_decompose."""
+
 import numpy as np
 import pytest
 
-from jspec import NumericError
-from jspec.eigen import (
-    DEFAULT_MAX_SWEEPS,
-    jacobi_eigh_hermitian,
-    jacobi_eigh_symmetric,
-    resolve_max_sweeps,
+from jspec import (
+    ComplexHermitian,
+    NumericError,
+    RealSymmetric,
+    eigen_map,
+    random_element,
+    spectral,
+    spectral_decompose,
 )
 
 
-def _random_symmetric(n, rng):
-    m = rng.standard_normal((n, n))
-    return (m + m.T) / 2.0
+def test_nonconvergence_raises(monkeypatch):
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-
-def _random_hermitian(n, rng):
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (m + m.conj().T) / 2.0
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 8])
-def test_symmetric_against_library_oracle(n):
-    rng = np.random.default_rng(n)
-    for _ in range(25):
-        a = _random_symmetric(n, rng)
-        values, vectors = jacobi_eigh_symmetric(a)
-        assert np.all(np.diff(values) <= 0.0)
-        # independent oracle
-        assert np.allclose(values, np.linalg.eigvalsh(a)[::-1], atol=1e-12)
-        assert np.allclose(vectors @ np.diag(values) @ vectors.T, a, atol=1e-12)
-        assert np.abs(vectors.T @ vectors - np.eye(n)).max() < 1e-13
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
-def test_hermitian_against_library_oracle(n):
-    rng = np.random.default_rng(100 + n)
-    for _ in range(25):
-        a = _random_hermitian(n, rng)
-        values, vectors = jacobi_eigh_hermitian(a)
-        assert np.all(np.diff(values) <= 0.0)
-        assert np.allclose(values, np.linalg.eigvalsh(a)[::-1], atol=1e-12)
-        assert np.allclose(vectors @ np.diag(values) @ vectors.conj().T, a, atol=1e-12)
-        assert np.abs(vectors.conj().T @ vectors - np.eye(n)).max() < 1e-13
-
-
-def test_diagonal_input_is_immediate():
-    values, vectors = jacobi_eigh_symmetric(np.diag([3.0, 1.0, 2.0]), max_sweeps=0)
-    assert np.array_equal(values, [3.0, 2.0, 1.0])
-    assert np.array_equal(vectors.T @ vectors, np.eye(3))
-
-
-def test_zero_matrix():
-    values, _ = jacobi_eigh_symmetric(np.zeros((4, 4)))
-    assert np.array_equal(values, np.zeros(4))
-
-
-def test_degenerate_eigenvalues_stable():
-    values, _ = jacobi_eigh_symmetric(np.eye(5) * 2.0)
-    assert np.array_equal(values, np.full(5, 2.0))
-
-
-def test_nonconvergence_raises():
-    a = _random_symmetric(4, np.random.default_rng(0))
-    with pytest.raises(NumericError):
-        jacobi_eigh_symmetric(a, max_sweeps=0)
-    with pytest.raises(NumericError):
-        jacobi_eigh_hermitian(_random_hermitian(3, np.random.default_rng(1)), max_sweeps=0)
-
-
-def test_sweep_cap_env_override(monkeypatch):
-    assert resolve_max_sweeps() == DEFAULT_MAX_SWEEPS
-    monkeypatch.setenv("JSPEC_MAX_SWEEPS", "7")
-    assert resolve_max_sweeps() == 7
-    assert resolve_max_sweeps(3) == 3  # explicit argument wins
-    monkeypatch.setenv("JSPEC_MAX_SWEEPS", "0")
-    with pytest.raises(NumericError):
-        jacobi_eigh_symmetric(_random_symmetric(3, np.random.default_rng(2)))
+    monkeypatch.setattr(spectral.np.linalg, "eigvalsh", no_convergence)
+    monkeypatch.setattr(spectral.np.linalg, "eigh", no_convergence)
+    for algebra in (RealSymmetric(4), ComplexHermitian(3)):
+        x = random_element(algebra, 0)
+        with pytest.raises(NumericError):
+            eigen_map(x)
+        with pytest.raises(NumericError):
+            spectral_decompose(x)

@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload = args.handler(args)
+        text = jio.render_json(args.handler(args))
     except _INFEASIBLE_ERRORS as exc:
         clause = getattr(exc, "clause", None)
         label = f" [{clause}]" if clause else ""
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"jspec: input error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(jio.render_json(payload) + "\n")
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -10,6 +10,7 @@ with 17 significant digits, which round-trips IEEE doubles.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .algebra import (
     RealSymmetric,
     SpinFactor,
 )
+from .errors import NumericError
 from .orbits import PathPolyline
 from .permsets import (
     PermSet,
@@ -56,6 +58,13 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _need_int(doc: dict, key: str, where: str) -> int:
+    value = _need(doc, key, where)
+    if type(value) is not int:  # JSON true parses to bool, an int subclass
+        raise ValueError(f"{where}: {key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _as_matrix(data, n: int, where: str) -> np.ndarray:
     m = np.asarray(data, dtype=float)
     if m.shape != (n, n):
@@ -70,11 +79,11 @@ def _as_matrix(data, n: int, where: str) -> np.ndarray:
 def parse_algebra(doc) -> Algebra:
     kind = _need(doc, "kind", "algebra")
     if kind == "sym":
-        return RealSymmetric(int(_need(doc, "n", "algebra")))
+        return RealSymmetric(_need_int(doc, "n", "algebra"))
     if kind == "herm":
-        return ComplexHermitian(int(_need(doc, "n", "algebra")))
+        return ComplexHermitian(_need_int(doc, "n", "algebra"))
     if kind == "spin":
-        return SpinFactor(int(_need(doc, "d", "algebra")))
+        return SpinFactor(_need_int(doc, "d", "algebra"))
     if kind == "product":
         factors = _need(doc, "factors", "algebra")
         if not isinstance(factors, list) or not factors:
@@ -170,11 +179,11 @@ def emit_element(x: Element) -> dict:
 def parse_permset(doc) -> PermSet:
     tag = _need(doc, "set", "permset")
     if tag == "rearr":
-        return make_rearrangement_cone(int(_need(doc, "n", "permset")), int(_need(doc, "m", "permset")))
+        return make_rearrangement_cone(_need_int(doc, "n", "permset"), _need_int(doc, "m", "permset"))
     if tag == "tracenorm":
-        return make_trace_norm_cone(int(_need(doc, "n", "permset")))
+        return make_trace_norm_cone(_need_int(doc, "n", "permset"))
     if tag == "halfspace-trace":
-        return make_trace_halfspace(int(_need(doc, "n", "permset")))
+        return make_trace_halfspace(_need_int(doc, "n", "permset"))
     if tag == "finite":
         points = _need(doc, "points", "permset")
         if not isinstance(points, list) or not points:
@@ -187,7 +196,10 @@ def parse_qpath(doc) -> list[np.ndarray]:
     vertices = _need(doc, "vertices", "qpath")
     if not isinstance(vertices, list) or not vertices:
         raise ValueError("qpath: needs a nonempty vertex list")
-    return [np.asarray(v, dtype=float) for v in vertices]
+    out = [np.asarray(v, dtype=float) for v in vertices]
+    if not all(np.isfinite(v).all() for v in out):
+        raise ValueError("qpath: vertices must be finite numbers")
+    return out
 
 
 def parse_certificate(doc) -> DecompositionCertificate:
@@ -219,6 +231,8 @@ def _render(value, out: list):
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise NumericError(f"cannot render the non-finite number {float(value)!r} as JSON")
         out.append(format(float(value), ".17g"))
     elif isinstance(value, str):
         out.append(json.dumps(value))
@@ -244,7 +258,8 @@ def _render(value, out: list):
 
 
 def render_json(value) -> str:
-    """Deterministic one-line JSON with round-trip-exact float rendering."""
+    """Deterministic one-line JSON with round-trip-exact float rendering;
+    a non-finite float has no JSON form and raises `NumericError`."""
     out: list = []
     _render(value, out)
     return "".join(out)

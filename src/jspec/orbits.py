@@ -179,26 +179,6 @@ def random_g_automorphism(a: Algebra, rng) -> Automorphism:
 # frame transport
 
 
-def _frame_vector(e: Element) -> np.ndarray:
-    """Unit (eigen)vector u with the idempotent equal to u u^*."""
-    a = e.algebra
-    m = alg.sym_matrix(e) if isinstance(a, RealSymmetric) else alg.herm_matrix(e)
-    j = int(np.argmax(np.diagonal(m).real))
-    pivot = m[j, j].real
-    if pivot <= 0.0:
-        raise NumericError("rank-one idempotent has no positive diagonal entry")
-    return m[:, j] / math.sqrt(pivot)
-
-
-def _orthonormalize_columns(u: np.ndarray) -> np.ndarray:
-    # QR cleanup of a nearly orthonormal matrix, keeping column directions
-    q, r = np.linalg.qr(u)
-    d = np.diagonal(r)
-    if np.iscomplexobj(u):
-        return q * (d / np.abs(d))
-    return q * np.sign(d)
-
-
 def _rotation_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotation in SO(k), k >= 2, mapping unit vector u to unit vector v."""
     k = u.size
@@ -224,10 +204,11 @@ def _rotation_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def frame_transport(e_frame: JordanFrame, f_frame: JordanFrame) -> Automorphism:
     """Automorphism in the identity component taking each e_i to f_i.
 
-    Real symmetric: the eigenvector-column matrix, with one column sign
-    flipped if needed to force det +1 (sign flips do not change rank-one
-    idempotents).  Hermitian: any unitary works since the group is
-    connected.  Spin: a rotation of the vector part mapping axis to axis.
+    Matrix kinds: U_f U_e^* on the stored bases, columns in listing order.
+    Real symmetric: one column sign of U_f is flipped if needed to force
+    det +1 (sign flips do not change rank-one idempotents); Hermitian: any
+    unitary works since the group is connected.  Spin: a rotation of the
+    vector part mapping axis to axis.
     """
     a = e_frame.algebra
     if isinstance(a, ProductAlgebra):
@@ -235,25 +216,14 @@ def frame_transport(e_frame: JordanFrame, f_frame: JordanFrame) -> Automorphism:
     if a != f_frame.algebra:
         raise AlgebraMismatchError("frames live in different algebras")
     if isinstance(a, (RealSymmetric, ComplexHermitian)):
-        u_e = _orthonormalize_columns(
-            np.column_stack([_frame_vector(e) for e in e_frame.idempotents])
-        )
-        u_f = _orthonormalize_columns(
-            np.column_stack([_frame_vector(f) for f in f_frame.idempotents])
-        )
-        if isinstance(a, RealSymmetric):
-            if float(np.linalg.det(u_e)) < 0.0:
-                u_e[:, 0] = -u_e[:, 0]
-            if float(np.linalg.det(u_f)) < 0.0:
-                u_f[:, 0] = -u_f[:, 0]
-            w = u_f @ u_e.T
-        else:
-            w = u_f @ u_e.conj().T
-        return Automorphism(a, w, None, True)
-    u = 2.0 * alg.spin_parts(e_frame.idempotents[0])[1]
-    v = 2.0 * alg.spin_parts(f_frame.idempotents[0])[1]
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
+        u_e = e_frame.basis[:, e_frame.order]
+        u_f = f_frame.basis[:, f_frame.order]
+        if isinstance(a, RealSymmetric) and np.linalg.det(u_e) * np.linalg.det(u_f) < 0.0:
+            u_f[:, 0] = -u_f[:, 0]
+        return Automorphism(a, u_f @ u_e.conj().T, None, True)
+    # the first listed spin idempotent is (1/2, u/2) at basis position 0
+    u = e_frame.basis if e_frame.order[0] == 0 else -e_frame.basis
+    v = f_frame.basis if f_frame.order[0] == 0 else -f_frame.basis
     return Automorphism(a, _rotation_between(u, v), None, True)
 
 

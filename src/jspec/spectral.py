@@ -6,6 +6,10 @@ product algebra the eigenvalues of the factors are pooled and re-sorted
 globally; spectral decomposition keeps each idempotent paired with its
 eigenvalue through that sort.
 
+A Jordan frame is stored as its basis (eigenvector matrix, spin axis or
+factor frames) plus a listing order; idempotent elements are built only
+when read, and `JordanFrame.from_idempotents` validates given ones.
+
 Matrix kinds are diagonalized by LAPACK through numpy (``eigvalsh`` /
 ``eigh``), whose ascending output is reversed, values and eigenvector
 columns together.  Degenerate eigenvalues admit many valid frames; this
@@ -16,8 +20,8 @@ part use the first coordinate axis for their idempotent pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,25 +64,56 @@ def sort_asc(q) -> np.ndarray:
 class JordanFrame:
     """Ordered complete system of rank-many orthogonal primitive idempotents.
 
-    Validation runs at construction: each idempotent must square to itself
-    with unit trace, distinct idempotents must multiply to zero, and the sum
-    must be the unit, all within FRAME_TOL.
+    `basis` is an orthogonal or unitary U whose column u_k gives u_k u_k^*
+    (matrix kinds), a unit axis u giving (1/2, u/2) and (1/2, -u/2) (spin),
+    or the factor frames, their listed idempotents in factor order (product).
+    `order[i]` is the basis position of the i-th listed idempotent.  At
+    construction the basis columns must be orthonormal within FRAME_TOL,
+    i.e. each e_k is idempotent with unit trace, they are pairwise
+    orthogonal and sum to the unit; `order` must be a permutation.
     """
 
     algebra: Algebra
-    idempotents: tuple[Element, ...]
+    basis: object
+    order: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "idempotents", tuple(self.idempotents))
-        self._validate()
-
-    def _validate(self, tol: float = FRAME_TOL):
         a = self.algebra
-        es = self.idempotents
+        if isinstance(a, ProductAlgebra):
+            basis = tuple(self.basis)
+            if tuple(f.algebra if isinstance(f, JordanFrame) else None for f in basis) != a.factors:
+                raise InvalidFrameError(f"a frame of {a} needs one frame per factor")
+        else:
+            herm = isinstance(a, ComplexHermitian)
+            if np.iscomplexobj(self.basis) and not herm:
+                raise InvalidFrameError(f"a frame basis for {a} must be real")
+            basis = np.array(self.basis, dtype=complex if herm else float)
+            shape = (a.d - 1,) if isinstance(a, SpinFactor) else (a.n, a.n)
+            if basis.shape != shape:
+                raise InvalidFrameError(f"frame basis for {a} must have shape {shape}")
+            cols = basis.reshape(shape[0], -1)
+            err = float(np.abs(cols.conj().T @ cols - np.eye(cols.shape[1])).max())
+            if not err <= FRAME_TOL:
+                raise InvalidFrameError(f"frame basis is not orthonormal within {FRAME_TOL}")
+            basis.setflags(write=False)
+        order = np.array(self.order)
+        if order.ndim != 1 or order.dtype.kind not in "iu" or sorted(order) != list(range(a.rank)):
+            raise InvalidFrameError(f"frame order must be a permutation of range({a.rank})")
+        order.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "order", order)
+
+    @classmethod
+    def from_idempotents(cls, algebra: Algebra, idempotents) -> "JordanFrame":
+        """Frame listing the given idempotents, which must square to themselves
+        with unit trace, multiply pairwise to zero and sum to the unit, all
+        within FRAME_TOL.  The basis comes from decomposing
+        sum((rank - i) * e_i), whose distinct coefficients keep the listing."""
+        a = algebra
+        es = tuple(idempotents)
+        tol = FRAME_TOL
         if len(es) != a.rank:
-            raise InvalidFrameError(
-                f"frame needs {a.rank} idempotents, got {len(es)}"
-            )
+            raise InvalidFrameError(f"frame needs {a.rank} idempotents, got {len(es)}")
         for i, e in enumerate(es):
             if e.algebra != a:
                 raise AlgebraMismatchError(f"idempotent {i} belongs to {e.algebra}, not {a}")
@@ -95,9 +130,30 @@ class JordanFrame:
         total = np.sum([e.coords for e in es], axis=0)
         if float(np.max(np.abs(total - alg.unit_element(a).coords))) > tol:
             raise InvalidFrameError("idempotents do not sum to the unit")
+        weighted = np.sum([(a.rank - i) * e.coords for i, e in enumerate(es)], axis=0)
+        return spectral_decompose(Element(a, weighted))[0]
+
+    @cached_property
+    def idempotents(self) -> tuple[Element, ...]:
+        """The listed idempotents as elements, built on first use."""
+        a = self.algebra
+        u = self.basis
+        if isinstance(a, ProductAlgebra):
+            zeros = [alg.zero_element(f) for f in a.factors]
+            by_pos = [
+                alg.join_product(a, zeros[:i] + [e] + zeros[i + 1 :])
+                for i, f in enumerate(u)
+                for e in f.idempotents
+            ]
+        elif isinstance(a, SpinFactor):
+            by_pos = [alg.element_from_spin(a, 0.5, s * 0.5 * u) for s in (1.0, -1.0)]
+        else:
+            pack = alg.element_from_sym if isinstance(a, RealSymmetric) else alg.element_from_herm
+            by_pos = [pack(a, np.outer(u[:, k], u[:, k].conj())) for k in range(a.n)]
+        return tuple(by_pos[k] for k in self.order)
 
     def __len__(self):
-        return len(self.idempotents)
+        return self.algebra.rank
 
 
 # ---------------------------------------------------------------------------
@@ -146,102 +202,55 @@ def eigen_map(x: Element) -> np.ndarray:
     return sort_desc(pooled)
 
 
-def _decompose_simple(x: Element):
-    a = x.algebra
-    if isinstance(a, RealSymmetric):
-        values, vecs = _eigh_desc(alg.sym_matrix(x), vectors=True)
-        idems = [
-            alg.element_from_sym(a, np.outer(vecs[:, i], vecs[:, i]))
-            for i in range(a.n)
-        ]
-        return values, idems
-    if isinstance(a, ComplexHermitian):
-        values, vecs = _eigh_desc(alg.herm_matrix(x), vectors=True)
-        idems = [
-            alg.element_from_herm(a, np.outer(vecs[:, i], vecs[:, i].conj()))
-            for i in range(a.n)
-        ]
-        return values, idems
-    x0, xbar = alg.spin_parts(x)
-    r = _spin_radius(xbar)
-    if r > 0.0:
-        u = xbar / r
-    else:
-        u = np.zeros(a.d - 1)
-        u[0] = 1.0
-    plus = alg.element_from_spin(a, 0.5, 0.5 * u)
-    minus = alg.element_from_spin(a, 0.5, -0.5 * u)
-    return np.array([x0 + r, x0 - r]), [plus, minus]
-
-
 def spectral_decompose(x: Element) -> tuple[JordanFrame, np.ndarray]:
     """Jordan frame F and eigenvalues q (non-increasing) with x = sum(q_i * F_i)."""
     a = x.algebra
     if isinstance(a, ProductAlgebra):
-        values_parts = []
-        idem_parts = []
-        offsets = np.cumsum([0] + [f.dim for f in a.factors])
-        for i, part in enumerate(alg.split_product(x)):
-            vals, idems = _decompose_simple(part)
-            values_parts.append(vals)
-            for e in idems:
-                coords = np.zeros(a.dim)
-                coords[offsets[i] : offsets[i + 1]] = e.coords
-                idem_parts.append(Element(a, coords))
-        values = np.concatenate(values_parts)
+        parts = [spectral_decompose(p) for p in alg.split_product(x)]
+        values = np.concatenate([v for _, v in parts])
         order = np.argsort(-values, kind="stable")
-        frame = JordanFrame(a, tuple(idem_parts[k] for k in order))
-        return frame, values[order]
-    values, idems = _decompose_simple(x)
-    return JordanFrame(a, tuple(idems)), values
+        return JordanFrame(a, tuple(f for f, _ in parts), order), values[order]
+    if isinstance(a, RealSymmetric):
+        values, basis = _eigh_desc(alg.sym_matrix(x), vectors=True)
+    elif isinstance(a, ComplexHermitian):
+        values, basis = _eigh_desc(alg.herm_matrix(x), vectors=True)
+    else:
+        x0, xbar = alg.spin_parts(x)
+        r = _spin_radius(xbar)
+        basis = xbar / r if r > 0.0 else np.eye(a.d - 1)[0]
+        values = np.array([x0 + r, x0 - r])
+    return JordanFrame(a, basis, np.arange(a.rank)), values
 
 
 def compose_theta(q, frame: JordanFrame) -> Element:
     """sum(q_i * e_i) over the frame's listed idempotents.
 
-    Coordinate sums are exactly rounded (math.fsum), so simultaneously
-    permuting q and the idempotent list reproduces the identical element.
+    q is scattered into basis order before composing, so simultaneously
+    permuting q and the frame's `order` reproduces the identical element.
     """
     q = np.asarray(q, dtype=float)
-    rank = frame.algebra.rank
-    if q.shape != (rank,):
-        raise ValueError(f"coefficient vector must have length {rank}, got shape {q.shape}")
-    cols = [e.coords for e in frame.idempotents]
-    out = np.empty(frame.algebra.dim)
-    for k in range(out.size):
-        out[k] = math.fsum(qi * col[k] for qi, col in zip(q, cols))
-    return Element(frame.algebra, out)
+    a = frame.algebra
+    if q.shape != (a.rank,):
+        raise ValueError(f"coefficient vector must have length {a.rank}, got shape {q.shape}")
+    qb = np.empty(a.rank)
+    qb[frame.order] = q
+    u = frame.basis
+    if isinstance(a, RealSymmetric):
+        return alg.element_from_sym(a, (u * qb) @ u.T)
+    if isinstance(a, ComplexHermitian):
+        return alg.element_from_herm(a, (u * qb) @ u.conj().T)
+    if isinstance(a, SpinFactor):
+        return alg.element_from_spin(a, 0.5 * (qb[0] + qb[1]), (0.5 * (qb[0] - qb[1])) * u)
+    blocks = np.split(qb, np.cumsum([f.rank for f in a.factors])[:-1])
+    return alg.join_product(a, [compose_theta(qf, f) for qf, f in zip(blocks, u)])
 
 
 def canonical_frame(a: Algebra) -> JordanFrame:
     """Fixed reference frame: diagonal matrix units for the matrix kinds,
-    the first-axis idempotent pair for spin factors, factor frames embedded
-    in factor order for products."""
-    if isinstance(a, RealSymmetric):
-        idems = []
-        for i in range(a.n):
-            m = np.zeros((a.n, a.n))
-            m[i, i] = 1.0
-            idems.append(alg.element_from_sym(a, m))
-        return JordanFrame(a, tuple(idems))
-    if isinstance(a, ComplexHermitian):
-        idems = []
-        for i in range(a.n):
-            m = np.zeros((a.n, a.n), dtype=complex)
-            m[i, i] = 1.0
-            idems.append(alg.element_from_herm(a, m))
-        return JordanFrame(a, tuple(idems))
-    if isinstance(a, SpinFactor):
-        u = np.zeros(a.d - 1)
-        u[0] = 1.0
-        plus = alg.element_from_spin(a, 0.5, 0.5 * u)
-        minus = alg.element_from_spin(a, 0.5, -0.5 * u)
-        return JordanFrame(a, (plus, minus))
-    idems = []
-    offsets = np.cumsum([0] + [f.dim for f in a.factors])
-    for i, f in enumerate(a.factors):
-        for e in canonical_frame(f).idempotents:
-            coords = np.zeros(a.dim)
-            coords[offsets[i] : offsets[i + 1]] = e.coords
-            idems.append(Element(a, coords))
-    return JordanFrame(a, tuple(idems))
+    the first-axis idempotent pair for spin factors, factor frames in
+    factor order for products."""
+    if isinstance(a, ProductAlgebra):
+        basis = tuple(canonical_frame(f) for f in a.factors)
+    else:
+        basis = np.eye(a.d - 1)[0] if isinstance(a, SpinFactor) else np.eye(a.n)
+    return JordanFrame(a, basis, np.arange(a.rank))

@@ -216,6 +216,8 @@ def connect(
         raise AlgebraMismatchError("endpoints must live in the set's algebra")
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    if not np.isfinite(tolerance):
+        raise ValueError(f"tolerance must be a finite number, got {tolerance!r}")
     for name, point in (("x", x), ("y", y)):
         if not ss_member(sset, point):
             raise InfeasiblePathError(
@@ -357,9 +359,11 @@ def sum_split(
     q2 = np.asarray(q2, dtype=float)
     if q1.shape != (rank,) or q2.shape != (rank,):
         raise ValueError(f"split vectors must have length {rank}")
+    if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
+        raise ValueError("split vectors must be finite numbers")
     lam = eigen_map(z)
     gap = float(np.abs(q1 + q2 - lam).max())
-    if gap > SPLIT_TOL:
+    if not gap <= SPLIT_TOL:
         raise MembershipError(
             f"q1 + q2 differs from the eigenvalues of z by {gap:.3e} > {SPLIT_TOL:g}"
         )

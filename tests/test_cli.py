@@ -115,6 +115,33 @@ def test_eig_lapack_non_finite_result_exits_3(tmp_path, capsys, monkeypatch):
     assert "numeric failure" in err
 
 
+def test_non_finite_payload_exits_3(tmp_path, capsys, monkeypatch):
+    # stdout is always valid JSON: a NaN reaching the renderer is a numeric
+    # failure, not a line of invalid JSON
+    monkeypatch.setattr(cli, "eigen_map", lambda x: np.array([np.nan]))
+    doc = {"alg": {"kind": "sym", "n": 1}, "data": [[1.0]]}
+    assert cli.main(["eig", write_json(tmp_path, "x.json", doc)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numeric failure" in err
+
+
+@pytest.mark.parametrize("value", [2.7, True, "2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("field", ["algebra-n", "permset-m"])
+def test_document_sizes_must_be_json_integers(tmp_path, capsys, field, value):
+    # each value used to be coerced with int() into a valid size
+    if field == "algebra-n":
+        doc = {"alg": {"kind": "sym", "n": value}, "data": np.eye(int(value)).tolist()}
+        argv = ["eig", write_json(tmp_path, "x.json", doc)]
+    else:
+        doc = {"set": "rearr", "n": 3, "m": value}
+        argv = ["pointed-check", write_json(tmp_path, "set.json", doc), "--samples", "10"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "JSON integer" in err
+
+
 def test_decompose_reports_frame(tmp_path):
     x = random_element(RealSymmetric(3), 7)
     proc = run_cli(["decompose"], stdin=json.dumps(emit_element(x)))
@@ -183,6 +210,34 @@ def test_connect_with_qpath_file(tmp_path):
     )
     proc = run_cli(["connect", set_path, x_path, y_path, "--qpath", q_path, "--steps", "5"])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_connect_non_finite_tolerance_exits_2(tmp_path, capsys, tolerance):
+    set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 2, "m": 1})
+    x = element_from_sym(RealSymmetric(2), np.diag([2.0, 1.0]))
+    y = element_from_sym(RealSymmetric(2), np.diag([4.0, 0.5]))
+    x_path = write_json(tmp_path, "x.json", emit_element(x))
+    y_path = write_json(tmp_path, "y.json", emit_element(y))
+    assert cli.main(["connect", set_path, x_path, y_path, "--tolerance", tolerance]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "tolerance" in err
+
+
+def test_connect_non_finite_qpath_vertex_exits_2(tmp_path, capsys):
+    set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 2, "m": 1})
+    x = element_from_sym(RealSymmetric(2), np.diag([2.0, 1.0]))
+    y = element_from_sym(RealSymmetric(2), np.diag([4.0, 0.5]))
+    x_path = write_json(tmp_path, "x.json", emit_element(x))
+    y_path = write_json(tmp_path, "y.json", emit_element(y))
+    q_path = write_json(
+        tmp_path, "q.json", {"vertices": [[2.0, 1.0], [float("nan"), 2.0], [4.0, 0.5]]}
+    )
+    assert cli.main(["connect", set_path, x_path, y_path, "--qpath", q_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "finite" in err
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +342,17 @@ def test_sum_split_bad_split_exit_4(tmp_path):
         ["sum-split", z_path, set_path, set_path, "--q1", "[1.0, 0.5]", "--q2", "[1.5, 0.5]"]
     )
     assert proc.returncode == 4
+
+
+def test_sum_split_non_finite_split_exits_2(tmp_path, capsys):
+    a = RealSymmetric(2)
+    z_path = write_json(tmp_path, "z.json", emit_element(element_from_sym(a, np.diag([3.0, 1.0]))))
+    set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 2, "m": 1})
+    argv = ["sum-split", z_path, set_path, set_path, "--q1", "[NaN, 0.5]", "--q2", "[1.5, 0.5]"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "finite" in err
 
 
 def test_pointed_check_halfspace_witness(tmp_path):

@@ -201,7 +201,7 @@ def test_theta_listing_independence_exact():
         base = compose_theta(q, frame)
         for _ in range(10):
             sigma = rng.permutation(algebra.rank)
-            shuffled = JordanFrame(algebra, tuple(frame.idempotents[k] for k in sigma))
+            shuffled = JordanFrame(algebra, frame.basis, frame.order[sigma])
             assert np.array_equal(compose_theta(q[sigma], shuffled).coords, base.coords)
 
 
@@ -229,12 +229,16 @@ def test_frame_validation_rejects_garbage():
     a = RealSymmetric(2)
     not_idem = element_from_sym(a, np.array([[0.5, 0.0], [0.0, 0.5]]))
     with pytest.raises(InvalidFrameError):
-        JordanFrame(a, (not_idem, not_idem))
+        JordanFrame.from_idempotents(a, (not_idem, not_idem))
     e1 = element_from_sym(a, np.diag([1.0, 0.0]))
     with pytest.raises(InvalidFrameError):
-        JordanFrame(a, (e1, e1))  # not orthogonal, wrong sum
+        JordanFrame.from_idempotents(a, (e1, e1))  # not orthogonal, wrong sum
     with pytest.raises(InvalidFrameError):
-        JordanFrame(a, (e1,))  # wrong count
+        JordanFrame.from_idempotents(a, (e1,))  # wrong count
+    with pytest.raises(InvalidFrameError):
+        JordanFrame(a, np.array([[1.0, 0.0], [1.0, 1.0]]), [0, 1])  # not orthonormal
+    with pytest.raises(InvalidFrameError):
+        JordanFrame(a, np.eye(2), [0, 0])  # order is not a permutation
 
 
 def test_canonical_frame_reconstructs_unit():
@@ -248,4 +252,4 @@ def test_decompose_frames_are_valid():
     # JordanFrame construction re-validates, so decomposition must pass it
     for algebra in ALL_KINDS:
         frame, _ = spectral_decompose(random_element(algebra, 123))
-        JordanFrame(algebra, frame.idempotents)
+        JordanFrame.from_idempotents(algebra, frame.idempotents)

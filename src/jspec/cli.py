@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io as jio
 from . import spectralsets as ss
-from .algebra import inner_product
+from .algebra import norm
 from .errors import (
     AlgebraMismatchError,
     InfeasiblePathError,
@@ -106,12 +106,11 @@ def _cmd_fan(args):
     a = jio.parse_element(_load(args.a))
     interval = ss.fan_interval(c, a)
     values = ss.fan_sample(c, a, args.samples, args.seed)
+    # |<c, phi(a)>| <= |c| |a|, so rounding error scales with that product
+    tol = 1e-9 * max(1.0, norm(c) * norm(a))
     inside = bool(
         values.size == 0
-        or (
-            values.min() >= interval.delta - 1e-9
-            and values.max() <= interval.Delta + 1e-9
-        )
+        or (values.min() >= interval.delta - tol and values.max() <= interval.Delta + tol)
     )
     return {
         "delta": interval.delta,

@@ -146,33 +146,31 @@ def apply_automorphism(phi: Automorphism, x: Element) -> Element:
     return alg.join_product(a, parts)
 
 
-def _haar_special_orthogonal(n: int, rng) -> np.ndarray:
-    if n == 1:
-        return np.eye(1)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diagonal(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
+def _haar(n: int, rng, k: int, unitary: bool) -> np.ndarray:
+    """k Haar draws on U(n) or SO(n), stacked (k, n, n): QR of Gaussians with
+    the phases of diag(R) moved into Q (Mezzadri 2007), and column 0 flipped
+    where det < 0 on SO(n).  Draw i reads one contiguous chunk of the stream,
+    so k draws equal k sequential single draws."""
+    if unitary:
+        g = rng.standard_normal((k, 2, n, n))
+        m = g[:, 0] + 1j * g[:, 1]
+    else:
+        m = rng.standard_normal((k, n, n))
+    q, r = np.linalg.qr(m)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (d / np.abs(d))[:, None, :]
+    if not unitary:
+        q[np.linalg.det(q) < 0.0, :, 0] *= -1.0
     return q
 
 
-def _haar_unitary(n: int, rng) -> np.ndarray:
-    m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-    q, r = np.linalg.qr(m)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def random_g_automorphism(a: Algebra, rng) -> Automorphism:
-    """Random element of the identity component: orthonormalized Gaussian
-    matrices, determinant-corrected where needed."""
-    if isinstance(a, RealSymmetric):
-        return Automorphism(a, _haar_special_orthogonal(a.n, rng), None, True)
-    if isinstance(a, ComplexHermitian):
-        return Automorphism(a, _haar_unitary(a.n, rng), None, True)
-    if isinstance(a, SpinFactor):
-        return Automorphism(a, _haar_special_orthogonal(a.d - 1, rng), None, True)
-    return product_automorphism([random_g_automorphism(f, rng) for f in a.factors])
+    """Random element of the identity component: one Haar draw per simple
+    factor, taken from `rng`."""
+    if isinstance(a, ProductAlgebra):
+        return product_automorphism([random_g_automorphism(f, rng) for f in a.factors])
+    haar = _haar(_rep_size(a), rng, 1, isinstance(a, ComplexHermitian))
+    return Automorphism(a, haar[0], None, True)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +420,14 @@ def restricted_orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:
 
 
 def orbit_sample(x: Element, count: int, seed: int) -> list[Element]:
-    """`count` random images of x under identity-component automorphisms,
-    deterministic given the seed (per-index derivation)."""
-    if isinstance(x.algebra, ProductAlgebra):
+    """`count` random images of x under identity-component automorphisms:
+    sample i is the i-th of `count` `random_g_automorphism` draws from
+    `default_rng(seed)`, so a longer run extends a shorter one."""
+    a = x.algebra
+    if isinstance(a, ProductAlgebra):
         raise UnsupportedAlgebraError("orbit_sample is defined on simple algebras")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    out = []
-    for i in range(count):
-        rng = np.random.default_rng((int(seed), int(i)))
-        out.append(apply_automorphism(random_g_automorphism(x.algebra, rng), x))
-    return out
+    rng = np.random.default_rng(int(seed))
+    mats = _haar(_rep_size(a), rng, count, isinstance(a, ComplexHermitian))
+    return [apply_automorphism(Automorphism(a, m, None, True), x) for m in mats]

@@ -174,6 +174,8 @@ def make_finite_orbit(points) -> PermSet:
     n = pts[0].size
     if any(p.shape != (n,) for p in pts):
         raise ValueError("points must share one length")
+    if not all(np.isfinite(p).all() for p in pts):
+        raise ValueError("points must be finite numbers")
     if n > _MAX_ORBIT_DIM:
         raise ValueError(f"orbit materialization capped at n = {_MAX_ORBIT_DIM}")
     orbit = {tuple(p[list(sigma)]) for p in pts for sigma in itertools.permutations(range(n))}
@@ -206,29 +208,25 @@ def down_member(q_set: PermSet, q) -> bool:
     return q_set.member(q)
 
 
-def _index_rng(seed: int, index: int) -> np.random.Generator:
-    # per-sample derivation keeps results independent of evaluation order
-    return np.random.default_rng((int(seed), int(index)))
-
-
 def pointed_sample_check(q_set: PermSet, samples: int, seed: int):
     """Randomized search for a pointedness violation q != 0 with both q and
-    -q members.  Candidates mix raw Gaussians with zero-sum differences of a
-    Gaussian and a random permutation of itself, so lineality directions of
-    trace-type half-spaces are actually hit.  Returns the first witness in
-    scan order or None; deterministic given the seed.
+    -q members.  Candidates mix raw Gaussians g_i with zero-sum differences
+    g_i - g_i[perm_i], so lineality directions of trace-type half-spaces are
+    actually hit.  One `default_rng(seed)` draws g_i and the sort keys of
+    perm_i per sample, so a longer run extends a shorter one.  Returns the
+    first witness in scan order (g_0, g_0 - g_0[perm_0], g_1, ...) or None.
     """
     if not q_set.cone:
         raise ValueError(f"{q_set.tag} is not flagged as a cone")
     if samples < 1:
         raise ValueError("need at least one sample")
     n = q_set.n
+    draws = np.random.default_rng(int(seed)).standard_normal((samples, 2, n))
+    g = draws[:, 0]
+    perm = np.argsort(draws[:, 1], axis=1)
     rows = np.empty((2 * samples, n))
-    for i in range(samples):
-        rng = _index_rng(seed, i)
-        g = rng.standard_normal(n)
-        rows[2 * i] = g
-        rows[2 * i + 1] = g - g[rng.permutation(n)]
+    rows[0::2] = g
+    rows[1::2] = g - np.take_along_axis(g, perm, axis=1)
     margins = q_set.margin_many(rows)
     if margins is not None:
         both = (margins >= 0.0) & (q_set.margin_many(-rows) >= 0.0)

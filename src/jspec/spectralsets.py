@@ -487,8 +487,8 @@ def certificate_check(
     accepted = 0
     attempts = 0
     max_attempts = 50 * samples
+    rng = np.random.default_rng(int(seed))
     while accepted < samples and attempts < max_attempts:
-        rng = np.random.default_rng((int(seed), int(attempts)))
         x = Element(a, rng.standard_normal(a.dim))
         attempts += 1
         if not k_members(x):

@@ -1,15 +1,23 @@
 """End-to-end CLI tests over the JSON interface and its exit-code contract."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jspec import (
+    ComplexHermitian,
     Element,
     RealSymmetric,
+    SpinFactor,
     coordinate_algebra,
     element_from_sym,
     random_element,
@@ -254,6 +262,19 @@ def test_fan_s2_endpoints(tmp_path):
     assert payload == {"delta": -1, "Delta": 1, "samples_in_interval": True}
 
 
+def test_fan_large_scale_samples_in_interval(tmp_path, capsys):
+    # every sample equals <c, a> up to rounding of size ~|c| |a| * eps
+    c = element_from_sym(
+        RealSymmetric(3), np.array([[3e4, 1e4, 0.0], [1e4, -2e4, 5e3], [0.0, 5e3, -1e4]])
+    )
+    a = element_from_sym(RealSymmetric(3), 1e4 * np.eye(3))
+    c_path = write_json(tmp_path, "c.json", emit_element(c))
+    a_path = write_json(tmp_path, "a.json", emit_element(a))
+    for seed in ("0", "1", "2"):
+        assert cli.main(["fan", c_path, a_path, "--samples", "200", "--seed", seed]) == 0
+        assert json.loads(capsys.readouterr().out)["samples_in_interval"] is True
+
+
 def test_fan_mismatched_algebras_exit_2(tmp_path):
     c = element_from_sym(RealSymmetric(2), np.diag([1.0, -1.0]))
     a = element_from_sym(RealSymmetric(3), np.diag([1.0, 0.0, 0.0]))
@@ -282,6 +303,19 @@ def test_components_coordinate_space(tmp_path):
     proc = run_cli(["components", set_path, alg_path])
     payload = json.loads(proc.stdout)
     assert len(payload["components"]) == 3
+
+
+def test_finite_set_non_finite_point_exits_2(tmp_path, capsys):
+    alg_path = write_json(tmp_path, "alg.json", emit_algebra(RealSymmetric(3)))
+    x_path = write_json(tmp_path, "x.json", emit_element(random_element(RealSymmetric(3), 0)))
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        set_path = tmp_path / "set.json"
+        set_path.write_text('{"set": "finite", "points": [[%s, 0, 0]]}' % bad)
+        for argv in (["components", str(set_path), alg_path], ["member", str(set_path), x_path]):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "finite" in err
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +407,79 @@ def test_bad_permset_document_exit_2(tmp_path):
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 3})
     proc = run_cli(["pointed-check", set_path])
     assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# sampling commands over small documents
+
+
+def run_in_process(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+SAMPLING_ALGEBRAS = [
+    RealSymmetric(1),
+    RealSymmetric(3),
+    ComplexHermitian(2),
+    SpinFactor(4),
+    coordinate_algebra(3),
+]
+SAMPLING_SETS = [
+    {"set": "rearr", "n": 3, "m": 1},
+    {"set": "rearr", "n": 3, "m": 3},
+    {"set": "halfspace-trace", "n": 3},
+    {"set": "tracenorm", "n": 3},
+    {"set": "finite", "points": [[0, 0, 0]]},
+    {"set": "finite", "points": [[1, 0, 0]]},
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    command=st.sampled_from(["fan", "orbit-sample", "pointed-check", "certify"]),
+    algebra=st.sampled_from(SAMPLING_ALGEBRAS),
+    set_doc=st.sampled_from(SAMPLING_SETS),
+    values=st.lists(st.floats(-10, 10), min_size=9, max_size=9),
+    count=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampling_commands_exit_codes_and_rerun_bytes(
+    command, algebra, set_doc, values, count, seed
+):
+    def element_doc(a, v):
+        return emit_element(Element(a, np.resize(np.asarray(v), a.dim)))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        def path(name, payload):
+            full = os.path.join(tmp, name)
+            with open(full, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            return full
+
+        x_path = path("x.json", element_doc(algebra, values))
+        set_path = path("set.json", set_doc)
+        if command == "fan":
+            c_path = path("c.json", element_doc(algebra, values[::-1]))
+            argv = ["fan", c_path, x_path, "--samples", str(count)]
+        elif command == "orbit-sample":
+            argv = ["orbit-sample", x_path, "--count", str(count)]
+        elif command == "pointed-check":
+            argv = ["pointed-check", set_path, "--samples", str(count)]
+        else:
+            rn3 = coordinate_algebra(3)
+            parts = [[element_doc(rn3, np.abs(values[3 * i : 3 * i + 3]))] for i in range(3)]
+            cert_path = path("cert.json", {"parts": parts})
+            argv = ["certify", set_path, cert_path, "--samples", str(count)]
+        argv += ["--seed", str(seed)]
+        code, out = run_in_process(argv)
+        assert (code, out) == run_in_process(argv)
+    assert code in (0, 2, 3, 4)
+    if out:
+        json.loads(out)
+    assert bool(out) == (code == 0)
 
 
 # ---------------------------------------------------------------------------

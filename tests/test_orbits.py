@@ -326,6 +326,18 @@ def test_orbit_sample_deterministic_and_order_independent():
         assert np.array_equal(s.coords, t.coords)
 
 
+@pytest.mark.parametrize(
+    "algebra", [RealSymmetric(1), RealSymmetric(4), ComplexHermitian(3), SpinFactor(5)], ids=str
+)
+def test_orbit_sample_is_sequential_haar_draws(algebra):
+    # one Haar path: the stacked draw equals sequential single draws, bit for bit
+    x = random_element(algebra, 3)
+    rng = np.random.default_rng(11)
+    for s in orbit_sample(x, 7, seed=11):
+        t = apply_automorphism(random_g_automorphism(algebra, rng), x)
+        assert np.array_equal(s.coords, t.coords)
+
+
 def test_orbit_sample_rejects_products():
     with pytest.raises(UnsupportedAlgebraError):
         orbit_sample(random_element(coordinate_algebra(2), 0), 3, seed=0)

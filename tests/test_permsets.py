@@ -77,6 +77,12 @@ def test_finite_orbit_examples():
         make_finite_orbit([])
 
 
+def test_finite_orbit_rejects_non_finite_points():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            make_finite_orbit([[1.0, 0.0, 0.0], [bad, 0.0, 0.0]])
+
+
 def test_down_member():
     q31 = make_rearrangement_cone(3, 1)
     assert down_member(q31, [2.0, 1.0, 0.0])
@@ -173,6 +179,14 @@ def test_pointed_check_deterministic():
     w1 = pointed_sample_check(h, 500, seed=9)
     w2 = pointed_sample_check(h, 500, seed=9)
     assert np.array_equal(w1, w2)
+
+
+def test_pointed_check_witness_independent_of_sample_count():
+    # a longer run extends a shorter one, so the first witness stays first
+    h = make_trace_halfspace(3)
+    w = pointed_sample_check(h, 200, seed=0)
+    assert w is not None
+    assert np.array_equal(w, pointed_sample_check(h, 2000, seed=0))
 
 
 def test_custom_predicate_support():

@@ -406,6 +406,12 @@ def test_fan_samples_inside_interval(algebra):
         assert abs(inner_product(c, fi.minimizer) - fi.delta) <= 1e-9
 
 
+def test_fan_sample_prefix():
+    a = ComplexHermitian(3)
+    c, x = random_element(a, 1), random_element(a, 2)
+    assert np.array_equal(fan_sample(c, x, 50, seed=4), fan_sample(c, x, 120, seed=4)[:50])
+
+
 def test_fan_zero_element():
     a = RealSymmetric(3)
     c = random_element(a, 1)

@@ -12,8 +12,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import io as jio
 from . import spectralsets as ss
 from .algebra import norm
@@ -41,6 +39,7 @@ _INPUT_ERRORS = (
     AlgebraMismatchError,
     InvalidFrameError,
     UnsupportedAlgebraError,
+    MemoryError,  # a request too large to allocate, such as a huge --count
 )
 _INFEASIBLE_ERRORS = (
     InfeasiblePathError,
@@ -159,8 +158,8 @@ def _cmd_sum_split(args):
     z = jio.parse_element(_load(args.z))
     q1_set = jio.parse_permset(_load(args.q1set))
     q2_set = jio.parse_permset(_load(args.q2set))
-    q1 = np.asarray(json.loads(args.q1), dtype=float)
-    q2 = np.asarray(json.loads(args.q2), dtype=float)
+    q1 = jio.parse_numbers(json.loads(args.q1), "--q1")
+    q2 = jio.parse_numbers(json.loads(args.q2), "--q2")
     part1, part2 = ss.sum_split(z, q1_set, q2_set, q1, q2)
     return {"part1": jio.emit_element(part1), "part2": jio.emit_element(part2)}
 

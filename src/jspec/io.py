@@ -9,6 +9,7 @@ with 17 significant digits, which round-trips IEEE doubles.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -44,6 +45,7 @@ __all__ = [
     "emit_element",
     "parse_permset",
     "parse_qpath",
+    "parse_numbers",
     "parse_certificate",
     "emit_polyline",
     "render_json",
@@ -65,8 +67,29 @@ def _need_int(doc: dict, key: str, where: str) -> int:
     return value
 
 
+def parse_numbers(data, where: str) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array.  Only JSON
+    integers and floats are numbers: `true`, strings and `null` are input
+    errors, never coerced."""
+    shape, leaves = [], [data]
+    while leaves and type(leaves[0]) is list:
+        try:
+            (length,) = set(map(len, leaves))
+        except (TypeError, ValueError):  # a number next to a list, or ragged rows
+            raise ValueError(f"{where}: nested lists must have one shape") from None
+        shape.append(length)
+        leaves = list(itertools.chain.from_iterable(leaves))
+    found = sorted(t.__name__ for t in set(map(type, leaves)) - {int, float})
+    if found:
+        raise ValueError(f"{where}: expected JSON numbers, got {', '.join(found)}")
+    try:
+        return np.array(leaves, dtype=float).reshape(shape)
+    except OverflowError:
+        raise ValueError(f"{where}: an integer is too large for a float") from None
+
+
 def _as_matrix(data, n: int, where: str) -> np.ndarray:
-    m = np.asarray(data, dtype=float)
+    m = parse_numbers(data, where)
     if m.shape != (n, n):
         raise ValueError(f"{where}: expected an {n}x{n} matrix, got shape {m.shape}")
     return m
@@ -136,11 +159,13 @@ def _parse_element_data(a: Algebra, data) -> Element:
         m = (re + re.T) / 2.0 + 1j * (im - im.T) / 2.0
         return alg.element_from_herm(a, m)
     if isinstance(a, SpinFactor):
-        x0 = float(_need(data, "x0", "element"))
-        xbar = np.asarray(_need(data, "xbar", "element"), dtype=float)
+        x0 = parse_numbers(_need(data, "x0", "element"), "element x0")
+        if x0.shape != ():
+            raise ValueError("element: x0 must be a number")
+        xbar = parse_numbers(_need(data, "xbar", "element"), "element xbar")
         if xbar.shape != (a.d - 1,):
             raise ValueError(f"element: xbar must have length {a.d - 1}")
-        return alg.element_from_spin(a, x0, xbar)
+        return alg.element_from_spin(a, float(x0), xbar)
     factor_docs = _need(data, "factors", "element")
     if not isinstance(factor_docs, list) or len(factor_docs) != len(a.factors):
         raise ValueError(
@@ -188,7 +213,7 @@ def parse_permset(doc) -> PermSet:
         points = _need(doc, "points", "permset")
         if not isinstance(points, list) or not points:
             raise ValueError("permset: finite set needs a nonempty point list")
-        return make_finite_orbit(points)
+        return make_finite_orbit([parse_numbers(p, "permset point") for p in points])
     raise ValueError(f"permset: unknown builder {tag!r}")
 
 
@@ -196,7 +221,7 @@ def parse_qpath(doc) -> list[np.ndarray]:
     vertices = _need(doc, "vertices", "qpath")
     if not isinstance(vertices, list) or not vertices:
         raise ValueError("qpath: needs a nonempty vertex list")
-    out = [np.asarray(v, dtype=float) for v in vertices]
+    out = [parse_numbers(v, "qpath vertex") for v in vertices]
     if not all(np.isfinite(v).all() for v in out):
         raise ValueError("qpath: vertices must be finite numbers")
     return out
@@ -223,43 +248,23 @@ def emit_polyline(path: PathPolyline) -> dict:
 # deterministic rendering
 
 
-def _render(value, out: list):
-    if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
+def _render(value) -> str:
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, float):
         if not math.isfinite(value):
-            raise NumericError(f"cannot render the non-finite number {float(value)!r} as JSON")
-        out.append(format(float(value), ".17g"))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _render(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        seq = value.tolist() if isinstance(value, np.ndarray) else value
-        out.append("[")
-        for i, v in enumerate(seq):
-            if i:
-                out.append(", ")
-            _render(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot render {type(value)!r}")
+            raise NumericError(f"cannot render the non-finite number {value!r} as JSON")
+        return format(value, ".17g")
+    if value is None or isinstance(value, (bool, int, str)):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_render, value)) + "]"
+    raise TypeError(f"cannot render {type(value)!r}")
 
 
 def render_json(value) -> str:
     """Deterministic one-line JSON with round-trip-exact float rendering;
     a non-finite float has no JSON form and raises `NumericError`."""
-    out: list = []
-    _render(value, out)
-    return "".join(out)
+    return _render(value)

@@ -129,21 +129,24 @@ def identity_automorphism(a: Algebra) -> Automorphism:
     return Automorphism(a, eye, None, True)
 
 
+def _act(a: Algebra, mats: np.ndarray, x: Element) -> np.ndarray:
+    """Coordinates [k, dim] of the images of x, an element of a simple kind,
+    under the stacked representations mats[k, r, r]."""
+    if isinstance(a, SpinFactor):
+        x0, xbar = alg.spin_parts(x)
+        return np.column_stack([np.full(len(mats), x0), mats @ xbar])
+    m = mats @ alg.matrix_of(a, x.coords) @ mats.conj().swapaxes(1, 2)
+    return alg.coords_of(a, (m + m.conj().swapaxes(1, 2)) / 2.0)
+
+
 def apply_automorphism(phi: Automorphism, x: Element) -> Element:
     if phi.algebra != x.algebra:
         raise AlgebraMismatchError(f"automorphism on {phi.algebra} applied to {x.algebra}")
     a = x.algebra
-    if isinstance(a, RealSymmetric):
-        m = phi.matrix @ alg.sym_matrix(x) @ phi.matrix.T
-        return alg.element_from_sym(a, (m + m.T) / 2.0)
-    if isinstance(a, ComplexHermitian):
-        m = phi.matrix @ alg.herm_matrix(x) @ phi.matrix.conj().T
-        return alg.element_from_herm(a, (m + m.conj().T) / 2.0)
-    if isinstance(a, SpinFactor):
-        x0, xbar = alg.spin_parts(x)
-        return alg.element_from_spin(a, x0, phi.matrix @ xbar)
-    parts = [apply_automorphism(p, xi) for p, xi in zip(phi.factors, alg.split_product(x))]
-    return alg.join_product(a, parts)
+    if isinstance(a, ProductAlgebra):
+        parts = [apply_automorphism(p, xi) for p, xi in zip(phi.factors, alg.split_product(x))]
+        return alg.join_product(a, parts)
+    return Element(a, _act(a, phi.matrix[None], x)[0])
 
 
 def _haar(n: int, rng, k: int, unitary: bool) -> np.ndarray:
@@ -299,26 +302,28 @@ class GPath:
     factor_paths: tuple["GPath", ...] | None
 
     def sample(self, t: float) -> Automorphism:
-        a = self.algebra
         if self.factor_paths is not None:
             return product_automorphism([fp.sample(t) for fp in self.factor_paths])
-        size = _rep_size(a)
-        if isinstance(a, ComplexHermitian):
-            m = np.diag(np.exp(1j * t * self.phases))
-            for p, q, theta, psi in reversed(self.rotations):
-                c, s = math.cos(t * theta), math.sin(t * theta)
-                e_pos = complex(math.cos(psi), math.sin(psi))
-                row_p = m[p, :].copy()
-                m[p, :] = c * row_p + (s * e_pos.conjugate()) * m[q, :]
-                m[q, :] = (-s * e_pos) * row_p + c * m[q, :]
-            return Automorphism(a, m, None, True)
-        m = np.eye(size)
-        for p, q, angle in reversed(self.rotations):
-            c, s = math.cos(t * angle), math.sin(t * angle)
-            row_p = m[p, :].copy()
-            m[p, :] = c * row_p - s * m[q, :]
-            m[q, :] = s * row_p + c * m[q, :]
-        return Automorphism(a, m, None, True)
+        return Automorphism(self.algebra, self.matrices([t])[0], None, True)
+
+    def matrices(self, ts) -> np.ndarray:
+        """Representation matrices at every t of `ts`, stacked [len(ts), r, r]
+        (simple kinds); each rotation is replayed once over the whole vector."""
+        ts = np.asarray(ts, dtype=float)
+        size = _rep_size(self.algebra)
+        if isinstance(self.algebra, ComplexHermitian):
+            m = np.zeros((ts.size, size, size), dtype=complex)
+            m[:, range(size), range(size)] = np.exp((1j * ts)[:, None] * self.phases)
+        else:
+            m = np.tile(np.eye(size), (ts.size, 1, 1))
+        for p, q, angle, *psi in reversed(self.rotations):
+            c, s = np.cos(ts * angle)[:, None], np.sin(ts * angle)[:, None]
+            # a real plane rotation is the complex one with e^(i psi) = -1
+            e_pos = complex(math.cos(psi[0]), math.sin(psi[0])) if psi else -1.0
+            row_p = m[:, p, :].copy()
+            m[:, p, :] = c * row_p + (s * e_pos.conjugate()) * m[:, q, :]
+            m[:, q, :] = (-s * e_pos) * row_p + c * m[:, q, :]
+        return m
 
 
 def g_path(phi: Automorphism) -> GPath:
@@ -391,8 +396,8 @@ def orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:
     f_x, _ = spectral_decompose(x)
     f_y, _ = spectral_decompose(y)
     path = g_path(frame_transport(f_x, f_y))
-    samples = [apply_automorphism(path.sample(t), x) for t in np.linspace(0.0, 1.0, steps)]
-    return polyline_from_samples(samples, EIG_MATCH_TOL)
+    coords = _act(x.algebra, path.matrices(np.linspace(0.0, 1.0, steps)), x)
+    return polyline_from_samples([Element(x.algebra, c) for c in coords], EIG_MATCH_TOL)
 
 
 def restricted_orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:
@@ -419,15 +424,19 @@ def restricted_orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:
     return polyline_from_samples(samples, EIG_MATCH_TOL)
 
 
-def orbit_sample(x: Element, count: int, seed: int) -> list[Element]:
-    """`count` random images of x under identity-component automorphisms:
-    sample i is the i-th of `count` `random_g_automorphism` draws from
-    `default_rng(seed)`, so a longer run extends a shorter one."""
+def _orbit_coords(x: Element, count: int, seed: int) -> np.ndarray:
+    """Coordinates [count, dim] of the samples of `orbit_sample`."""
     a = x.algebra
     if isinstance(a, ProductAlgebra):
         raise UnsupportedAlgebraError("orbit_sample is defined on simple algebras")
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = np.random.default_rng(int(seed))
-    mats = _haar(_rep_size(a), rng, count, isinstance(a, ComplexHermitian))
-    return [apply_automorphism(Automorphism(a, m, None, True), x) for m in mats]
+    return _act(a, _haar(_rep_size(a), rng, count, isinstance(a, ComplexHermitian)), x)
+
+
+def orbit_sample(x: Element, count: int, seed: int) -> list[Element]:
+    """`count` random images of x under identity-component automorphisms:
+    sample i is the i-th of `count` `random_g_automorphism` draws from
+    `default_rng(seed)`, so a longer run extends a shorter one."""
+    return [Element(x.algebra, c) for c in _orbit_coords(x, count, seed)]

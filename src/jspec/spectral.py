@@ -148,8 +148,8 @@ class JordanFrame:
         elif isinstance(a, SpinFactor):
             by_pos = [alg.element_from_spin(a, 0.5, s * 0.5 * u) for s in (1.0, -1.0)]
         else:
-            pack = alg.element_from_sym if isinstance(a, RealSymmetric) else alg.element_from_herm
-            by_pos = [pack(a, np.outer(u[:, k], u[:, k].conj())) for k in range(a.n)]
+            outers = u.T[:, :, None] * u.T.conj()[:, None, :]  # u_k u_k^*, stacked over k
+            by_pos = [Element(a, c) for c in alg.coords_of(a, outers)]
         return tuple(by_pos[k] for k in self.order)
 
     def __len__(self):
@@ -190,10 +190,8 @@ def _eigh_desc(m: np.ndarray, vectors: bool):
 def eigen_map(x: Element) -> np.ndarray:
     """Eigenvalues of x, sorted non-increasing."""
     a = x.algebra
-    if isinstance(a, RealSymmetric):
-        return _eigh_desc(alg.sym_matrix(x), vectors=False)[0]
-    if isinstance(a, ComplexHermitian):
-        return _eigh_desc(alg.herm_matrix(x), vectors=False)[0]
+    if isinstance(a, (RealSymmetric, ComplexHermitian)):
+        return _eigh_desc(alg.matrix_of(a, x.coords), vectors=False)[0]
     if isinstance(a, SpinFactor):
         x0, xbar = alg.spin_parts(x)
         r = _spin_radius(xbar)
@@ -210,10 +208,8 @@ def spectral_decompose(x: Element) -> tuple[JordanFrame, np.ndarray]:
         values = np.concatenate([v for _, v in parts])
         order = np.argsort(-values, kind="stable")
         return JordanFrame(a, tuple(f for f, _ in parts), order), values[order]
-    if isinstance(a, RealSymmetric):
-        values, basis = _eigh_desc(alg.sym_matrix(x), vectors=True)
-    elif isinstance(a, ComplexHermitian):
-        values, basis = _eigh_desc(alg.herm_matrix(x), vectors=True)
+    if isinstance(a, (RealSymmetric, ComplexHermitian)):
+        values, basis = _eigh_desc(alg.matrix_of(a, x.coords), vectors=True)
     else:
         x0, xbar = alg.spin_parts(x)
         r = _spin_radius(xbar)
@@ -235,10 +231,8 @@ def compose_theta(q, frame: JordanFrame) -> Element:
     qb = np.empty(a.rank)
     qb[frame.order] = q
     u = frame.basis
-    if isinstance(a, RealSymmetric):
-        return alg.element_from_sym(a, (u * qb) @ u.T)
-    if isinstance(a, ComplexHermitian):
-        return alg.element_from_herm(a, (u * qb) @ u.conj().T)
+    if isinstance(a, (RealSymmetric, ComplexHermitian)):
+        return Element(a, alg.coords_of(a, (u * qb) @ u.conj().T))
     if isinstance(a, SpinFactor):
         return alg.element_from_spin(a, 0.5 * (qb[0] + qb[1]), (0.5 * (qb[0] - qb[1])) * u)
     blocks = np.split(qb, np.cumsum([f.rank for f in a.factors])[:-1])

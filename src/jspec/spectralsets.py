@@ -26,8 +26,8 @@ from .errors import (
 from .nnls import nnls_projected_gradient
 from .orbits import (
     PathPolyline,
+    _orbit_coords,
     orbit_path,
-    orbit_sample,
     polyline_from_samples,
     restricted_orbit_path,
 )
@@ -425,9 +425,10 @@ def fan_sample(c: Element, a_el: Element, count: int, seed: int) -> np.ndarray:
     """Values of <c, phi(a)> over random identity-component automorphisms."""
     if c.algebra != a_el.algebra:
         raise AlgebraMismatchError("both elements must share one algebra")
-    return np.array(
-        [alg.inner_product(c, s) for s in orbit_sample(a_el, count, seed)]
-    )
+    # <c, s> = sum(w * c * s) as in `inner_product`, summed row by row so
+    # each value is independent of `count`
+    weighted_c = alg._inner_weights(c.algebra) * c.coords
+    return (_orbit_coords(a_el, count, seed) * weighted_c).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

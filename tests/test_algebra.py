@@ -19,7 +19,7 @@ from jspec import (
     trace,
     unit_element,
 )
-from jspec.algebra import herm_matrix, sym_matrix
+from jspec.algebra import coords_of, herm_matrix, matrix_of, sym_matrix
 
 from conftest import ALL_KINDS
 
@@ -100,6 +100,38 @@ def test_hermitian_storage_round_trip():
     x = random_element(a, 0)
     m = herm_matrix(x)
     assert np.abs(m - m.conj().T).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [RealSymmetric(1), RealSymmetric(4), ComplexHermitian(1), ComplexHermitian(3)],
+    ids=str,
+)
+def test_stacked_packing_matches_single_elements(algebra):
+    # one kernel serves a (k, dim) stack and each element alone, bit for bit
+    stack = np.stack([random_element(algebra, seed).coords for seed in range(5)])
+    mats = matrix_of(algebra, stack)
+    unpack = sym_matrix if isinstance(algebra, RealSymmetric) else herm_matrix
+    for c, m in zip(stack, mats):
+        assert np.array_equal(m, unpack(Element(algebra, c)))
+        assert np.array_equal(coords_of(algebra, m), c)
+    assert np.array_equal(coords_of(algebra, mats), stack)
+    empty = matrix_of(algebra, stack[:0])
+    assert empty.shape == (0, algebra.n, algebra.n)
+    assert coords_of(algebra, empty).shape == (0, algebra.dim)
+
+
+def test_packed_positions_closed_forms():
+    n = 4
+    sym = matrix_of(RealSymmetric(n), np.arange(10.0))
+    herm = matrix_of(ComplexHermitian(n), np.arange(16.0))
+    for i in range(n):
+        assert sym[i, i] == i * (i + 3) // 2
+        assert herm[i, i] == i * i + 2 * i
+        for j in range(i):
+            assert sym[i, j] == sym[j, i] == i * (i + 1) // 2 + j
+            assert herm[i, j] == complex(i * i + 2 * j, i * i + 2 * j + 1)
+            assert herm[j, i] == herm[i, j].conjugate()
 
 
 def test_random_element_determinism():

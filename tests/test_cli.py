@@ -150,6 +150,71 @@ def test_document_sizes_must_be_json_integers(tmp_path, capsys, field, value):
     assert "JSON integer" in err
 
 
+def test_eig_negative_zero_prints_zero(tmp_path, capsys):
+    # a stored -0.0 unpacks as +0.0, so the zero eigenvalue prints as 0
+    doc = {"alg": {"kind": "sym", "n": 2}, "data": [[1.0, -0.0], [-0.0, -0.0]]}
+    assert cli.main(["eig", write_json(tmp_path, "x.json", doc)]) == 0
+    assert capsys.readouterr().out == '{"lambda": [1, 0]}\n'
+
+
+_SYM2 = {"alg": {"kind": "sym", "n": 2}, "data": [[3.0, 0.0], [0.0, 1.0]]}
+_REARR2 = {"set": "rearr", "n": 2, "m": 1}
+
+
+def _spin3(x0, xbar):
+    return {"alg": {"kind": "spin", "d": 3}, "data": {"x0": x0, "xbar": xbar}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eig", {"alg": {"kind": "sym", "n": 2}, "data": [["1.5", "0"], ["0", True]]}],
+        ["eig", {"alg": {"kind": "herm", "n": 2}, "data": {"re": [[1, 0], [0, 1]], "im": [[0, None], [None, 0]]}}],
+        ["eig", _spin3("2", [1.0, 0.0])],
+        ["eig", _spin3(2.0, ["1", False])],
+        ["eig", _spin3([2.0], [1.0, 0.0])],
+        ["components", {"set": "finite", "points": [["1", True, 0]]}, {"kind": "sym", "n": 3}],
+        ["connect", _REARR2, _SYM2, _SYM2, "--qpath", {"vertices": [["3", 1], [3, 1]]}],
+        ["sum-split", _SYM2, _REARR2, _REARR2, "--q1", '["1", 0.5]', "--q2", "[2, 0.5]"],
+        ["eig", {"alg": {"kind": "sym", "n": 1}, "data": [[10**400]]}],
+    ],
+    ids=["sym-data", "herm-null", "spin-x0", "spin-xbar", "spin-x0-list", "finite", "qpath", "q1", "huge-int"],
+)
+def test_non_numeric_json_exits_2(tmp_path, capsys, argv):
+    # JSON true, strings, null and lists are never read as numbers, and an
+    # integer too large for a float is an input error, not a traceback
+    argv = [
+        write_json(tmp_path, f"doc{i}.json", item) if isinstance(item, dict) else item
+        for i, item in enumerate(argv)
+    ]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "handler, argv",
+    [
+        ("orbit_sample", ["orbit-sample", "x.json", "--count", "1000000000000"]),
+        ("pointed_sample_check", ["pointed-check", "set.json", "--samples", "1000000000000"]),
+    ],
+)
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, handler, argv):
+    # the handler is patched to fail as numpy does, so nothing is allocated
+    def unable_to_allocate(*args):
+        raise MemoryError("Unable to allocate 29.1 TiB")
+
+    monkeypatch.setattr(cli, handler, unable_to_allocate)
+    write_json(tmp_path, "x.json", _SYM2)
+    write_json(tmp_path, "set.json", _REARR2)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "input error" in err
+
+
 def test_decompose_reports_frame(tmp_path):
     x = random_element(RealSymmetric(3), 7)
     proc = run_cli(["decompose"], stdin=json.dumps(emit_element(x)))

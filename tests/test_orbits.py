@@ -166,6 +166,15 @@ def test_g_path_endpoints_and_continuity(algebra):
             prev = cur
 
 
+@pytest.mark.parametrize("algebra", SIMPLE_KINDS, ids=str)
+def test_path_matrices_equal_single_samples(algebra):
+    # one replay over a vector of t equals one replay per t, bit for bit
+    path = g_path(random_g_automorphism(algebra, np.random.default_rng(5)))
+    ts = np.linspace(0.0, 1.0, 9)
+    for t, m in zip(ts, path.matrices(ts)):
+        assert np.array_equal(m, path.sample(t).matrix)
+
+
 def test_g_path_rejects_reflection():
     refl = automorphism_from_matrix(RealSymmetric(2), np.diag([1.0, -1.0]))
     with pytest.raises(NotInIdentityComponentError):
@@ -194,6 +203,17 @@ def test_orbit_path_preserves_eigenvalues(algebra):
         for s in path.samples:
             assert np.abs(eigen_map(s) - lam).max() <= 1e-8
         assert path.max_step <= 2.0 * norm(x) + 1.0
+
+
+@pytest.mark.parametrize("algebra", SIMPLE_KINDS, ids=str)
+def test_orbit_path_samples_are_single_actions(algebra):
+    # the stacked sweep equals applying each path sample on its own, bit for bit
+    x = random_element(algebra, 4)
+    y = orbit_sample(x, 1, seed=9)[0]
+    path = orbit_path(x, y, steps=7)
+    transport = g_path(frame_transport(spectral_decompose(x)[0], spectral_decompose(y)[0]))
+    for t, s in zip(np.linspace(0.0, 1.0, 7), path.samples):
+        assert np.array_equal(s.coords, apply_automorphism(transport.sample(t), x).coords)
 
 
 def test_orbit_path_rank_one_projections():
@@ -336,6 +356,12 @@ def test_orbit_sample_is_sequential_haar_draws(algebra):
     for s in orbit_sample(x, 7, seed=11):
         t = apply_automorphism(random_g_automorphism(algebra, rng), x)
         assert np.array_equal(s.coords, t.coords)
+
+
+@pytest.mark.parametrize("algebra", SIMPLE_KINDS, ids=str)
+def test_orbit_sample_zero_count(algebra):
+    x = random_element(algebra, 3)
+    assert orbit_sample(x, 0, seed=1) == []
 
 
 def test_orbit_sample_rejects_products():

@@ -47,7 +47,7 @@ from jspec import (
 )
 from jspec.nnls import nnls_projected_gradient
 
-from conftest import element_with_eigenvalues
+from conftest import SIMPLE_KINDS, element_with_eigenvalues
 
 
 def psd_set(n):
@@ -410,6 +410,16 @@ def test_fan_sample_prefix():
     a = ComplexHermitian(3)
     c, x = random_element(a, 1), random_element(a, 2)
     assert np.array_equal(fan_sample(c, x, 50, seed=4), fan_sample(c, x, 120, seed=4)[:50])
+
+
+@pytest.mark.parametrize("algebra", SIMPLE_KINDS, ids=str)
+def test_fan_sample_matches_inner_products(algebra):
+    c, x = random_element(algebra, 1, scale=3.0), random_element(algebra, 2)
+    values = fan_sample(c, x, 40, seed=6)
+    expected = np.array([inner_product(c, s) for s in orbit_sample(x, 40, seed=6)])
+    assert values.shape == (40,)
+    assert np.abs(values - expected).max() <= 1e-12 * max(1.0, norm(c) * norm(x))
+    assert fan_sample(c, x, 0, seed=6).shape == (0,)
 
 
 def test_fan_zero_element():

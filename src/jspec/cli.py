@@ -9,6 +9,7 @@ JSON object is written to stdout.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -176,7 +177,10 @@ def _cmd_pointed_check(args):
 # parser
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `jspec` parser, built once per process: `main` reuses it, and
+    each `parse_args` call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="jspec",
         description="Spectral sets over Euclidean Jordan algebras: eigenvalue "

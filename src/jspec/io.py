@@ -4,14 +4,19 @@ sets, coefficient paths, and certificates, plus a deterministic renderer.
 Element payloads are redundant on purpose (full matrices, not packed
 coordinates): symmetry and antisymmetry are validated on read within
 SYMMETRY_TOL and the parse/emit round trip is value-exact.  Floats render
-with 17 significant digits, which round-trips IEEE doubles.
+with 17 significant digits (`%.17g`), which round-trips IEEE doubles.  The
+renderer dispatches on exact Python types; a list whose items are all
+floats, such as one matrix row, is checked for finiteness once and
+formatted by one `%` operation with a template cached per length, so a
+frame of 40x40 matrices costs one call per row, not one per float.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import math
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -248,23 +253,40 @@ def emit_polyline(path: PathPolyline) -> dict:
 # deterministic rendering
 
 
+@functools.lru_cache(maxsize=64)
+def _float_row(length: int) -> str:
+    return "[" + ", ".join(["%.17g"] * length) + "]"
+
+
 def _render(value) -> str:
-    if isinstance(value, (np.ndarray, np.generic)):
-        value = value.tolist()
-    if isinstance(value, float):
+    kind = type(value)
+    if kind is list or kind is tuple:
+        # one format call per row of floats; a non-finite one is named below
+        if value and set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            return _float_row(len(value)) % tuple(value)
+        return "[" + ", ".join(map(_render, value)) + "]"
+    if kind is dict:
+        return "{" + ", ".join(f"{_string(str(k))}: {_render(v)}" for k, v in value.items()) + "}"
+    if kind is float:
         if not math.isfinite(value):
             raise NumericError(f"cannot render the non-finite number {value!r} as JSON")
-        return format(value, ".17g")
-    if value is None or isinstance(value, (bool, int, str)):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in value.items()) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(map(_render, value)) + "]"
-    raise TypeError(f"cannot render {type(value)!r}")
+        return "%.17g" % value
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _render(value.tolist())
+    raise TypeError(f"cannot render {kind!r}")
 
 
 def render_json(value) -> str:
     """Deterministic one-line JSON with round-trip-exact float rendering;
-    a non-finite float has no JSON form and raises `NumericError`."""
+    a non-finite float has no JSON form and raises `NumericError`.  Python
+    types only (plus numpy arrays and scalars): a subclass such as an
+    `IntEnum` raises `TypeError`."""
     return _render(value)

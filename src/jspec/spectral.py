@@ -14,8 +14,10 @@ Matrix kinds are diagonalized by LAPACK through numpy (``eigvalsh`` /
 ``eigh``), whose ascending output is reversed, values and eigenvector
 columns together.  Degenerate eigenvalues admit many valid frames; this
 module returns the one LAPACK computes, in that reversed order, and never
-attempts a canonical choice.  Spin-factor elements with vanishing vector
-part use the first coordinate axis for their idempotent pair.
+attempts a canonical choice; `eigen_map` reads a 1x1 matrix kind's
+eigenvalue off its coordinate, the value LAPACK returns for it.
+Spin-factor elements with vanishing vector part use the first coordinate
+axis for their idempotent pair.
 """
 
 from __future__ import annotations
@@ -187,17 +189,32 @@ def _eigh_desc(m: np.ndarray, vectors: bool):
     return values[::-1].copy(), vecs[:, ::-1].copy()
 
 
+def _eigenvalues(a: Algebra, coords: np.ndarray) -> np.ndarray:
+    """Eigenvalues, non-increasing, of the element of `a` with `coords`.
+
+    A product reads its factors as slices of `coords`, without building an
+    Element per factor.  A 1x1 matrix kind is its own eigenvalue: LAPACK
+    returns that entry unchanged, so it is not called.
+    """
+    if isinstance(a, (RealSymmetric, ComplexHermitian)):
+        if a.n == 1:
+            if not np.isfinite(coords[0]):
+                raise NumericError("eigensolver input has a non-finite entry")
+            # as in matrix_of, a stored -0.0 reads as +0.0 in the real kind only
+            return coords + 0.0 if isinstance(a, RealSymmetric) else coords.copy()
+        return _eigh_desc(alg.matrix_of(a, coords), vectors=False)[0]
+    if isinstance(a, SpinFactor):
+        x0, r = float(coords[0]), _spin_radius(coords[1:])
+        return np.array([x0 + r, x0 - r])
+    offs = alg._factor_offsets(a)
+    return sort_desc(np.concatenate([
+        _eigenvalues(f, coords[i:j]) for f, i, j in zip(a.factors, offs, offs[1:])
+    ]))
+
+
 def eigen_map(x: Element) -> np.ndarray:
     """Eigenvalues of x, sorted non-increasing."""
-    a = x.algebra
-    if isinstance(a, (RealSymmetric, ComplexHermitian)):
-        return _eigh_desc(alg.matrix_of(a, x.coords), vectors=False)[0]
-    if isinstance(a, SpinFactor):
-        x0, xbar = alg.spin_parts(x)
-        r = _spin_radius(xbar)
-        return np.array([x0 + r, x0 - r])
-    pooled = np.concatenate([eigen_map(p) for p in alg.split_product(x)])
-    return sort_desc(pooled)
+    return _eigenvalues(x.algebra, x.coords)
 
 
 def spectral_decompose(x: Element) -> tuple[JordanFrame, np.ndarray]:

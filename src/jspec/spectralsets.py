@@ -210,14 +210,15 @@ def connect(
     algebra the orbit legs are restricted-orbit paths, `q_path` runs through
     Q itself, its endpoints must equal the per-factor-sorted eigenvalue
     blocks of x and y, and vertices are normalized per factor block before
-    use.  Every emitted sample is audited for membership at `tolerance`.
+    use.  Every emitted sample is audited for membership at `tolerance`,
+    which must be finite and nonnegative.
     """
     if x.algebra != sset.algebra or y.algebra != sset.algebra:
         raise AlgebraMismatchError("endpoints must live in the set's algebra")
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    if not np.isfinite(tolerance):
-        raise ValueError(f"tolerance must be a finite number, got {tolerance!r}")
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be a finite nonnegative number, got {tolerance!r}")
     for name, point in (("x", x), ("y", y)):
         if not ss_member(sset, point):
             raise InfeasiblePathError(

@@ -1,6 +1,7 @@
 """End-to-end CLI tests over the JSON interface and its exit-code contract."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -298,6 +299,22 @@ def test_connect_non_finite_tolerance_exits_2(tmp_path, capsys, tolerance):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize("set_doc", [_REARR2, {"set": "finite", "points": [[2, 1]]}])
+def test_connect_negative_tolerance_exits_2(tmp_path, capsys, set_doc):
+    # a negative audit slack used to exit 4 (qpath-endpoints) on the rearr
+    # set and 2 with "q_path is required" on the finite one
+    set_path = write_json(tmp_path, "set.json", set_doc)
+    x_path = write_json(tmp_path, "x.json", {"alg": {"kind": "sym", "n": 2}, "data": [[2, 0], [0, 1]]})
+    y_path = write_json(tmp_path, "y.json", {"alg": {"kind": "sym", "n": 2}, "data": [[1, 0], [0, 2]]})
+    argv = ["connect", set_path, x_path, y_path, "--tolerance=-1e-12"]
+    if set_doc["set"] == "rearr":
+        argv += ["--qpath", write_json(tmp_path, "q.json", {"vertices": [[2, 1], [2, 1]]})]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "tolerance must be a finite nonnegative number" in err
+
+
 def test_connect_non_finite_qpath_vertex_exits_2(tmp_path, capsys):
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 2, "m": 1})
     x = element_from_sym(RealSymmetric(2), np.diag([2.0, 1.0]))
@@ -485,6 +502,37 @@ def run_in_process(argv):
     return code, out.getvalue()
 
 
+def test_reused_parser_carries_no_state(tmp_path):
+    # main builds its parser once per process; every call must still print
+    # what a fresh process prints for the same command line
+    set_path = write_json(tmp_path, "set.json", _REARR2)
+    x_path = write_json(tmp_path, "x.json", {"alg": {"kind": "sym", "n": 2}, "data": [[2, 0], [0, 1]]})
+    y_path = write_json(tmp_path, "y.json", {"alg": {"kind": "sym", "n": 2}, "data": [[2.5, 1.5], [1.5, 2.5]]})
+    q_path = write_json(tmp_path, "q.json", {"vertices": [[2, 1], [3, 2], [4, 1]]})
+    argvs = [
+        ["connect", set_path, x_path, y_path, "--qpath", q_path, "--steps", "5"],
+        ["connect", set_path, x_path, y_path],
+        ["eig", y_path],
+        ["decompose", y_path],
+        ["fan", x_path, y_path, "--seed", "3"],
+        ["fan", x_path, y_path],
+    ]
+    in_process = [run_in_process(argv) for argv in argvs]
+    with pytest.raises(SystemExit) as exc:
+        run_in_process(["fan", x_path, y_path, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert cli.build_parser() is cli.build_parser()
+    fresh = [
+        subprocess.Popen([sys.executable, "-m", "jspec.cli", *argv], stdout=subprocess.PIPE, text=True)
+        for argv in argvs
+    ]
+    for argv, (code, out), proc in zip(argvs, in_process, fresh):
+        fresh_out, _ = proc.communicate()
+        assert (code, out) == (proc.returncode, fresh_out), argv
+        assert code == 0, argv
+    assert run_in_process(argvs[-1]) == in_process[-1]
+
+
 SAMPLING_ALGEBRAS = [
     RealSymmetric(1),
     RealSymmetric(3),
@@ -545,6 +593,142 @@ def test_sampling_commands_exit_codes_and_rerun_bytes(
     if out:
         json.loads(out)
     assert bool(out) == (code == 0)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed exit-code contract
+
+_DROP, _RAGGED = object(), object()
+_MUTATIONS = st.one_of(
+    st.sampled_from([_DROP, _RAGGED]),
+    st.sampled_from(["x", None, True, {}, [], 1.5, [[1.0], [1.0, 2.0]]]),  # wrong JSON types
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),  # NaN / Infinity literals
+    st.integers(-2, 8),  # sizes and counts
+)
+
+
+def _element_doc(kind, size, values):
+    k = max(size, 0)
+    m = np.resize(values, (k, k))
+    if kind == "sym":
+        return {"alg": {"kind": "sym", "n": size}, "data": ((m + m.T) / 2).tolist()}
+    if kind == "herm":
+        re, im = (m + m.T) / 2, (m - m.T) / 2
+        return {"alg": {"kind": "herm", "n": size}, "data": {"re": re.tolist(), "im": im.tolist()}}
+    if kind == "spin":
+        xbar = np.resize(values, max(size - 1, 0))
+        return {"alg": {"kind": "spin", "d": size}, "data": {"x0": values[0], "xbar": xbar.tolist()}}
+    parts = [_element_doc("sym", 2, values), _element_doc("spin", size, values[::-1])]
+    return {
+        "alg": {"kind": "product", "factors": [p["alg"] for p in parts]},
+        "data": {"factors": parts},
+    }
+
+
+def _paths(doc, prefix=()):
+    """Every key or index path into a JSON document, parents first."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(doc, path, mutation):
+    *head, key = path
+    for step in head:
+        doc = doc[step]
+    if mutation is _DROP:
+        del doc[key]
+    elif mutation is _RAGGED:  # a row one short, or a scalar next to a list
+        if isinstance(doc[key], list) and doc[key]:
+            doc[key].pop()
+        else:
+            doc[key] = [doc[key], [doc[key]]]
+    else:
+        doc[key] = copy.deepcopy(mutation)
+
+
+@st.composite
+def fuzzed_commands(draw):
+    """A command line over small valid documents, with up to three of them
+    mutated: a key dropped, a value of the wrong JSON type, NaN or
+    Infinity, a row made ragged, or a size or count in [-2, 8]."""
+    kind = draw(st.sampled_from(["sym", "herm", "spin", "product"]))
+    size = draw(st.integers(-2, 8))
+    values = draw(st.lists(st.floats(-4, 4), min_size=1, max_size=4))
+    rank = {"sym": size, "herm": size, "spin": 2, "product": 4}[kind]
+    q = np.resize(np.abs(values), max(min(rank, 4), 0)).tolist()
+    set_doc = draw(st.sampled_from([
+        {"set": "rearr", "n": rank, "m": draw(st.integers(-2, 8))},
+        {"set": "tracenorm", "n": rank},
+        {"set": "halfspace-trace", "n": rank},
+        {"set": "finite", "points": [q]},  # at most 4! orbit points
+    ]))
+    element = _element_doc(kind, size, values)
+    other = _element_doc(kind, size, values[::-1])
+    count = str(draw(st.integers(-2, 8)))
+    command = draw(st.sampled_from([
+        "eig", "decompose", "member", "connect", "fan", "orbit-sample",
+        "components", "certify", "sum-split", "pointed-check",
+    ]))
+    docs, flags = {
+        "eig": ({"x": element}, []),
+        "decompose": ({"x": element}, []),
+        "member": ({"set": set_doc, "x": element}, []),
+        "connect": ({"set": set_doc, "x": element, "y": other}, ["--steps", count]),
+        "fan": ({"c": other, "a": element}, ["--samples", count]),
+        "orbit-sample": ({"x": element}, ["--count", count]),
+        "components": ({"set": set_doc, "alg": element["alg"]}, []),
+        "certify": ({"set": set_doc, "cert": {"parts": [[element], [other]]}}, ["--samples", count]),
+        "sum-split": ({"z": element, "s1": set_doc, "s2": set_doc, "q1": q, "q2": q}, []),
+        "pointed-check": ({"set": set_doc}, ["--samples", count]),
+    }[command]
+    if command == "connect" and draw(st.booleans()):
+        docs["qpath"] = {"vertices": [q, q]}
+    docs = copy.deepcopy(docs)
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(docs)))
+        paths = list(_paths(docs[name]))
+        if paths:
+            _mutate(docs[name], draw(st.sampled_from(paths)), draw(_MUTATIONS))
+    return command, docs, flags
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fuzzed_commands())
+def test_mutated_documents_keep_the_exit_code_contract(case):
+    command, docs, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for name, doc in docs.items():
+            if name in ("q1", "q2"):
+                argv += [f"--{name}", json.dumps(doc)]
+                continue
+            full = os.path.join(tmp, f"{name}.json")
+            with open(full, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            argv += ["--qpath", full] if name == "qpath" else [full]
+        try:
+            code, out = run_in_process(argv + flags)
+        except SystemExit as exc:  # argparse rejects the command line
+            code, out = exc.code, ""
+    assert code in (0, 2, 3, 4)
+    assert bool(out) == (code == 0)
+    if out:
+        assert out.endswith("\n") and "\n" not in out[:-1]
+        _strict_json(out)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,24 @@ def test_eigen_map_coordinate_space():
     assert np.array_equal(eigen_map(x), [1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("kind", [RealSymmetric(1), ComplexHermitian(1)])
+def test_eigen_map_one_by_one_matches_lapack(kind):
+    # a 1x1 factor skips LAPACK; its value and the sign of a zero must not change
+    from jspec.algebra import matrix_of
+    from jspec.errors import NumericError
+
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e308, -2.5, 0.1]
+    a = ProductAlgebra((kind,) * len(values))
+    x = Element(a, np.array(values))
+    expected = sort_desc(np.concatenate(
+        [np.linalg.eigvalsh(matrix_of(kind, [v])) for v in values]
+    ))
+    assert eigen_map(x).tobytes() == expected.tobytes()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericError, match="non-finite entry"):
+            eigen_map(Element(kind, np.array([bad])))
+
+
 def test_eigen_map_product_pools_factors():
     a = ProductAlgebra((RealSymmetric(2), SpinFactor(3)))
     x = random_element(a, 3)

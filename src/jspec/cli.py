@@ -40,7 +40,7 @@ _INPUT_ERRORS = (
     AlgebraMismatchError,
     InvalidFrameError,
     UnsupportedAlgebraError,
-    MemoryError,  # a request too large to allocate, such as a huge --count
+    MemoryError,  # an allocation that fails below errors.FLOAT_BUDGET
 )
 _INFEASIBLE_ERRORS = (
     InfeasiblePathError,
@@ -78,7 +78,7 @@ def _cmd_decompose(args):
     frame, values = spectral_decompose(x)
     return {
         "lambda": values,
-        "frame": [jio.emit_element(e) for e in frame.idempotents],
+        "frame": jio.emit_elements(frame.idempotents),
     }
 
 
@@ -122,7 +122,7 @@ def _cmd_fan(args):
 def _cmd_orbit_sample(args):
     x = jio.parse_element(_load(args.element))
     samples = orbit_sample(x, args.count, args.seed)
-    return {"samples": [jio.emit_element(s) for s in samples]}
+    return {"samples": jio.emit_elements(samples)}
 
 
 def _cmd_components(args):

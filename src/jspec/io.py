@@ -5,10 +5,11 @@ Element payloads are redundant on purpose (full matrices, not packed
 coordinates): symmetry and antisymmetry are validated on read within
 SYMMETRY_TOL and the parse/emit round trip is value-exact.  Floats render
 with 17 significant digits (`%.17g`), which round-trips IEEE doubles.  The
-renderer dispatches on exact Python types; a list whose items are all
-floats, such as one matrix row, is checked for finiteness once and
-formatted by one `%` operation with a template cached per length, so a
-frame of 40x40 matrices costs one call per row, not one per float.
+renderer dispatches on exact Python types.  A list whose items are all
+floats (one matrix row), or a list of equal-length lists of floats (one
+matrix), is checked for finiteness once and formatted by one `%`
+operation, with a template cached per length or per (rows, cols): a frame
+of 40x40 matrices costs one call per matrix, not one per float.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .algebra import (
     RealSymmetric,
     SpinFactor,
 )
-from .errors import NumericError
+from .errors import AlgebraMismatchError, NumericError
 from .orbits import PathPolyline
 from .permsets import (
     PermSet,
@@ -48,6 +49,7 @@ __all__ = [
     "emit_algebra",
     "parse_element",
     "emit_element",
+    "emit_elements",
     "parse_permset",
     "parse_qpath",
     "parse_numbers",
@@ -187,19 +189,36 @@ def _parse_element_data(a: Algebra, data) -> Element:
     return alg.join_product(a, parts)
 
 
-def emit_element(x: Element) -> dict:
-    a = x.algebra
+def _element_docs(a: Algebra, coords: np.ndarray) -> list[dict]:
+    """Element documents of the rows of coords [k, dim], all unpacked by one
+    `matrix_of` and converted by one `.tolist()` per part; the documents
+    share one algebra descriptor."""
     if isinstance(a, RealSymmetric):
-        data = alg.sym_matrix(x).tolist()
+        data = alg.matrix_of(a, coords).tolist()
     elif isinstance(a, ComplexHermitian):
-        m = alg.herm_matrix(x)
-        data = {"re": m.real.tolist(), "im": m.imag.tolist()}
+        m = alg.matrix_of(a, coords)
+        data = [{"re": re, "im": im} for re, im in zip(m.real.tolist(), m.imag.tolist())]
     elif isinstance(a, SpinFactor):
-        x0, xbar = alg.spin_parts(x)
-        data = {"x0": x0, "xbar": xbar.tolist()}
+        x0s, xbars = coords[:, 0].tolist(), coords[:, 1:].tolist()
+        data = [{"x0": x0, "xbar": xbar} for x0, xbar in zip(x0s, xbars)]
     else:
-        data = {"factors": [emit_element(p) for p in alg.split_product(x)]}
-    return {"alg": emit_algebra(a), "data": data}
+        offs = alg._factor_offsets(a)
+        parts = [_element_docs(f, coords[:, i:j]) for f, i, j in zip(a.factors, offs, offs[1:])]
+        data = [{"factors": list(docs)} for docs in zip(*parts)]
+    descriptor = emit_algebra(a)
+    return [{"alg": descriptor, "data": d} for d in data]
+
+
+def emit_element(x: Element) -> dict:
+    return _element_docs(x.algebra, x.coords[None])[0]
+
+
+def emit_elements(xs) -> list[dict]:
+    """Documents of elements that share one algebra, unpacked as one stack."""
+    xs = list(xs)
+    if any(x.algebra != xs[0].algebra for x in xs):
+        raise AlgebraMismatchError("elements emitted together must share one algebra")
+    return _element_docs(xs[0].algebra, np.array([x.coords for x in xs])) if xs else []
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +262,7 @@ def parse_certificate(doc) -> DecompositionCertificate:
 
 def emit_polyline(path: PathPolyline) -> dict:
     return {
-        "samples": [emit_element(s) for s in path.samples],
+        "samples": _element_docs(path.algebra, path.coords),
         "max_step": path.max_step,
         "tolerance": path.tolerance,
     }
@@ -258,12 +277,28 @@ def _float_row(length: int) -> str:
     return "[" + ", ".join(["%.17g"] * length) + "]"
 
 
+@functools.lru_cache(maxsize=64)
+def _float_matrix(rows: int, cols: int) -> str:
+    return "[" + ", ".join([_float_row(cols)] * rows) + "]"
+
+
+def _finite_floats(values) -> bool:
+    return set(map(type, values)) == {float} and all(map(math.isfinite, values))
+
+
 def _render(value) -> str:
     kind = type(value)
     if kind is list or kind is tuple:
-        # one format call per row of floats; a non-finite one is named below
-        if value and set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            return _float_row(len(value)) % tuple(value)
+        # one format call per row, or per matrix, of finite floats; anything
+        # else, a non-finite float included, is rendered (and named) below
+        if value:
+            first = type(value[0])
+            if first is float and _finite_floats(value):
+                return _float_row(len(value)) % tuple(value)
+            if first is list and len(set(map(type, value))) == 1 and len(set(map(len, value))) == 1:
+                flat = tuple(itertools.chain.from_iterable(value))
+                if flat and _finite_floats(flat):
+                    return _float_matrix(len(value), len(value[0])) % flat
         return "[" + ", ".join(map(_render, value)) + "]"
     if kind is dict:
         return "{" + ", ".join(f"{_string(str(k))}: {_render(v)}" for k, v in value.items()) + "}"

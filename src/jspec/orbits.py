@@ -14,12 +14,17 @@ representation into plane rotations (plus diagonal phases in the unitary
 case) and scaling every angle by the path parameter, which avoids matrix
 logarithms entirely: any continuous path suffices for the connectivity
 witnesses built on top.
+
+A path is a coordinate stack [k, dim]: an orbit leg is one `_act` over the
+stacked `GPath.matrices(ts)`, a product joins its factor legs side by side,
+and `PathPolyline.samples` builds Elements only when read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +43,9 @@ from .errors import (
     NumericError,
     OrbitMismatchError,
     UnsupportedAlgebraError,
+    check_float_budget,
 )
-from .spectral import JordanFrame, eigen_map, spectral_decompose
+from .spectral import JordanFrame, _eigenvalue_blocks, spectral_decompose
 
 ORTHO_TOL = 1e-10
 EIG_MATCH_TOL = 1e-8
@@ -154,6 +160,7 @@ def _haar(n: int, rng, k: int, unitary: bool) -> np.ndarray:
     the phases of diag(R) moved into Q (Mezzadri 2007), and column 0 flipped
     where det < 0 on SO(n).  Draw i reads one contiguous chunk of the stream,
     so k draws equal k sequential single draws."""
+    check_float_budget(k * n * n * (2 if unitary else 1), f"{k} Haar draws")
     if unitary:
         g = rng.standard_normal((k, 2, n, n))
         m = g[:, 0] + 1j * g[:, 1]
@@ -311,7 +318,9 @@ class GPath:
         (simple kinds); each rotation is replayed once over the whole vector."""
         ts = np.asarray(ts, dtype=float)
         size = _rep_size(self.algebra)
-        if isinstance(self.algebra, ComplexHermitian):
+        unitary = isinstance(self.algebra, ComplexHermitian)
+        check_float_budget(ts.size * size * size * (2 if unitary else 1), "a path's matrix stack")
+        if unitary:
             m = np.zeros((ts.size, size, size), dtype=complex)
             m[:, range(size), range(size)] = np.exp((1j * ts)[:, None] * self.phases)
         else:
@@ -347,81 +356,78 @@ def g_path(phi: Automorphism) -> GPath:
 
 @dataclass(frozen=True, eq=False)
 class PathPolyline:
-    """Discretized continuous path: element samples, the realized maximum
-    consecutive step in the trace-form norm, and the membership tolerance
-    the path was audited against."""
+    """Discretized continuous path: the coordinates [k >= 2, dim] of its
+    samples in `algebra` and the membership tolerance it was audited against.
+    `samples` (the rows as elements) and `max_step` (the largest consecutive
+    step in the trace-form norm) are computed on first use."""
 
-    samples: tuple[Element, ...]
-    max_step: float
+    algebra: Algebra
+    coords: np.ndarray
     tolerance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        self.coords.setflags(write=False)
+
+    @cached_property
+    def samples(self) -> tuple[Element, ...]:
+        return tuple(Element(self.algebra, c) for c in self.coords)
+
+    @cached_property
+    def max_step(self) -> float:
+        # bit for bit the largest `alg.distance`: np.vecdot is the BLAS dot
+        # that `distance` takes per pair, and sqrt is monotone
+        d = np.diff(self.coords, axis=0)
+        return math.sqrt(max(0.0, float(np.vecdot(alg._inner_weights(self.algebra) * d, d).max())))
 
 
-def polyline_from_samples(samples, tolerance: float) -> PathPolyline:
-    samples = list(samples)
-    if len(samples) < 2:
-        raise ValueError("a polyline needs at least two samples")
-    max_step = max(
-        alg.distance(samples[k], samples[k + 1]) for k in range(len(samples) - 1)
-    )
-    return PathPolyline(tuple(samples), max_step, tolerance)
+def _orbit_leg(x: Element, y: Element, qx: np.ndarray, qy: np.ndarray, steps: int) -> np.ndarray:
+    """Coordinates [steps, dim] of the orbit path from x to y, whose
+    eigenvalue blocks (one per factor of a product) qx and qy must match:
+    the frame of x is transported onto the frame of y (aligned by the shared
+    non-increasing eigenvalue order; within an exactly degenerate block any
+    alignment reaches the same endpoint) along an identity-component path."""
+    a = x.algebra
+    product = isinstance(a, ProductAlgebra)
+    offs = np.cumsum([0] + [f.rank for f in (a.factors if product else [a])])
+    blocks = [slice(i, j) for i, j in zip(offs, offs[1:])]
+    for k, b in enumerate(blocks):  # every factor before any leg
+        if not np.max(np.abs(qx[b] - qy[b])) <= EIG_MATCH_TOL:
+            raise OrbitMismatchError(
+                f"factor {k} has mismatched eigenvalues; endpoints are in different restricted orbits"
+                if product else "endpoints have different eigenvalues; they lie in different orbits"
+            )
+    if product:
+        parts = zip(alg.split_product(x), alg.split_product(y), blocks)
+        return np.concatenate([_orbit_leg(xi, yi, qx[b], qy[b], steps) for xi, yi, b in parts], axis=-1)
+    f_x, _ = spectral_decompose(x)
+    f_y, _ = spectral_decompose(y)
+    path = g_path(frame_transport(f_x, f_y))
+    return _act(a, path.matrices(np.linspace(0.0, 1.0, steps)), x)
 
 
-def _matched_eigenvalues(x: Element, y: Element) -> bool:
-    return bool(
-        np.max(np.abs(eigen_map(x) - eigen_map(y))) <= EIG_MATCH_TOL
-    )
-
-
-def orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:
-    """Path inside the eigenvalue orbit of x from x to y (simple algebras).
-
-    Built by transporting the frame of x onto the frame of y (aligned by the
-    shared non-increasing eigenvalue order; within an exactly degenerate
-    block any alignment reaches the same endpoint) and sweeping the
-    transport along its identity-component path.
-    """
-    if isinstance(x.algebra, ProductAlgebra):
-        raise UnsupportedAlgebraError("use restricted_orbit_path on product algebras")
+def _orbit_polyline(x: Element, y: Element, steps: int) -> PathPolyline:
     if x.algebra != y.algebra:
         raise AlgebraMismatchError("endpoints live in different algebras")
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    if not _matched_eigenvalues(x, y):
-        raise OrbitMismatchError(
-            "endpoints have different eigenvalues; they lie in different orbits"
-        )
-    f_x, _ = spectral_decompose(x)
-    f_y, _ = spectral_decompose(y)
-    path = g_path(frame_transport(f_x, f_y))
-    coords = _act(x.algebra, path.matrices(np.linspace(0.0, 1.0, steps)), x)
-    return polyline_from_samples([Element(x.algebra, c) for c in coords], EIG_MATCH_TOL)
+    qx, qy = _eigenvalue_blocks(x.algebra, np.stack([x.coords, y.coords]))
+    return PathPolyline(x.algebra, _orbit_leg(x, y, qx, qy, steps), EIG_MATCH_TOL)
+
+
+def orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:
+    """Path inside the eigenvalue orbit of x from x to y (simple algebras),
+    `steps` samples of the frame transport's identity-component path."""
+    if isinstance(x.algebra, ProductAlgebra):
+        raise UnsupportedAlgebraError("use restricted_orbit_path on product algebras")
+    return _orbit_polyline(x, y, steps)
 
 
 def restricted_orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:
     """Factor-wise orbit path in a product algebra; stays inside the
     restricted orbit (every factor keeps its own eigenvalues)."""
-    a = x.algebra
-    if not isinstance(a, ProductAlgebra):
+    if not isinstance(x.algebra, ProductAlgebra):
         raise UnsupportedAlgebraError("restricted_orbit_path needs a product algebra")
-    if a != y.algebra:
-        raise AlgebraMismatchError("endpoints live in different algebras")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    xs, ys = alg.split_product(x), alg.split_product(y)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if not _matched_eigenvalues(xi, yi):
-            raise OrbitMismatchError(
-                f"factor {i} has mismatched eigenvalues; endpoints are in "
-                "different restricted orbits"
-            )
-    legs = [orbit_path(xi, yi, steps) for xi, yi in zip(xs, ys)]
-    samples = [
-        alg.join_product(a, [leg.samples[k] for leg in legs]) for k in range(steps)
-    ]
-    return polyline_from_samples(samples, EIG_MATCH_TOL)
+    return _orbit_polyline(x, y, steps)
 
 
 def _orbit_coords(x: Element, count: int, seed: int) -> np.ndarray:

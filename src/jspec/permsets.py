@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import check_float_budget
+
 FINITE_TOL = 1e-12
 _MAX_ORBIT_DIM = 8  # n! orbit materialization guard
 
@@ -221,6 +223,7 @@ def pointed_sample_check(q_set: PermSet, samples: int, seed: int):
     if samples < 1:
         raise ValueError("need at least one sample")
     n = q_set.n
+    check_float_budget(2 * samples * n, f"{samples} pointedness samples")
     draws = np.random.default_rng(int(seed)).standard_normal((samples, 2, n))
     g = draws[:, 0]
     perm = np.argsort(draws[:, 1], axis=1)

@@ -162,16 +162,15 @@ class JordanFrame:
 # eigenvalue map
 
 
-def _spin_radius(xbar: np.ndarray) -> float:
-    return float(np.linalg.norm(xbar))
-
-
 def _eigh_desc(m: np.ndarray, vectors: bool):
-    """LAPACK eigenvalues of a symmetric or Hermitian matrix, non-increasing,
-    with the matching eigenvector columns when `vectors` is set (else None).
+    """LAPACK eigenvalues of symmetric or Hermitian matrices [..., n, n],
+    non-increasing along the last axis, with the matching eigenvector
+    columns when `vectors` is set (else None).  A stack is one numpy call,
+    which runs LAPACK on each matrix in turn: row i equals the result for
+    matrix i on its own, bit for bit.
 
     Non-finite input never reaches LAPACK; a LAPACK failure or a non-finite
-    result raises `NumericError`.
+    result anywhere in the stack raises `NumericError`.
     """
     if not np.isfinite(m).all():
         raise NumericError("eigensolver input has a non-finite entry")
@@ -184,32 +183,47 @@ def _eigh_desc(m: np.ndarray, vectors: bool):
         raise NumericError(f"LAPACK eigensolver failed: {exc}") from exc
     if not (np.isfinite(values).all() and (vecs is None or np.isfinite(vecs).all())):
         raise NumericError("LAPACK eigensolver returned a non-finite result")
+    # reverse the eigenvalue axis, never the stack axis
     if vecs is None:
-        return values[::-1].copy(), None
-    return values[::-1].copy(), vecs[:, ::-1].copy()
+        return values[..., ::-1].copy(), None
+    return values[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
-def _eigenvalues(a: Algebra, coords: np.ndarray) -> np.ndarray:
-    """Eigenvalues, non-increasing, of the element of `a` with `coords`.
+def _eigenvalue_blocks(a: Algebra, coords: np.ndarray) -> np.ndarray:
+    """Eigenvalues [..., rank] of the elements of `a` with coordinates
+    [..., dim]: non-increasing within each factor's block, blocks in factor
+    order (a simple kind is one block).
 
     A product reads its factors as slices of `coords`, without building an
     Element per factor.  A 1x1 matrix kind is its own eigenvalue: LAPACK
-    returns that entry unchanged, so it is not called.
+    returns that entry unchanged, so it is not called.  A spin radius is
+    `np.vecdot`, the BLAS dot that `np.linalg.norm` takes on one vector.
     """
     if isinstance(a, (RealSymmetric, ComplexHermitian)):
         if a.n == 1:
-            if not np.isfinite(coords[0]):
+            if not np.isfinite(coords).all():
                 raise NumericError("eigensolver input has a non-finite entry")
             # as in matrix_of, a stored -0.0 reads as +0.0 in the real kind only
             return coords + 0.0 if isinstance(a, RealSymmetric) else coords.copy()
         return _eigh_desc(alg.matrix_of(a, coords), vectors=False)[0]
     if isinstance(a, SpinFactor):
-        x0, r = float(coords[0]), _spin_radius(coords[1:])
-        return np.array([x0 + r, x0 - r])
+        x0, xbar = coords[..., :1], coords[..., 1:]
+        r = np.sqrt(np.vecdot(xbar, xbar))[..., None]
+        return np.concatenate([x0 + r, x0 - r], axis=-1)
     offs = alg._factor_offsets(a)
-    return sort_desc(np.concatenate([
-        _eigenvalues(f, coords[i:j]) for f, i, j in zip(a.factors, offs, offs[1:])
-    ]))
+    return np.concatenate(
+        [_eigenvalue_blocks(f, coords[..., i:j]) for f, i, j in zip(a.factors, offs, offs[1:])],
+        axis=-1,
+    )
+
+
+def _eigenvalues(a: Algebra, coords: np.ndarray) -> np.ndarray:
+    """Eigenvalues [..., rank], non-increasing, of the elements of `a` with
+    coordinates [..., dim]; a product's factor blocks are pooled and sorted."""
+    values = _eigenvalue_blocks(a, coords)
+    if isinstance(a, ProductAlgebra):
+        return np.sort(values)[..., ::-1].copy()
+    return values
 
 
 def eigen_map(x: Element) -> np.ndarray:
@@ -229,10 +243,28 @@ def spectral_decompose(x: Element) -> tuple[JordanFrame, np.ndarray]:
         values, basis = _eigh_desc(alg.matrix_of(a, x.coords), vectors=True)
     else:
         x0, xbar = alg.spin_parts(x)
-        r = _spin_radius(xbar)
+        r = float(np.linalg.norm(xbar))
         basis = xbar / r if r > 0.0 else np.eye(a.d - 1)[0]
         values = np.array([x0 + r, x0 - r])
     return JordanFrame(a, basis, np.arange(a.rank)), values
+
+
+def _compose(q: np.ndarray, frame: JordanFrame) -> np.ndarray:
+    """Coordinates [k, dim] of sum(q[j, i] * e_i) over the frame's listed
+    idempotents, one element per row of q [k, rank]: one stacked product
+    U diag(q_j) U^* for the matrix kinds, the spin formula, or the factor
+    frames' blocks side by side.  Row j equals the one-row call on q[j]."""
+    a = frame.algebra
+    qb = np.empty(q.shape)
+    qb[:, frame.order] = q
+    u = frame.basis
+    if isinstance(a, (RealSymmetric, ComplexHermitian)):
+        return alg.coords_of(a, (u * qb[:, None, :]) @ u.conj().T)
+    if isinstance(a, SpinFactor):
+        x0 = 0.5 * (qb[:, 0] + qb[:, 1])
+        return np.column_stack([x0, (0.5 * (qb[:, 0] - qb[:, 1]))[:, None] * u])
+    offs = np.cumsum([0] + [f.rank for f in a.factors])
+    return np.concatenate([_compose(qb[:, i:j], f) for f, i, j in zip(u, offs, offs[1:])], axis=1)
 
 
 def compose_theta(q, frame: JordanFrame) -> Element:
@@ -245,15 +277,7 @@ def compose_theta(q, frame: JordanFrame) -> Element:
     a = frame.algebra
     if q.shape != (a.rank,):
         raise ValueError(f"coefficient vector must have length {a.rank}, got shape {q.shape}")
-    qb = np.empty(a.rank)
-    qb[frame.order] = q
-    u = frame.basis
-    if isinstance(a, (RealSymmetric, ComplexHermitian)):
-        return Element(a, alg.coords_of(a, (u * qb) @ u.conj().T))
-    if isinstance(a, SpinFactor):
-        return alg.element_from_spin(a, 0.5 * (qb[0] + qb[1]), (0.5 * (qb[0] - qb[1])) * u)
-    blocks = np.split(qb, np.cumsum([f.rank for f in a.factors])[:-1])
-    return alg.join_product(a, [compose_theta(qf, f) for qf, f in zip(blocks, u)])
+    return Element(a, _compose(q[None], frame)[0])
 
 
 def canonical_frame(a: Algebra) -> JordanFrame:

@@ -5,7 +5,8 @@ Provides membership, constructive connectivity witnesses (three-leg paths:
 orbit leg, frame-composition leg, orbit leg), component enumeration for
 finite sets, additive splitting, the exact range of a linear functional over
 an eigenvalue orbit, and verification of direct-sum decomposition
-certificates for cones.
+certificates for cones.  Paths and component representatives are built,
+composed and audited as coordinate stacks, one numpy call per stage.
 """
 
 from __future__ import annotations
@@ -22,17 +23,21 @@ from .errors import (
     InfeasiblePathError,
     MembershipError,
     UnsupportedAlgebraError,
+    check_float_budget,
 )
 from .nnls import nnls_projected_gradient
-from .orbits import (
-    PathPolyline,
-    _orbit_coords,
-    orbit_path,
-    polyline_from_samples,
-    restricted_orbit_path,
-)
+from .orbits import PathPolyline, _orbit_coords, _orbit_leg
 from .permsets import PermSet, down_member
-from .spectral import canonical_frame, compose_theta, eigen_map, sort_desc, spectral_decompose
+from .spectral import (
+    _compose,
+    _eigenvalue_blocks,
+    _eigenvalues,
+    canonical_frame,
+    compose_theta,
+    eigen_map,
+    sort_desc,
+    spectral_decompose,
+)
 
 PATH_TOL = 1e-8
 SPLIT_TOL = 1e-9
@@ -142,36 +147,33 @@ def factor_blocks(x: Element) -> np.ndarray:
     """Per-factor-sorted eigenvalue blocks in canonical factor order."""
     if not isinstance(x.algebra, ProductAlgebra):
         raise UnsupportedAlgebraError("factor blocks are defined for product algebras")
-    return np.concatenate([eigen_map(p) for p in alg.split_product(x)])
+    return _eigenvalue_blocks(x.algebra, x.coords)
 
 
-def _block_sorted(q: np.ndarray, ranks: list[int]) -> np.ndarray:
-    out = []
-    pos = 0
-    for r in ranks:
-        out.append(sort_desc(q[pos : pos + r]))
-        pos += r
-    return np.concatenate(out)
+def _block_sorted(q: np.ndarray, a: ProductAlgebra) -> np.ndarray:
+    offs = np.cumsum([0] + [f.rank for f in a.factors])
+    return np.concatenate([sort_desc(q[i:j]) for i, j in zip(offs, offs[1:])])
 
 
 # ---------------------------------------------------------------------------
 # connectivity witnesses
 
 
-def _interpolate_vertices(vertices: list[np.ndarray], steps: int) -> list[np.ndarray]:
-    segs = len(vertices) - 1
-    if segs == 0:
-        return [vertices[0].copy() for _ in range(steps)]
-    pts = []
-    for u in np.linspace(0.0, float(segs), steps):
-        idx = min(int(u), segs - 1)
-        frac = u - idx
-        pts.append((1.0 - frac) * vertices[idx] + frac * vertices[idx + 1])
-    return pts
+def _interpolate_vertices(vertices: list[np.ndarray], steps: int) -> np.ndarray:
+    """`steps` points [steps, rank], evenly spaced in the parameter of the
+    polyline through two or more vertices, from the first to the last."""
+    v = np.array(vertices)
+    segs = len(v) - 1
+    u = np.linspace(0.0, float(segs), steps)
+    idx = np.minimum(u.astype(int), segs - 1)
+    frac = (u - idx)[:, None]
+    return (1.0 - frac) * v[idx] + frac * v[idx + 1]
 
 
-def _audit_membership(sset: SpectralSet, samples, tolerance: float):
-    lams = np.array([eigen_map(s) for s in samples])
+def _audit_membership(sset: SpectralSet, coords: np.ndarray, tolerance: float):
+    """Audit every sample [k, dim] of a path: one stacked eigenvalue pass
+    (one LAPACK call per matrix factor) and one `margin_many`."""
+    lams = _eigenvalues(sset.algebra, coords)
     margins = sset.q.margin_many(lams)
     if margins is not None:
         bad = np.flatnonzero(margins < -tolerance)
@@ -211,7 +213,9 @@ def connect(
     Q itself, its endpoints must equal the per-factor-sorted eigenvalue
     blocks of x and y, and vertices are normalized per factor block before
     use.  Every emitted sample is audited for membership at `tolerance`,
-    which must be finite and nonnegative.
+    which must be finite and nonnegative.  The path is one coordinate stack:
+    x and y are diagonalized once, the sweep is one stacked composition and
+    the audit one eigenvalue pass.
     """
     if x.algebra != sset.algebra or y.algebra != sset.algebra:
         raise AlgebraMismatchError("endpoints must live in the set's algebra")
@@ -219,27 +223,26 @@ def connect(
         raise ValueError("steps must be at least 2")
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tolerance!r}")
-    for name, point in (("x", x), ("y", y)):
-        if not ss_member(sset, point):
+    a = sset.algebra
+    # the coordinates, plus the audit's matrices (at most 2 * dim reals each)
+    check_float_budget(3 * steps * 3 * a.dim, f"a connect path of {steps} steps per leg")
+    simple = a.is_simple()
+    # per-factor eigenvalue blocks of x and y; pooled and sorted for membership
+    start_q, end_q = _eigenvalue_blocks(a, np.stack([x.coords, y.coords]))
+    for name, q in (("x", start_q), ("y", end_q)):
+        if not sset.q.member(q if simple else sort_desc(q)):
             raise InfeasiblePathError(
                 f"endpoint {name} is not a member of the spectral set",
                 clause="endpoint-membership",
             )
     scale = max(1.0, alg.norm(x))
     if alg.distance(x, y) <= 1e-12 * scale:
-        return polyline_from_samples([x, y], tolerance)
+        return PathPolyline(a, np.stack([x.coords, y.coords]), tolerance)
 
-    a = sset.algebra
-    simple = a.is_simple()
     frame = canonical_frame(a)
-    ranks = None if simple else [f.rank for f in a.factors]
-    start_q = eigen_map(x) if simple else factor_blocks(x)
-    end_q = eigen_map(y) if simple else factor_blocks(y)
 
     if q_path is None:
-        if float(np.abs(start_q - end_q).max()) <= tolerance:
-            vertices = [start_q, end_q]
-        elif simple and sset.q.convex:
+        if float(np.abs(start_q - end_q).max()) <= tolerance or (simple and sset.q.convex):
             vertices = [start_q, end_q]
         elif not simple and sset.q.finite_points is not None:
             raise InfeasiblePathError(
@@ -266,7 +269,7 @@ def connect(
                         clause="qpath-down-member",
                     )
         else:
-            vertices = [_block_sorted(v, ranks) for v in vertices]
+            vertices = [_block_sorted(v, a) for v in vertices]
             for k, v in enumerate(vertices):
                 if not sset.q.member(v):
                     raise InfeasiblePathError(
@@ -280,15 +283,16 @@ def connect(
                 clause="qpath-endpoints",
             )
 
-    ref_start = compose_theta(start_q, frame)
-    ref_end = compose_theta(end_q, frame)
-    leg = orbit_path if simple else restricted_orbit_path
-    leg1 = leg(x, ref_start, steps)
-    leg2 = [compose_theta(q, frame) for q in _interpolate_vertices(vertices, steps)]
-    leg3 = leg(ref_end, y, steps)
-    samples = list(leg1.samples) + leg2[1:] + list(leg3.samples)[1:]
-    _audit_membership(sset, samples, tolerance)
-    return polyline_from_samples(samples, tolerance)
+    # one composition: both reference endpoints, then the sweep after its start
+    sweep = _interpolate_vertices(vertices, steps)[1:]
+    composed = _compose(np.vstack([start_q, end_q, sweep]), frame)
+    ref_start, ref_end = (Element(a, c) for c in composed[:2])
+    ref_q = _eigenvalue_blocks(a, composed[:2])
+    leg1 = _orbit_leg(x, ref_start, start_q, ref_q[0], steps)
+    leg3 = _orbit_leg(ref_end, y, ref_q[1], end_q, steps)
+    coords = np.concatenate([leg1, composed[2:], leg3[1:]])
+    _audit_membership(sset, coords, tolerance)
+    return PathPolyline(a, coords, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -312,34 +316,21 @@ def components_finite(sset: SpectralSet) -> list[SpectralComponent]:
         raise ValueError("component enumeration needs a finite set")
     a = sset.algebra
     frame = canonical_frame(a)
-    out = []
     if a.is_simple():
-        for rep in sset.q.down_points():
-            out.append(
-                SpectralComponent(
-                    representative=rep,
-                    element=compose_theta(rep, frame),
-                    description=f"eigenvalue orbit of {_fmt_vec(rep)}",
-                )
-            )
-        return out
-    ranks = [f.rank for f in a.factors]
-    seen = sorted({tuple(_block_sorted(p, ranks)) for p in sset.q.finite_points})
-    for key in seen:
-        rep = np.array(key)
-        blocks = []
-        pos = 0
-        for r in ranks:
-            blocks.append(_fmt_vec(rep[pos : pos + r]))
-            pos += r
-        out.append(
-            SpectralComponent(
-                representative=rep,
-                element=compose_theta(rep, frame),
-                description="restricted orbit with factor blocks " + " | ".join(blocks),
-            )
-        )
-    return out
+        reps = sset.q.down_points()
+        descriptions = [f"eigenvalue orbit of {_fmt_vec(rep)}" for rep in reps]
+    else:
+        reps = np.array(sorted({tuple(_block_sorted(p, a)) for p in sset.q.finite_points}))
+        offs = np.cumsum([0] + [f.rank for f in a.factors])
+        descriptions = [
+            "restricted orbit with factor blocks "
+            + " | ".join(_fmt_vec(rep[i:j]) for i, j in zip(offs, offs[1:]))
+            for rep in reps
+        ]
+    return [
+        SpectralComponent(representative=rep, element=Element(a, c), description=text)
+        for rep, c, text in zip(reps, _compose(reps, frame), descriptions)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +408,8 @@ def fan_interval(c: Element, a_el: Element) -> FanInterval:
     big = float(lam_c @ lam_a)
     small = float(lam_c[::-1] @ lam_a)
     frame_c, _ = spectral_decompose(c)
-    maximizer = compose_theta(lam_a, frame_c)
-    minimizer = compose_theta(lam_a[::-1], frame_c)
+    ends = _compose(np.stack([lam_a, lam_a[::-1]]), frame_c)
+    maximizer, minimizer = (Element(c.algebra, v) for v in ends)
     return FanInterval(delta=small, Delta=big, minimizer=minimizer, maximizer=maximizer)
 
 

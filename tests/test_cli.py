@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jspec import (
+    AlgebraMismatchError,
     ComplexHermitian,
     Element,
     RealSymmetric,
@@ -23,17 +25,36 @@ from jspec import (
     element_from_sym,
     random_element,
 )
-from jspec import cli, spectral
+from jspec import cli, errors, orbits, permsets, spectral
 from jspec.io import emit_algebra, emit_element, parse_element, render_json
 
 
-def run_cli(args, stdin=None):
+def run_module(args, stdin):
+    """`python -m jspec.cli` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "jspec.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
     )
+
+
+@pytest.fixture
+def run_cli(capsys, monkeypatch):
+    """`cli.main` in this process, returning the exit code, stdout and
+    stderr that `run_module` would; `stdin` is the text read for "-"."""
+
+    def run(args, stdin=None):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+        capsys.readouterr()
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+
+    return run
 
 
 def write_json(tmp_path, name, payload):
@@ -48,24 +69,24 @@ def write_json(tmp_path, name, payload):
 
 def test_eig_diagonal_stdin():
     doc = {"alg": {"kind": "sym", "n": 2}, "data": [[1.0, 0.0], [0.0, 0.0]]}
-    proc = run_cli(["eig"], stdin=json.dumps(doc))
+    proc = run_module(["eig"], stdin=json.dumps(doc))
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"lambda": [1, 0]}
 
 
-def test_eig_spin():
+def test_eig_spin(run_cli):
     doc = {"alg": {"kind": "spin", "d": 3}, "data": {"x0": 1.0, "xbar": [1.0, 0.0]}}
     proc = run_cli(["eig"], stdin=json.dumps(doc))
     assert json.loads(proc.stdout) == {"lambda": [2, 0]}
 
 
-def test_eig_malformed_json_exits_2():
+def test_eig_malformed_json_exits_2(run_cli):
     proc = run_cli(["eig"], stdin='{"alg": nope}')
     assert proc.returncode == 2
     assert proc.stderr
 
 
-def test_eig_asymmetric_matrix_exits_2():
+def test_eig_asymmetric_matrix_exits_2(run_cli):
     doc = {"alg": {"kind": "sym", "n": 2}, "data": [[1.0, 0.5], [0.4, 0.0]]}
     proc = run_cli(["eig"], stdin=json.dumps(doc))
     assert proc.returncode == 2
@@ -216,7 +237,56 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, handler, argv):
     assert "input error" in err
 
 
-def test_decompose_reports_frame(tmp_path):
+_Y2 = {"alg": {"kind": "sym", "n": 2}, "data": [[2.5, 1.5], [1.5, 2.5]]}
+
+
+@pytest.mark.parametrize(
+    "argv, floats",
+    [
+        # 100 Haar draws of a 2x2 orthogonal matrix
+        (["orbit-sample", "x.json", "--count", "100"], 100 * 2 * 2),
+        # 100 samples of a Gaussian and a sort key in R^2
+        (["pointed-check", "set.json", "--samples", "100"], 2 * 100 * 2),
+        # 3 legs of 100 samples of sym(2), dim 3, plus the audit's matrices
+        (["connect", "set.json", "x.json", "y.json", "--steps", "100"], 3 * 100 * 3 * 3),
+    ],
+    ids=["orbit-sample", "pointed-check", "connect"],
+)
+def test_float_budget_bounds_stacks(tmp_path, capsys, monkeypatch, argv, floats):
+    # the largest stack fits a budget of exactly its size and exits 2, with
+    # nothing on stdout, one float below it
+    write_json(tmp_path, "x.json", _SYM2)
+    write_json(tmp_path, "y.json", _Y2)
+    write_json(tmp_path, "set.json", _REARR2)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(errors, "FLOAT_BUDGET", floats)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(errors, "FLOAT_BUDGET", floats - 1)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"over the budget of {floats - 1}" in err
+
+
+def test_float_budget_is_checked_before_allocating(monkeypatch):
+    # by arithmetic only: nothing here can reach an allocation
+    with pytest.raises(ValueError, match="over the budget"):
+        errors.check_float_budget(errors.FLOAT_BUDGET + 1, "one float too many")
+    errors.check_float_budget(errors.FLOAT_BUDGET, "exactly the budget")
+    with pytest.raises(ValueError, match="over the budget"):
+        orbits._haar(3, None, 10**12, unitary=True)  # no generator to draw from
+
+    def no_generator(seed):
+        raise AssertionError("a generator was built for an oversized request")
+
+    monkeypatch.setattr(permsets.np.random, "default_rng", no_generator)
+    cone = permsets.make_rearrangement_cone(3, 1)
+    with pytest.raises(ValueError, match="over the budget"):
+        permsets.pointed_sample_check(cone, 10**12, 0)
+
+
+def test_decompose_reports_frame(tmp_path, run_cli):
     x = random_element(RealSymmetric(3), 7)
     proc = run_cli(["decompose"], stdin=json.dumps(emit_element(x)))
     assert proc.returncode == 0
@@ -229,7 +299,7 @@ def test_decompose_reports_frame(tmp_path):
 # member / connect
 
 
-def test_member_psd(tmp_path):
+def test_member_psd(tmp_path, run_cli):
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1})
     x = element_from_sym(RealSymmetric(3), np.diag([1.0, 2.0, 3.0]))
     proc = run_cli(["member", set_path], stdin=json.dumps(emit_element(x)))
@@ -239,7 +309,7 @@ def test_member_psd(tmp_path):
     assert json.loads(proc.stdout) == {"member": False}
 
 
-def test_connect_psd_pair(tmp_path):
+def test_connect_psd_pair(tmp_path, run_cli):
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1})
     x = element_from_sym(RealSymmetric(3), np.diag([2.0, 1.0, 0.5]))
     y = element_from_sym(RealSymmetric(3), np.diag([1.0, 0.7, 0.3]))
@@ -253,7 +323,7 @@ def test_connect_psd_pair(tmp_path):
     assert len(samples) >= 6
 
 
-def test_connect_equal_endpoints_two_samples(tmp_path):
+def test_connect_equal_endpoints_two_samples(tmp_path, run_cli):
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1})
     x = element_from_sym(RealSymmetric(3), np.diag([2.0, 1.0, 0.5]))
     x_path = write_json(tmp_path, "x.json", emit_element(x))
@@ -263,7 +333,7 @@ def test_connect_equal_endpoints_two_samples(tmp_path):
     assert payload["max_step"] == 0
 
 
-def test_connect_coordinate_vectors_exit_4(tmp_path):
+def test_connect_coordinate_vectors_exit_4(tmp_path, run_cli):
     a = coordinate_algebra(3)
     set_path = write_json(tmp_path, "set.json", {"set": "finite", "points": [[1, 0, 0]]})
     c1 = write_json(tmp_path, "c1.json", emit_element(Element(a, np.array([1.0, 0, 0]))))
@@ -273,7 +343,7 @@ def test_connect_coordinate_vectors_exit_4(tmp_path):
     assert "no-path-in-finite-set" in proc.stderr
 
 
-def test_connect_with_qpath_file(tmp_path):
+def test_connect_with_qpath_file(tmp_path, run_cli):
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 2, "m": 1})
     x = element_from_sym(RealSymmetric(2), np.diag([2.0, 1.0]))
     y = element_from_sym(RealSymmetric(2), np.diag([4.0, 0.5]))
@@ -330,11 +400,68 @@ def test_connect_non_finite_qpath_vertex_exits_2(tmp_path, capsys):
     assert "finite" in err
 
 
+def _sym(m):
+    return {"alg": {"kind": "sym", "n": len(m)}, "data": m}
+
+
+def _sym2_spin3(m, x0, xbar):
+    return {
+        "alg": {"kind": "product", "factors": [{"kind": "sym", "n": 2}, {"kind": "spin", "d": 3}]},
+        "data": {"factors": [_sym(m), {"alg": {"kind": "spin", "d": 3}, "data": {"x0": x0, "xbar": xbar}}]},
+    }
+
+
+# sha256 of connect's stdout, recorded before connect was built as one
+# coordinate stack (per-sample Elements, one LAPACK call per sample); the
+# bytes follow numpy's bundled OpenBLAS/LAPACK on x86-64
+_CONNECT_DIGESTS = {
+    "sym3": (
+        {"set": "rearr", "n": 3, "m": 1},
+        _sym([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]]),
+        _sym([[1.0, 0.0, 0.3], [0.0, 0.8, 0.0], [0.3, 0.0, 1.5]]),
+        ["--steps", "6"],
+        "b86547940a1b85826371db001ed4a5b20f507aadee83818a7f9946ea416c960d",
+    ),
+    "herm2": (
+        {"set": "halfspace-trace", "n": 2},
+        {"alg": {"kind": "herm", "n": 2}, "data": {"re": [[1.5, 0.2], [0.2, 0.5]], "im": [[0.0, 0.3], [-0.3, 0.0]]}},
+        {"alg": {"kind": "herm", "n": 2}, "data": {"re": [[0.7, -0.1], [-0.1, 1.2]], "im": [[0.0, -0.4], [0.4, 0.0]]}},
+        ["--steps", "5"],
+        "7c16588acf381d256610df29d5a6f30fa08f2f95075dad3d57585c572948d9ad",
+    ),
+    "spin4": (
+        {"set": "rearr", "n": 2, "m": 1},
+        {"alg": {"kind": "spin", "d": 4}, "data": {"x0": 2.0, "xbar": [0.5, 1.0, -0.3]}},
+        {"alg": {"kind": "spin", "d": 4}, "data": {"x0": 1.5, "xbar": [-0.2, 0.4, 0.9]}},
+        ["--steps", "4"],
+        "0c513a88ebe2046335dd2958114e72bf5d4f186d7f54182b8fbeffd702c50696",
+    ),
+    "product-qpath": (
+        {"set": "rearr", "n": 4, "m": 1},
+        _sym2_spin3([[1.5, 0.5], [0.5, 1.5]], 1.5, [0.3, 0.4]),
+        _sym2_spin3([[1.0, 0.2], [0.2, 1.0]], 1.0, [0.0, 0.6]),
+        ["--steps", "4", "--qpath", {"vertices": [[2.0, 1.0, 2.0, 1.0], [2.5, 1.5, 2.5, 1.5], [1.2, 0.8, 1.6, 0.4]]}],
+        "30b16dd925bdd25f6a04672fe1da67f4ffbc7167a2198026e33db579a6232ed8",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONNECT_DIGESTS))
+def test_connect_stdout_bytes_are_pinned(tmp_path, capsys, case):
+    set_doc, x_doc, y_doc, flags, digest = _CONNECT_DIGESTS[case]
+    argv = ["connect"] + [write_json(tmp_path, f"{name}.json", doc) for name, doc in
+                          (("set", set_doc), ("x", x_doc), ("y", y_doc))]
+    argv += [write_json(tmp_path, "q.json", f) if isinstance(f, dict) else f for f in flags]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # fan / orbit-sample / components
 
 
-def test_fan_s2_endpoints(tmp_path):
+def test_fan_s2_endpoints(tmp_path, run_cli):
     c = element_from_sym(RealSymmetric(2), np.diag([1.0, -1.0]))
     a = element_from_sym(RealSymmetric(2), np.diag([1.0, 0.0]))
     c_path = write_json(tmp_path, "c.json", emit_element(c))
@@ -357,7 +484,7 @@ def test_fan_large_scale_samples_in_interval(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["samples_in_interval"] is True
 
 
-def test_fan_mismatched_algebras_exit_2(tmp_path):
+def test_fan_mismatched_algebras_exit_2(tmp_path, run_cli):
     c = element_from_sym(RealSymmetric(2), np.diag([1.0, -1.0]))
     a = element_from_sym(RealSymmetric(3), np.diag([1.0, 0.0, 0.0]))
     c_path = write_json(tmp_path, "c.json", emit_element(c))
@@ -366,7 +493,7 @@ def test_fan_mismatched_algebras_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
-def test_orbit_sample_deterministic_bytes(tmp_path):
+def test_orbit_sample_deterministic_bytes(tmp_path, run_cli):
     x = random_element(RealSymmetric(3), 5)
     stdin = json.dumps(emit_element(x))
     p1 = run_cli(["orbit-sample", "--count", "4", "--seed", "9"], stdin=stdin)
@@ -377,7 +504,7 @@ def test_orbit_sample_deterministic_bytes(tmp_path):
     assert len(payload["samples"]) == 4
 
 
-def test_components_coordinate_space(tmp_path):
+def test_components_coordinate_space(tmp_path, run_cli):
     set_path = write_json(tmp_path, "set.json", {"set": "finite", "points": [[1, 0, 0]]})
     alg_path = write_json(
         tmp_path, "alg.json", emit_algebra(coordinate_algebra(3))
@@ -404,7 +531,7 @@ def test_finite_set_non_finite_point_exits_2(tmp_path, capsys):
 # certify / sum-split / pointed-check
 
 
-def test_certify_orthant(tmp_path):
+def test_certify_orthant(tmp_path, run_cli):
     a = coordinate_algebra(3)
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1})
     cert = {
@@ -416,7 +543,7 @@ def test_certify_orthant(tmp_path):
     assert payload["accepted"] is True
 
 
-def test_certify_rejects_psd_split(tmp_path):
+def test_certify_rejects_psd_split(tmp_path, run_cli):
     a = RealSymmetric(2)
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 2, "m": 1})
     cert = {
@@ -435,7 +562,7 @@ def test_certify_rejects_psd_split(tmp_path):
     assert payload["failed_clause"] in ("span-independence", "nonnegative-reconstruction")
 
 
-def test_sum_split_cli(tmp_path):
+def test_sum_split_cli(tmp_path, run_cli):
     a = RealSymmetric(2)
     z = element_from_sym(a, np.diag([3.0, 1.0]))
     z_path = write_json(tmp_path, "z.json", emit_element(z))
@@ -449,7 +576,7 @@ def test_sum_split_cli(tmp_path):
     assert np.allclose(part1.coords, element_from_sym(a, np.diag([1.5, 0.5])).coords)
 
 
-def test_sum_split_bad_split_exit_4(tmp_path):
+def test_sum_split_bad_split_exit_4(tmp_path, run_cli):
     a = RealSymmetric(2)
     z = element_from_sym(a, np.diag([3.0, 1.0]))
     z_path = write_json(tmp_path, "z.json", emit_element(z))
@@ -471,7 +598,7 @@ def test_sum_split_non_finite_split_exits_2(tmp_path, capsys):
     assert "finite" in err
 
 
-def test_pointed_check_halfspace_witness(tmp_path):
+def test_pointed_check_halfspace_witness(tmp_path, run_cli):
     set_path = write_json(tmp_path, "set.json", {"set": "halfspace-trace", "n": 2})
     proc = run_cli(["pointed-check", set_path, "--samples", "1000", "--seed", "0"])
     payload = json.loads(proc.stdout)
@@ -479,13 +606,13 @@ def test_pointed_check_halfspace_witness(tmp_path):
     assert abs(sum(payload["witness"])) <= 1e-12
 
 
-def test_pointed_check_rearrangement_clean(tmp_path):
+def test_pointed_check_rearrangement_clean(tmp_path, run_cli):
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 4, "m": 2})
     proc = run_cli(["pointed-check", set_path, "--samples", "2000", "--seed", "0"])
     assert json.loads(proc.stdout) == {"verdict": "no-violation-found"}
 
 
-def test_bad_permset_document_exit_2(tmp_path):
+def test_bad_permset_document_exit_2(tmp_path, run_cli):
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 3})
     proc = run_cli(["pointed-check", set_path])
     assert proc.returncode == 2
@@ -757,6 +884,27 @@ def test_element_round_trip_bit_stable(algebra_doc):
     back = parse_element(json.loads(rendered))
     assert np.array_equal(back.coords, x.coords)
     assert render_json(emit_element(back)) == rendered
+
+
+@pytest.mark.parametrize(
+    "algebra_doc",
+    [
+        {"kind": "sym", "n": 3},
+        {"kind": "herm", "n": 2},
+        {"kind": "spin", "d": 4},
+        {"kind": "product", "factors": [{"kind": "herm", "n": 2}, {"kind": "spin", "d": 3}]},
+    ],
+)
+def test_emit_elements_is_emit_element_per_row(algebra_doc):
+    from jspec.io import emit_elements, parse_algebra
+
+    a = parse_algebra(algebra_doc)
+    xs = [random_element(a, seed) for seed in range(5)]
+    assert emit_elements(xs) == [emit_element(x) for x in xs]
+    assert render_json(emit_elements(xs)) == render_json([emit_element(x) for x in xs])
+    assert emit_elements([]) == []
+    with pytest.raises(AlgebraMismatchError):
+        emit_elements(xs + [random_element(RealSymmetric(1), 0)])
 
 
 def test_render_json_float_style():

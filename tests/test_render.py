@@ -61,6 +61,32 @@ rows = st.one_of(
 )
 
 
+@st.composite
+def float_matrices(draw):
+    """A list of float rows: equal-length (one format call per matrix),
+    possibly empty, or made ragged, or given one int or -0.0 cell."""
+    cols = draw(st.integers(0, 5))
+    matrix = draw(st.lists(st.lists(finite_floats, min_size=cols, max_size=cols), max_size=5))
+    if matrix and cols:
+        i, j = draw(st.integers(0, len(matrix) - 1)), draw(st.integers(0, cols - 1))
+        change = draw(st.sampled_from(["none", "ragged", "int", "negative-zero", "tuple-row"]))
+        if change == "ragged":
+            matrix[i].pop(j)
+        elif change == "int":
+            matrix[i][j] = draw(ints)
+        elif change == "negative-zero":
+            matrix[i][j] = -0.0
+        elif change == "tuple-row":
+            matrix[i] = tuple(matrix[i])
+    return matrix
+
+
+matrices = st.one_of(
+    float_matrices(),
+    st.integers(0, 3).map(lambda rows: [[] for _ in range(rows)]),  # empty rows
+)
+
+
 def containers(children):
     return st.one_of(
         st.lists(children, max_size=4),
@@ -69,7 +95,7 @@ def containers(children):
     )
 
 
-payloads = st.recursive(st.one_of(leaves, rows), containers, max_leaves=10)
+payloads = st.recursive(st.one_of(leaves, rows, matrices), containers, max_leaves=10)
 
 
 @settings(max_examples=100, deadline=None)
@@ -108,3 +134,43 @@ def test_unknown_type_raises_type_error(value):
     expected = outcome(oracle, value)
     assert expected[0] is TypeError
     assert outcome(render_json, value) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_matrices())
+def test_float_matrix_matches_reference(matrix):
+    rendered = render_json(matrix)
+    assert rendered == oracle(matrix)
+    assert json.loads(rendered) == json.loads(oracle(matrix))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.lists(finite_floats, min_size=3, max_size=3), min_size=1, max_size=4),
+    st.data(),
+)
+def test_non_finite_cell_of_a_matrix_raises_like_reference(matrix, data):
+    i = data.draw(st.integers(0, len(matrix) - 1))
+    j = data.draw(st.integers(0, 2))
+    matrix[i][j] = data.draw(st.sampled_from(NON_FINITE))
+    expected = outcome(oracle, matrix)
+    assert expected[0] is NumericError
+    assert outcome(render_json, matrix) == expected
+    assert outcome(render_json, {"m": [matrix, matrix]}) == outcome(oracle, {"m": [matrix, matrix]})
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1.0, 2.5], [-0.0, 3.0]],
+        [[1.0, 2.5], [3.0]],
+        [[1.0, 2], [3.0, 4.0]],
+        [[], []],
+        [[0.5], [0.25], [0.125]],
+        [[1.0, 2.0], (3.0, 4.0)],
+        [[[1.0]], [[2.0]]],
+    ],
+    ids=["negative-zero", "ragged", "int-cell", "empty-rows", "one-column", "tuple-row", "nested"],
+)
+def test_float_matrix_cases(matrix):
+    assert render_json(matrix) == oracle(matrix)

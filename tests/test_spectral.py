@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jspec import (
     ComplexHermitian,
@@ -23,6 +26,7 @@ from jspec import (
     sort_asc,
     sort_desc,
     spectral_decompose,
+    spectral,
     unit_element,
 )
 
@@ -271,3 +275,53 @@ def test_decompose_frames_are_valid():
     for algebra in ALL_KINDS:
         frame, _ = spectral_decompose(random_element(algebra, 123))
         JordanFrame.from_idempotents(algebra, frame.idempotents)
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels: each row equals the one-element call, bit for bit
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """A stack [k, n, n] of real symmetric or complex Hermitian matrices."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 6))
+    complex_ = draw(st.booleans())
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    shape = (k, 2, n, n) if complex_ else (k, n, n)
+    g = draw(hnp.arrays(np.float64, shape, elements=entries))
+    m = g[:, 0] + 1j * g[:, 1] if complex_ else g
+    return (m + m.conj().swapaxes(1, 2)) / 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_stacks(), st.booleans())
+def test_stacked_eigh_rows_equal_single_calls(stack, vectors):
+    values, vecs = spectral._eigh_desc(stack, vectors=vectors)
+    assert values.shape == stack.shape[:2]
+    assert np.all(np.diff(values, axis=-1) <= 0.0)
+    for i, m in enumerate(stack):
+        one_values, one_vecs = spectral._eigh_desc(m, vectors=vectors)
+        assert np.array_equal(values[i], one_values)
+        if vectors:
+            assert np.array_equal(vecs[i], one_vecs)
+
+
+@pytest.mark.parametrize("algebra", ALL_KINDS, ids=str)
+def test_stacked_eigenvalues_equal_eigen_map(algebra):
+    coords = np.array([random_element(algebra, seed).coords for seed in range(7)])
+    values = spectral._eigenvalues(algebra, coords)
+    for row, c in zip(values, coords):
+        assert np.array_equal(row, eigen_map(Element(algebra, c)))
+
+
+@pytest.mark.parametrize("algebra", ALL_KINDS, ids=str)
+def test_stacked_compose_rows_equal_compose_theta(algebra):
+    rng = np.random.default_rng(11)
+    for seed in range(3):
+        frame = random_frame(algebra, seed)
+        q = rng.standard_normal((9, algebra.rank))
+        composed = spectral._compose(q, frame)
+        assert composed.shape == (9, algebra.dim)
+        for row, qj in zip(composed, q):
+            assert np.array_equal(row, compose_theta(qj, frame).coords)

@@ -45,6 +45,7 @@ from jspec import (
     trace,
     unit_element,
 )
+from jspec import canonical_frame, compose_theta, custom_permset
 from jspec.nnls import nnls_projected_gradient
 
 from conftest import SIMPLE_KINDS, element_with_eigenvalues
@@ -133,6 +134,39 @@ def test_connect_psd_pair_audits_clean():
         for k in range(len(path.samples) - 1)
     ]
     assert max(steps) == path.max_step
+
+
+def test_connect_path_is_a_coordinate_stack():
+    s = psd_set(3)
+    x = element_with_eigenvalues(RealSymmetric(3), [3.0, 1.5, 0.2], seed=1)
+    y = element_with_eigenvalues(RealSymmetric(3), [2.0, 1.0, 0.1], seed=2)
+    path = connect(s, x, y, steps=7)
+    assert path.algebra == x.algebra
+    assert path.coords.shape == (3 * 7 - 2, x.algebra.dim)
+    assert not path.coords.flags.writeable
+    assert "samples" not in vars(path)  # the elements are built on first use
+    assert all(np.array_equal(smp.coords, c) for smp, c in zip(path.samples, path.coords))
+    assert path.samples is path.samples
+
+
+@pytest.mark.parametrize("algebra", [RealSymmetric(3), ComplexHermitian(2), SpinFactor(4)], ids=str)
+def test_connect_audit_matches_per_sample_membership(algebra):
+    # a black-box predicate sees each sample's eigenvalues, row by row, as
+    # eigen_map gives them
+    seen = []
+
+    def predicate(q):
+        seen.append(np.array(q))
+        return bool(np.sum(q) >= 0.0)
+
+    s = SpectralSet(algebra, custom_permset(algebra.rank, predicate, convex=True))
+    x = element_with_eigenvalues(algebra, np.linspace(2.0, 1.0, algebra.rank), seed=3)
+    y = element_with_eigenvalues(algebra, np.linspace(2.0, 1.0, algebra.rank), seed=4)
+    path = connect(s, x, y, steps=5)
+    audited = seen[-len(path.samples):]
+    assert len(audited) == 3 * 5 - 2
+    for q, smp in zip(audited, path.samples):
+        assert np.array_equal(q, eigen_map(smp))
 
 
 def test_connect_equal_endpoints_two_samples():
@@ -281,6 +315,21 @@ def test_components_mixed_product_blocks():
     comps = components_finite(s)
     # the single eigenvalue 1 sits either in the rank-2 factor or the scalar
     assert len(comps) == 2
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [RealSymmetric(3), ComplexHermitian(2), SpinFactor(5), ProductAlgebra((RealSymmetric(2), SpinFactor(3)))],
+    ids=str,
+)
+def test_components_compose_like_compose_theta(algebra):
+    # one stacked composition gives each representative's element exactly
+    points = [np.arange(algebra.rank, dtype=float), np.r_[np.ones(algebra.rank - 1), 5.0]]
+    comps = components_finite(SpectralSet(algebra, make_finite_orbit(points)))
+    frame = canonical_frame(algebra)
+    assert len(comps) >= 2
+    for c in comps:
+        assert np.array_equal(c.element.coords, compose_theta(c.representative, frame).coords)
 
 
 def test_components_need_finite_flag():

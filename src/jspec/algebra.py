@@ -191,6 +191,15 @@ def _factor_offsets(a: ProductAlgebra) -> tuple[int, ...]:
     return tuple(offs)
 
 
+@lru_cache(maxsize=None)
+def _rank_offsets(a: Algebra) -> tuple[int, ...]:
+    """Bounds of each factor's block of eigenvalues; a simple kind is one block."""
+    offs = [0]
+    for f in a.factors if isinstance(a, ProductAlgebra) else (a,):
+        offs.append(offs[-1] + f.rank)
+    return tuple(offs)
+
+
 # ---------------------------------------------------------------------------
 # elements
 
@@ -250,12 +259,8 @@ def matrix_of(a: Algebra, coords) -> np.ndarray:
     """Unpack coordinates [..., dim] of a matrix kind into matrices [..., n, n].
 
     Both kernels gather along the first axis of the transposed stack: on one
-    element that is several times faster than indexing `[..., idx]`, and a
-    stack of one row is gathered as its vector, about twice as fast again."""
-    c = np.asarray(coords, dtype=float)
-    if c.shape[:-1] == (1,):
-        return matrix_of(a, c[0])[None]
-    c = c.T
+    element that is several times faster than indexing `[..., idx]`."""
+    c = np.asarray(coords, dtype=float).T
     lay = a._layout
     if isinstance(a, RealSymmetric):
         values = c + 0.0  # a stored -0.0 unpacks as +0.0

@@ -13,6 +13,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from . import io as jio
 from . import spectralsets as ss
 from .algebra import norm
@@ -64,6 +66,11 @@ def _nonneg(value: str) -> int:
     return v
 
 
+def _element_docs(a, xs) -> list[dict]:
+    """Documents of elements of `a`, unpacked as one coordinate stack."""
+    return jio._element_docs(a, np.reshape([x.coords for x in xs], (len(xs), a.dim)))
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -78,7 +85,7 @@ def _cmd_decompose(args):
     frame, values = spectral_decompose(x)
     return {
         "lambda": values,
-        "frame": jio.emit_elements(frame.idempotents),
+        "frame": _element_docs(x.algebra, frame.idempotents),
     }
 
 
@@ -122,7 +129,7 @@ def _cmd_fan(args):
 def _cmd_orbit_sample(args):
     x = jio.parse_element(_load(args.element))
     samples = orbit_sample(x, args.count, args.seed)
-    return {"samples": jio.emit_elements(samples)}
+    return {"samples": _element_docs(x.algebra, samples)}
 
 
 def _cmd_components(args):

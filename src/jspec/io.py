@@ -30,7 +30,7 @@ from .algebra import (
     RealSymmetric,
     SpinFactor,
 )
-from .errors import AlgebraMismatchError, NumericError
+from .errors import NumericError
 from .orbits import PathPolyline
 from .permsets import (
     PermSet,
@@ -49,7 +49,6 @@ __all__ = [
     "emit_algebra",
     "parse_element",
     "emit_element",
-    "emit_elements",
     "parse_permset",
     "parse_qpath",
     "parse_numbers",
@@ -211,14 +210,6 @@ def _element_docs(a: Algebra, coords: np.ndarray) -> list[dict]:
 
 def emit_element(x: Element) -> dict:
     return _element_docs(x.algebra, x.coords[None])[0]
-
-
-def emit_elements(xs) -> list[dict]:
-    """Documents of elements that share one algebra, unpacked as one stack."""
-    xs = list(xs)
-    if any(x.algebra != xs[0].algebra for x in xs):
-        raise AlgebraMismatchError("elements emitted together must share one algebra")
-    return _element_docs(xs[0].algebra, np.array([x.coords for x in xs])) if xs else []
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,7 @@ def _orbit_leg(x: Element, y: Element, qx: np.ndarray, qy: np.ndarray, steps: in
     alignment reaches the same endpoint) along an identity-component path."""
     a = x.algebra
     product = isinstance(a, ProductAlgebra)
-    offs = np.cumsum([0] + [f.rank for f in (a.factors if product else [a])])
+    offs = alg._rank_offsets(a)
     blocks = [slice(i, j) for i, j in zip(offs, offs[1:])]
     for k, b in enumerate(blocks):  # every factor before any leg
         if not np.max(np.abs(qx[b] - qy[b])) <= EIG_MATCH_TOL:

@@ -263,7 +263,7 @@ def _compose(q: np.ndarray, frame: JordanFrame) -> np.ndarray:
     if isinstance(a, SpinFactor):
         x0 = 0.5 * (qb[:, 0] + qb[:, 1])
         return np.column_stack([x0, (0.5 * (qb[:, 0] - qb[:, 1]))[:, None] * u])
-    offs = np.cumsum([0] + [f.rank for f in a.factors])
+    offs = alg._rank_offsets(a)
     return np.concatenate([_compose(qb[:, i:j], f) for f, i, j in zip(u, offs, offs[1:])], axis=1)
 
 

@@ -151,7 +151,7 @@ def factor_blocks(x: Element) -> np.ndarray:
 
 
 def _block_sorted(q: np.ndarray, a: ProductAlgebra) -> np.ndarray:
-    offs = np.cumsum([0] + [f.rank for f in a.factors])
+    offs = alg._rank_offsets(a)
     return np.concatenate([sort_desc(q[i:j]) for i, j in zip(offs, offs[1:])])
 
 
@@ -224,8 +224,6 @@ def connect(
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tolerance!r}")
     a = sset.algebra
-    # the coordinates, plus the audit's matrices (at most 2 * dim reals each)
-    check_float_budget(3 * steps * 3 * a.dim, f"a connect path of {steps} steps per leg")
     simple = a.is_simple()
     # per-factor eigenvalue blocks of x and y; pooled and sorted for membership
     start_q, end_q = _eigenvalue_blocks(a, np.stack([x.coords, y.coords]))
@@ -283,6 +281,8 @@ def connect(
                 clause="qpath-endpoints",
             )
 
+    # the coordinates, plus the audit's matrices (at most 2 * dim reals each)
+    check_float_budget(3 * steps * 3 * a.dim, f"a connect path of {steps} steps per leg")
     # one composition: both reference endpoints, then the sweep after its start
     sweep = _interpolate_vertices(vertices, steps)[1:]
     composed = _compose(np.vstack([start_q, end_q, sweep]), frame)
@@ -321,7 +321,7 @@ def components_finite(sset: SpectralSet) -> list[SpectralComponent]:
         descriptions = [f"eigenvalue orbit of {_fmt_vec(rep)}" for rep in reps]
     else:
         reps = np.array(sorted({tuple(_block_sorted(p, a)) for p in sset.q.finite_points}))
-        offs = np.cumsum([0] + [f.rank for f in a.factors])
+        offs = alg._rank_offsets(a)
         descriptions = [
             "restricted orbit with factor blocks "
             + " | ".join(_fmt_vec(rep[i:j]) for i, j in zip(offs, offs[1:]))

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jspec import (
-    AlgebraMismatchError,
     ComplexHermitian,
     Element,
     RealSymmetric,
@@ -26,7 +25,9 @@ from jspec import (
     random_element,
 )
 from jspec import cli, errors, orbits, permsets, spectral
-from jspec.io import emit_algebra, emit_element, parse_element, render_json
+from jspec import spectralsets as ss
+from jspec.algebra import distance
+from jspec.io import emit_algebra, emit_element, parse_element, parse_permset, render_json
 
 
 def run_module(args, stdin):
@@ -269,7 +270,7 @@ def test_float_budget_bounds_stacks(tmp_path, capsys, monkeypatch, argv, floats)
     assert f"over the budget of {floats - 1}" in err
 
 
-def test_float_budget_is_checked_before_allocating(monkeypatch):
+def test_float_budget_is_checked_before_allocating(tmp_path, capsys, monkeypatch):
     # by arithmetic only: nothing here can reach an allocation
     with pytest.raises(ValueError, match="over the budget"):
         errors.check_float_budget(errors.FLOAT_BUDGET + 1, "one float too many")
@@ -284,6 +285,12 @@ def test_float_budget_is_checked_before_allocating(monkeypatch):
     cone = permsets.make_rearrangement_cone(3, 1)
     with pytest.raises(ValueError, match="over the budget"):
         permsets.pointed_sample_check(cone, 10**12, 0)
+    # connect on x == y returns its two endpoints and builds no stack
+    write_json(tmp_path, "x.json", _SYM2)
+    write_json(tmp_path, "set.json", _REARR2)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["connect", "set.json", "x.json", "x.json", "--steps", str(10**12)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["samples"]) == 2
 
 
 def test_decompose_reports_frame(tmp_path, run_cli):
@@ -413,7 +420,8 @@ def _sym2_spin3(m, x0, xbar):
 
 # sha256 of connect's stdout, recorded before connect was built as one
 # coordinate stack (per-sample Elements, one LAPACK call per sample); the
-# bytes follow numpy's bundled OpenBLAS/LAPACK on x86-64
+# bytes follow numpy's bundled OpenBLAS/LAPACK on x86-64, whose kernels are
+# picked per CPU, so the test also rebuilds each path one sample at a time
 _CONNECT_DIGESTS = {
     "sym3": (
         {"set": "rearr", "n": 3, "m": 1},
@@ -454,7 +462,47 @@ def test_connect_stdout_bytes_are_pinned(tmp_path, capsys, case):
     argv += [write_json(tmp_path, "q.json", f) if isinstance(f, dict) else f for f in flags]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
+    # host-independent: the same bytes from the path built sample by sample
+    x, y = parse_element(x_doc), parse_element(y_doc)
+    q_path = [np.array(v) for v in flags[-1]["vertices"]] if "--qpath" in flags else None
+    samples = _connect_one_sample_at_a_time(x, y, q_path, int(flags[1]))
+    stacked = ss.connect(ss.SpectralSet(x.algebra, parse_permset(set_doc)), x, y,
+                         q_path=q_path, steps=int(flags[1]))
+    assert np.array_equal(stacked.coords, [smp.coords for smp in samples])
+    expected = {
+        "samples": [emit_element(smp) for smp in samples],
+        "max_step": max(distance(p, q) for p, q in zip(samples, samples[1:])),
+        "tolerance": ss.PATH_TOL,
+    }
+    assert out == render_json(expected) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _connect_one_sample_at_a_time(x, y, q_path, steps):
+    """The samples of connect's three legs, each built on its own, as connect
+    did before it was one stack: orbit legs, then one compose_theta per point
+    of the coefficient sweep (endpoint membership and the audit left out)."""
+    a = x.algebra
+    frame = spectral.canonical_frame(a)
+    if a.is_simple():
+        start_q, end_q, leg = spectral.eigen_map(x), spectral.eigen_map(y), orbits.orbit_path
+    else:
+        start_q, end_q, leg = ss.factor_blocks(x), ss.factor_blocks(y), orbits.restricted_orbit_path
+    vertices = [start_q, end_q]
+    if q_path is not None:
+        ranks = np.cumsum([0] + [f.rank for f in a.factors])
+        vertices = [
+            np.concatenate([np.sort(v[i:j])[::-1] for i, j in zip(ranks, ranks[1:])])
+            for v in q_path
+        ]
+    sweep = []
+    for u in np.linspace(0.0, float(len(vertices) - 1), steps):
+        k = min(int(u), len(vertices) - 2)
+        q = (1.0 - (u - k)) * vertices[k] + (u - k) * vertices[k + 1]
+        sweep.append(spectral.compose_theta(q, frame))
+    leg1 = leg(x, spectral.compose_theta(start_q, frame), steps).samples
+    leg3 = leg(spectral.compose_theta(end_q, frame), y, steps).samples
+    return list(leg1) + sweep[1:] + list(leg3[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -895,16 +943,14 @@ def test_element_round_trip_bit_stable(algebra_doc):
         {"kind": "product", "factors": [{"kind": "herm", "n": 2}, {"kind": "spin", "d": 3}]},
     ],
 )
-def test_emit_elements_is_emit_element_per_row(algebra_doc):
-    from jspec.io import emit_elements, parse_algebra
+def test_stacked_element_docs_are_emit_element_per_row(algebra_doc):
+    from jspec.io import parse_algebra
 
     a = parse_algebra(algebra_doc)
     xs = [random_element(a, seed) for seed in range(5)]
-    assert emit_elements(xs) == [emit_element(x) for x in xs]
-    assert render_json(emit_elements(xs)) == render_json([emit_element(x) for x in xs])
-    assert emit_elements([]) == []
-    with pytest.raises(AlgebraMismatchError):
-        emit_elements(xs + [random_element(RealSymmetric(1), 0)])
+    assert cli._element_docs(a, xs) == [emit_element(x) for x in xs]
+    assert render_json(cli._element_docs(a, xs)) == render_json([emit_element(x) for x in xs])
+    assert cli._element_docs(a, []) == []
 
 
 def test_render_json_float_style():

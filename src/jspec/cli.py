@@ -52,11 +52,19 @@ _INFEASIBLE_ERRORS = (
 )
 
 
+def _json(text: str, where: str):
+    """Decode JSON text; nesting too deep for the decoder is an input error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{where}: JSON nested too deeply to decode") from None
+
+
 def _load(path: str):
     if path == "-":
-        return json.load(sys.stdin)
+        return _json(sys.stdin.read(), "stdin")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _json(fh.read(), path)
 
 
 def _nonneg(value: str) -> int:
@@ -152,9 +160,7 @@ def _cmd_certify(args):
     q_set = jio.parse_permset(_load(args.set))
     cert = jio.parse_certificate(_load(args.certificate))
     sset = SpectralSet(cert.algebra, q_set)
-    verdict = ss.certificate_check(
-        lambda el: ss.ss_member(sset, el), cert, args.samples, args.seed
-    )
+    verdict = ss.certificate_check(sset, cert, args.samples, args.seed)
     return {
         "accepted": verdict.accepted,
         "failed_clause": verdict.failed_clause,
@@ -166,8 +172,8 @@ def _cmd_sum_split(args):
     z = jio.parse_element(_load(args.z))
     q1_set = jio.parse_permset(_load(args.q1set))
     q2_set = jio.parse_permset(_load(args.q2set))
-    q1 = jio.parse_numbers(json.loads(args.q1), "--q1")
-    q2 = jio.parse_numbers(json.loads(args.q2), "--q2")
+    q1 = jio.parse_numbers(_json(args.q1, "--q1"), "--q1")
+    q2 = jio.parse_numbers(_json(args.q2, "--q2"), "--q2")
     part1, part2 = ss.sum_split(z, q1_set, q2_set, q1, q2)
     return {"part1": jio.emit_element(part1), "part2": jio.emit_element(part2)}
 

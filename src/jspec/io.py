@@ -106,19 +106,27 @@ def _as_matrix(data, n: int, where: str) -> np.ndarray:
 
 
 def parse_algebra(doc) -> Algebra:
-    kind = _need(doc, "kind", "algebra")
-    if kind == "sym":
-        return RealSymmetric(_need_int(doc, "n", "algebra"))
-    if kind == "herm":
-        return ComplexHermitian(_need_int(doc, "n", "algebra"))
-    if kind == "spin":
-        return SpinFactor(_need_int(doc, "d", "algebra"))
-    if kind == "product":
-        factors = _need(doc, "factors", "algebra")
-        if not isinstance(factors, list) or not factors:
-            raise ValueError("algebra: product needs a nonempty factor list")
-        return ProductAlgebra(tuple(parse_algebra(f) for f in factors))
-    raise ValueError(f"algebra: unknown kind {kind!r}")
+    """An algebra descriptor.  Nested products are walked depth first with
+    an explicit stack into the flat factor list that `ProductAlgebra` keeps,
+    so any nesting the JSON decoder accepts parses without recursion."""
+    simple, todo = [], [doc]
+    while todo:
+        d = todo.pop()
+        kind = _need(d, "kind", "algebra")
+        if kind == "sym":
+            simple.append(RealSymmetric(_need_int(d, "n", "algebra")))
+        elif kind == "herm":
+            simple.append(ComplexHermitian(_need_int(d, "n", "algebra")))
+        elif kind == "spin":
+            simple.append(SpinFactor(_need_int(d, "d", "algebra")))
+        elif kind == "product":
+            factors = _need(d, "factors", "algebra")
+            if not isinstance(factors, list) or not factors:
+                raise ValueError("algebra: product needs a nonempty factor list")
+            todo.extend(reversed(factors))
+        else:
+            raise ValueError(f"algebra: unknown kind {kind!r}")
+    return ProductAlgebra(tuple(simple)) if doc["kind"] == "product" else simple[0]
 
 
 def emit_algebra(a: Algebra) -> dict:

@@ -1,11 +1,12 @@
 """Permutation-invariant subsets of R^n: predicates, built-in cones,
 finite orbits, and a randomized pointedness probe.
 
-Built-in sets expose a vectorized margin function m with membership
-``m(q) >= 0``; margins let path audits shrink strict inequalities by a
-tolerance.  Custom predicates are black boxes: the library audits their
-permutation invariance only by random sampling, and flag honesty (convex,
-cone, closed) is the caller's contract.
+Every set is a vectorized margin function m with membership ``m(q) >= 0``,
+asked one stack of rows at a time; margins let path audits shrink strict
+inequalities by a tolerance.  A custom predicate is a black box wrapped as
+the margin 0 (member) or -inf (not), which no slack relaxes: the library
+audits its permutation invariance only by random sampling, and flag honesty
+(convex, cone, closed) is the caller's contract.
 """
 
 from __future__ import annotations
@@ -38,24 +39,19 @@ __all__ = [
 class PermSet:
     """A permutation-invariant subset of R^n.
 
-    Exactly one of `margin_fn` (vectorized, rows -> margins) or `member_fn`
-    (single vector -> bool) drives membership.  `finite_points` holds the
-    deduplicated full permutation orbit when the set is finite.
+    `margin_fn` maps rows [k, n] to k margins; a row is a member iff its
+    margin is >= 0.  `finite_points` holds the deduplicated full permutation
+    orbit when the set is finite.
     """
 
     n: int
     tag: str
+    margin_fn: Callable[[np.ndarray], np.ndarray]
     convex: bool = False
     cone: bool = False
     closed: bool = False
     pointed: bool | None = None
     finite_points: np.ndarray | None = None
-    margin_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    member_fn: Callable[[np.ndarray], bool] | None = None
-
-    def __post_init__(self):
-        if (self.margin_fn is None) == (self.member_fn is None):
-            raise ValueError("provide exactly one of margin_fn / member_fn")
 
     def _rows(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -64,19 +60,15 @@ class PermSet:
         return q.reshape(1, self.n)
 
     def member(self, q, slack: float = 0.0) -> bool:
-        """Membership; positive `slack` relaxes margin-based predicates."""
-        if self.margin_fn is not None:
-            return bool(self.margin_fn(self._rows(q))[0] >= -slack)
-        return bool(self.member_fn(np.asarray(q, dtype=float)))
+        """Membership; positive `slack` relaxes the margin by that amount.
+        A margin of -inf stays out: -inf + slack is -inf or nan, never >= 0."""
+        return bool(self.margin(q) + slack >= 0.0)
 
-    def margin(self, q) -> float | None:
-        if self.margin_fn is None:
-            return None
+    def margin(self, q) -> float:
         return float(self.margin_fn(self._rows(q))[0])
 
-    def margin_many(self, rows: np.ndarray) -> np.ndarray | None:
-        if self.margin_fn is None:
-            return None
+    def margin_many(self, rows: np.ndarray) -> np.ndarray:
+        """Margins [k] of the rows [k, n], one call for the whole stack."""
         return self.margin_fn(np.asarray(rows, dtype=float))
 
     def down_points(self) -> np.ndarray:
@@ -95,9 +87,14 @@ def custom_permset(
     cone: bool = False,
     closed: bool = False,
 ) -> PermSet:
-    """Wrap a caller-supplied membership predicate (assumed permutation invariant)."""
+    """Wrap a caller-supplied membership predicate (assumed permutation
+    invariant) as the margin 0 or -inf, asked once per row in row order."""
+
+    def margin(rows: np.ndarray) -> np.ndarray:
+        return np.array([0.0 if predicate(r) else -np.inf for r in rows], dtype=float)
+
     return PermSet(
-        n=n, tag="custom", convex=convex, cone=cone, closed=closed, member_fn=predicate
+        n=n, tag="custom", margin_fn=margin, convex=convex, cone=cone, closed=closed
     )
 
 
@@ -230,17 +227,9 @@ def pointed_sample_check(q_set: PermSet, samples: int, seed: int):
     rows = np.empty((2 * samples, n))
     rows[0::2] = g
     rows[1::2] = g - np.take_along_axis(g, perm, axis=1)
-    margins = q_set.margin_many(rows)
-    if margins is not None:
-        both = (margins >= 0.0) & (q_set.margin_many(-rows) >= 0.0)
-        nonzero = np.abs(rows).max(axis=1) > FINITE_TOL
-        hits = np.flatnonzero(both & nonzero)
-        if hits.size:
-            return rows[hits[0]].copy()
-        return None
-    for row in rows:
-        if np.abs(row).max() <= FINITE_TOL:
-            continue
-        if q_set.member(row) and q_set.member(-row):
-            return row.copy()
+    both = (q_set.margin_many(rows) >= 0.0) & (q_set.margin_many(-rows) >= 0.0)
+    nonzero = np.abs(rows).max(axis=1) > FINITE_TOL
+    hits = np.flatnonzero(both & nonzero)
+    if hits.size:
+        return rows[hits[0]].copy()
     return None

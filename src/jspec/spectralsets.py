@@ -5,14 +5,14 @@ Provides membership, constructive connectivity witnesses (three-leg paths:
 orbit leg, frame-composition leg, orbit leg), component enumeration for
 finite sets, additive splitting, the exact range of a linear functional over
 an eigenvalue orbit, and verification of direct-sum decomposition
-certificates for cones.  Paths and component representatives are built,
-composed and audited as coordinate stacks, one numpy call per stage.
+certificates for cones.  Paths, component representatives and certificate
+candidates are built, composed and audited as coordinate stacks, one numpy
+call per stage; membership is always one `PermSet.margin_many` per stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -135,8 +135,9 @@ class CertificateVerdict:
 def ss_member(sset: SpectralSet, x: Element, slack: float = 0.0) -> bool:
     """x belongs to the spectral set iff its eigenvalue vector belongs to Q.
 
-    Positive `slack` relaxes margin-backed predicates by that amount (used
-    for path audits); black-box predicates are evaluated exactly.
+    Positive `slack` relaxes the margin by that amount (used for path
+    audits); black-box predicates, whose margin is 0 or -inf, are evaluated
+    exactly.
     """
     if x.algebra != sset.algebra:
         raise AlgebraMismatchError(f"element of {x.algebra} tested against {sset.algebra}")
@@ -175,21 +176,14 @@ def _audit_membership(sset: SpectralSet, coords: np.ndarray, tolerance: float):
     (one LAPACK call per matrix factor) and one `margin_many`."""
     lams = _eigenvalues(sset.algebra, coords)
     margins = sset.q.margin_many(lams)
-    if margins is not None:
-        bad = np.flatnonzero(margins < -tolerance)
-        if bad.size:
-            k = int(bad[0])
-            raise InfeasiblePathError(
-                f"path sample {k} leaves the set (margin {margins[k]:.3e} "
-                f"< -{tolerance:g})",
-                clause="path-membership-audit",
-            )
-        return
-    for k, lam in enumerate(lams):
-        if not sset.q.member(lam):
-            raise InfeasiblePathError(
-                f"path sample {k} leaves the set", clause="path-membership-audit"
-            )
+    bad = np.flatnonzero(margins < -tolerance)
+    if bad.size:
+        k = int(bad[0])
+        raise InfeasiblePathError(
+            f"path sample {k} leaves the set (margin {margins[k]:.3e} "
+            f"< -{tolerance:g})",
+            clause="path-membership-audit",
+        )
 
 
 def connect(
@@ -437,22 +431,27 @@ def _numerical_rank(rows: np.ndarray) -> int:
 
 
 def certificate_check(
-    k_members: Callable[[Element], bool],
+    sset: SpectralSet,
     cert: DecompositionCertificate,
     samples: int,
     seed: int,
 ) -> CertificateVerdict:
-    """Audit a claimed direct-sum decomposition of a cone.
+    """Audit a claimed direct-sum decomposition of a cone inside `sset`.
 
     Accepts iff (i) the part spans are jointly independent (stacked rank
-    equals the sum of per-part ranks), (ii) every generator passes the
-    membership oracle, and (iii) each of `samples` random oracle-accepted
-    elements is reconstructed by nonnegative coefficients over the pooled
-    generators within the NNLS residual threshold.
+    equals the sum of per-part ranks), (ii) every generator is a member of
+    `sset`, and (iii) the first `samples` members among 50 * samples
+    Gaussian candidates are each reconstructed by nonnegative coefficients
+    over the pooled generators within the NNLS residual threshold.  The
+    generators and the candidates are each one stack: one eigenvalue pass
+    and one `margin_many`.  Candidate i is row i of one
+    `default_rng(seed)` draw: the stream a candidate-at-a-time loop reads.
     """
     if samples < 1:
         raise ValueError("need at least one audit sample")
     a = cert.algebra
+    if sset.algebra != a:
+        raise AlgebraMismatchError(f"certificate over {a} audited against {sset.algebra}")
     part_rows = [
         np.array([alg.isometric_coords(g) for g in part]) for part in cert.parts
     ]
@@ -468,44 +467,38 @@ def certificate_check(
                 f"ranks {rank_sum}"
             ),
         )
-    for pi, part in enumerate(cert.parts):
-        for gi, g in enumerate(part):
-            if not k_members(g):
-                return CertificateVerdict(
-                    accepted=False,
-                    failed_clause="generator-membership",
-                    detail=f"generator {gi} of part {pi} fails the membership oracle",
-                )
-    gmat = stacked.T
-    accepted = 0
-    attempts = 0
-    max_attempts = 50 * samples
-    rng = np.random.default_rng(int(seed))
-    while accepted < samples and attempts < max_attempts:
-        x = Element(a, rng.standard_normal(a.dim))
-        attempts += 1
-        if not k_members(x):
-            continue
-        accepted += 1
-        _, residual = nnls_projected_gradient(
-            gmat, alg.isometric_coords(x), target_residual=0.9 * NNLS_RESIDUAL
+    gens = [(pi, gi, g) for pi, part in enumerate(cert.parts) for gi, g in enumerate(part)]
+    margins = sset.q.margin_many(_eigenvalues(a, np.array([g.coords for *_, g in gens])))
+    outside = np.flatnonzero(~(margins >= 0.0))  # a nan margin is no member either
+    if outside.size:
+        pi, gi, _ = gens[outside[0]]
+        return CertificateVerdict(
+            accepted=False,
+            failed_clause="generator-membership",
+            detail=f"generator {gi} of part {pi} fails the membership oracle",
         )
+    max_attempts = 50 * samples
+    # the candidates, plus the eigenvalue pass's matrices (at most 2 * dim reals each)
+    check_float_budget(3 * max_attempts * a.dim, f"{max_attempts} certificate candidates")
+    draws = np.random.default_rng(int(seed)).standard_normal((max_attempts, a.dim))
+    members = draws[sset.q.margin_many(_eigenvalues(a, draws)) >= 0.0][:samples]
+    gmat = stacked.T
+    # the members' isometric coordinates, as `alg.isometric_coords` gives each
+    for k, b in enumerate(np.sqrt(alg._inner_weights(a)) * members):
+        _, residual = nnls_projected_gradient(gmat, b, target_residual=0.9 * NNLS_RESIDUAL)
         if residual > NNLS_RESIDUAL:
             return CertificateVerdict(
                 accepted=False,
                 failed_clause="nonnegative-reconstruction",
-                detail=(
-                    f"sample {accepted - 1} has NNLS residual {residual:.3e} "
-                    f"> {NNLS_RESIDUAL:g}"
-                ),
+                detail=f"sample {k} has NNLS residual {residual:.3e} > {NNLS_RESIDUAL:g}",
             )
-    if accepted < samples:
+    if len(members) < samples:
         raise ValueError(
-            f"membership oracle accepted only {accepted}/{samples} samples "
+            f"membership oracle accepted only {len(members)}/{samples} samples "
             f"within {max_attempts} attempts; cannot audit reconstruction"
         )
     return CertificateVerdict(
         accepted=True,
         failed_clause=None,
-        detail=f"{accepted} sampled members reconstructed; spans independent",
+        detail=f"{samples} sampled members reconstructed; spans independent",
     )

@@ -309,7 +309,7 @@ def test_criterion_11_certificates():
     orthant = SpectralSet(rn3, make_rearrangement_cone(3, 1))
     rays = [Element(rn3, np.eye(3)[i]) for i in range(3)]
     verdict = certificate_check(
-        lambda el: ss_member(orthant, el),
+        orthant,
         DecompositionCertificate(tuple((r,) for r in rays)),
         samples=50,
         seed=11,
@@ -322,7 +322,7 @@ def test_criterion_11_certificates():
     g2 = element_from_sym(a2, np.diag([0.0, 1.0]))
     g3 = element_from_sym(a2, np.array([[0.5, 0.5], [0.5, 0.5]]))
     split_verdict = certificate_check(
-        lambda el: ss_member(psd2, el),
+        psd2,
         DecompositionCertificate(((g1,), (g2, g3))),
         samples=50,
         seed=12,
@@ -330,7 +330,7 @@ def test_criterion_11_certificates():
     assert not split_verdict.accepted
     assert split_verdict.failed_clause in ("span-independence", "nonnegative-reconstruction")
     overlap_verdict = certificate_check(
-        lambda el: ss_member(psd2, el),
+        psd2,
         DecompositionCertificate(((g1, g2), (g3, g1))),
         samples=10,
         seed=13,

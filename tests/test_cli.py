@@ -188,6 +188,20 @@ def _spin3(x0, xbar):
     return {"alg": {"kind": "spin", "d": 3}, "data": {"x0": x0, "xbar": xbar}}
 
 
+class _Text(str):
+    """A document given as raw text, written to a file: json.dumps cannot
+    build nesting this deep."""
+
+
+class _Stdin(_Text):
+    """Raw document text read from stdin, as "-"."""
+
+
+_DEEP_ARRAY = "[" * 100_000
+_DEEP_PRODUCT = '{"kind": "product", "factors": [' * 600 + '{"kind": "sym", "n": 1}' + "]}" * 600
+_POINT1 = {"set": "finite", "points": [[1.0]]}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -200,16 +214,32 @@ def _spin3(x0, xbar):
         ["connect", _REARR2, _SYM2, _SYM2, "--qpath", {"vertices": [["3", 1], [3, 1]]}],
         ["sum-split", _SYM2, _REARR2, _REARR2, "--q1", '["1", 0.5]', "--q2", "[2, 0.5]"],
         ["eig", {"alg": {"kind": "sym", "n": 1}, "data": [[10**400]]}],
+        ["eig", _Text(_DEEP_ARRAY)],
+        ["eig", _Stdin(_DEEP_ARRAY)],
+        ["components", _POINT1, _Text(_DEEP_PRODUCT)],
+        ["components", _POINT1, _Stdin(_DEEP_PRODUCT)],
+        ["sum-split", _SYM2, _REARR2, _REARR2, "--q1", _DEEP_ARRAY, "--q2", "[2, 0.5]"],
     ],
-    ids=["sym-data", "herm-null", "spin-x0", "spin-xbar", "spin-x0-list", "finite", "qpath", "q1", "huge-int"],
+    ids=[
+        "sym-data", "herm-null", "spin-x0", "spin-xbar", "spin-x0-list", "finite", "qpath", "q1",
+        "huge-int", "deep-array-file", "deep-array-stdin", "deep-product-file",
+        "deep-product-stdin", "deep-q1",
+    ],
 )
-def test_non_numeric_json_exits_2(tmp_path, capsys, argv):
-    # JSON true, strings, null and lists are never read as numbers, and an
-    # integer too large for a float is an input error, not a traceback
-    argv = [
-        write_json(tmp_path, f"doc{i}.json", item) if isinstance(item, dict) else item
-        for i, item in enumerate(argv)
-    ]
+def test_non_numeric_json_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # JSON true, strings, null and lists are never read as numbers, an
+    # integer too large for a float is an input error, not a traceback, and
+    # so is nesting too deep for the JSON decoder
+    def path(i, item):
+        if isinstance(item, _Stdin):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(item))
+            return "-"
+        if isinstance(item, _Text):
+            (tmp_path / f"doc{i}.json").write_text(item)
+            return str(tmp_path / f"doc{i}.json")
+        return write_json(tmp_path, f"doc{i}.json", item) if isinstance(item, dict) else item
+
+    argv = [path(i, item) for i, item in enumerate(argv)]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -250,8 +280,10 @@ _Y2 = {"alg": {"kind": "sym", "n": 2}, "data": [[2.5, 1.5], [1.5, 2.5]]}
         (["pointed-check", "set.json", "--samples", "100"], 2 * 100 * 2),
         # 3 legs of 100 samples of sym(2), dim 3, plus the audit's matrices
         (["connect", "set.json", "x.json", "y.json", "--steps", "100"], 3 * 100 * 3 * 3),
+        # 50 candidates per sample in R^2, plus the eigenvalue pass's matrices
+        (["certify", "set.json", "cert.json", "--samples", "100"], 3 * 50 * 100 * 2),
     ],
-    ids=["orbit-sample", "pointed-check", "connect"],
+    ids=["orbit-sample", "pointed-check", "connect", "certify"],
 )
 def test_float_budget_bounds_stacks(tmp_path, capsys, monkeypatch, argv, floats):
     # the largest stack fits a budget of exactly its size and exits 2, with
@@ -259,6 +291,9 @@ def test_float_budget_bounds_stacks(tmp_path, capsys, monkeypatch, argv, floats)
     write_json(tmp_path, "x.json", _SYM2)
     write_json(tmp_path, "y.json", _Y2)
     write_json(tmp_path, "set.json", _REARR2)
+    rn2 = coordinate_algebra(2)
+    rays = {"parts": [[emit_element(Element(rn2, r))] for r in np.eye(2)]}
+    write_json(tmp_path, "cert.json", rays)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(errors, "FLOAT_BUDGET", floats)
     assert cli.main(argv) == 0
@@ -285,6 +320,12 @@ def test_float_budget_is_checked_before_allocating(tmp_path, capsys, monkeypatch
     cone = permsets.make_rearrangement_cone(3, 1)
     with pytest.raises(ValueError, match="over the budget"):
         permsets.pointed_sample_check(cone, 10**12, 0)
+    # certify draws 50 candidates per sample: an oversized --samples used to
+    # loop for hours, and is now refused before the draw
+    rn3 = coordinate_algebra(3)
+    rays = ss.DecompositionCertificate(tuple((Element(rn3, r),) for r in np.eye(3)))
+    with pytest.raises(ValueError, match="over the budget"):
+        ss.certificate_check(ss.SpectralSet(rn3, cone), rays, 10**12, 0)
     # connect on x == y returns its two endpoints and builds no stack
     write_json(tmp_path, "x.json", _SYM2)
     write_json(tmp_path, "set.json", _REARR2)

@@ -193,4 +193,34 @@ def test_custom_predicate_support():
     ball = custom_permset(3, lambda q: float(np.linalg.norm(q)) <= 1.0, convex=True, closed=True)
     assert ball.member([0.1, 0.2, 0.0])
     assert not ball.member([2.0, 0.0, 0.0])
-    assert ball.margin([0.0, 0.0, 0.0]) is None
+    # a black box is the margin 0 inside and -inf outside, which no slack relaxes
+    assert ball.margin([0.0, 0.0, 0.0]) == 0.0
+    assert ball.margin([2.0, 0.0, 0.0]) == -np.inf
+    assert not ball.member([2.0, 0.0, 0.0], slack=1e9)
+
+
+def test_custom_margin_asks_each_row_once_in_order():
+    seen = []
+
+    def predicate(q):
+        seen.append(q.tolist())
+        return bool(q[0] >= 0.0)
+
+    rows = np.array([[1.0, 0.0], [-1.0, 2.0], [0.0, -3.0]])
+    s = custom_permset(2, predicate)
+    assert s.margin_many(rows).tolist() == [0.0, -np.inf, 0.0]
+    assert seen == rows.tolist()
+    assert s.margin_many(np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_pointed_check_on_custom_cones_matches_builtins(seed):
+    # the same draws, asked through 0/-inf margins, give the same witness
+    for n in (2, 3, 5):
+        halfspace = custom_permset(n, lambda q: q.sum() >= 0, convex=True, cone=True)
+        w = pointed_sample_check(halfspace, 300, seed)
+        ref = pointed_sample_check(make_trace_halfspace(n), 300, seed)
+        assert w is not None and w.tobytes() == ref.tobytes()
+        orthant = custom_permset(n, lambda q: min(q) >= 0, convex=True, cone=True)
+        assert pointed_sample_check(orthant, 300, seed) is None
+        assert pointed_sample_check(make_rearrangement_cone(n, 1), 300, seed) is None

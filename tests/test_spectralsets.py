@@ -47,6 +47,7 @@ from jspec import (
 )
 from jspec import canonical_frame, compose_theta, custom_permset
 from jspec.nnls import nnls_projected_gradient
+from jspec.spectralsets import NNLS_RESIDUAL, _numerical_rank
 
 from conftest import SIMPLE_KINDS, element_with_eigenvalues
 
@@ -508,7 +509,7 @@ def test_certificate_orthant_accepted():
     s = SpectralSet(a, make_rearrangement_cone(3, 1))
     rays = [Element(a, np.eye(3)[i]) for i in range(3)]
     cert = DecompositionCertificate(tuple((r,) for r in rays))
-    verdict = certificate_check(lambda el: ss_member(s, el), cert, samples=30, seed=0)
+    verdict = certificate_check(s, cert, samples=30, seed=0)
     assert verdict.accepted
 
 
@@ -517,7 +518,7 @@ def test_certificate_single_part_accepted():
     s = SpectralSet(a, make_rearrangement_cone(3, 1))
     rays = tuple(Element(a, np.eye(3)[i]) for i in range(3))
     verdict = certificate_check(
-        lambda el: ss_member(s, el), DecompositionCertificate((rays,)), samples=30, seed=1
+        s, DecompositionCertificate((rays,)), samples=30, seed=1
     )
     assert verdict.accepted
 
@@ -529,7 +530,7 @@ def test_certificate_psd_split_rejected_by_reconstruction():
     g2 = element_from_sym(a, np.diag([0.0, 1.0]))
     g3 = element_from_sym(a, np.array([[0.5, 0.5], [0.5, 0.5]]))
     cert = DecompositionCertificate(((g1,), (g2, g3)))
-    verdict = certificate_check(lambda el: ss_member(s, el), cert, samples=40, seed=2)
+    verdict = certificate_check(s, cert, samples=40, seed=2)
     assert not verdict.accepted
     assert verdict.failed_clause == "nonnegative-reconstruction"
 
@@ -541,7 +542,7 @@ def test_certificate_overlapping_spans_rejected():
     g2 = element_from_sym(a, np.diag([0.0, 1.0]))
     g3 = element_from_sym(a, np.array([[0.5, 0.5], [0.5, 0.5]]))
     cert = DecompositionCertificate(((g1, g2), (g3, g1)))
-    verdict = certificate_check(lambda el: ss_member(s, el), cert, samples=5, seed=3)
+    verdict = certificate_check(s, cert, samples=5, seed=3)
     assert not verdict.accepted
     assert verdict.failed_clause == "span-independence"
 
@@ -552,9 +553,105 @@ def test_certificate_generator_membership_clause():
     good = Element(a, np.array([1.0, 0.0]))
     bad = Element(a, np.array([0.0, -1.0]))  # independent span, not a member
     cert = DecompositionCertificate(((good,), (bad,)))
-    verdict = certificate_check(lambda el: ss_member(s, el), cert, samples=5, seed=4)
+    verdict = certificate_check(s, cert, samples=5, seed=4)
     assert not verdict.accepted
     assert verdict.failed_clause == "generator-membership"
+
+
+def _certificate_check_per_candidate(k_members, cert, samples, seed):
+    """Reference oracle: the audit as one membership call per generator and
+    per rejection-sampled candidate, each candidate drawn on its own.
+    Returns (accepted, failed_clause, detail) or the ValueError text."""
+    a = cert.algebra
+    part_rows = [np.array([isometric_coords(g) for g in part]) for part in cert.parts]
+    rank_sum = sum(_numerical_rank(rows) for rows in part_rows)
+    stacked = np.vstack(part_rows)
+    total_rank = _numerical_rank(stacked)
+    if total_rank != rank_sum:
+        detail = f"stacked generator rank {total_rank} != sum of per-part ranks {rank_sum}"
+        return (False, "span-independence", detail)
+    for pi, part in enumerate(cert.parts):
+        for gi, g in enumerate(part):
+            if not k_members(g):
+                detail = f"generator {gi} of part {pi} fails the membership oracle"
+                return (False, "generator-membership", detail)
+    accepted = attempts = 0
+    max_attempts = 50 * samples
+    rng = np.random.default_rng(int(seed))
+    while accepted < samples and attempts < max_attempts:
+        x = Element(a, rng.standard_normal(a.dim))
+        attempts += 1
+        if not k_members(x):
+            continue
+        accepted += 1
+        _, residual = nnls_projected_gradient(
+            stacked.T, isometric_coords(x), target_residual=0.9 * NNLS_RESIDUAL
+        )
+        if residual > NNLS_RESIDUAL:
+            detail = f"sample {accepted - 1} has NNLS residual {residual:.3e} > {NNLS_RESIDUAL:g}"
+            return (False, "nonnegative-reconstruction", detail)
+    if accepted < samples:
+        return (
+            f"membership oracle accepted only {accepted}/{samples} samples "
+            f"within {max_attempts} attempts; cannot audit reconstruction"
+        )
+    return (True, None, f"{accepted} sampled members reconstructed; spans independent")
+
+
+def _certificate_cases():
+    rn3, rn8, s2 = coordinate_algebra(3), coordinate_algebra(8), RealSymmetric(2)
+    orthant3 = SpectralSet(rn3, make_rearrangement_cone(3, 1))
+    orthant8 = SpectralSet(rn8, make_rearrangement_cone(8, 1))  # accepts 1 in 256
+    psd2 = psd_set(2)
+    g1, g2 = (element_from_sym(s2, np.diag(d)) for d in ([1.0, 0.0], [0.0, 1.0]))
+    g3 = element_from_sym(s2, np.array([[0.5, 0.5], [0.5, 0.5]]))
+    e3, e8 = np.eye(3), np.eye(8)
+    sheared = e8.copy()
+    sheared[7, 6] = 1.0  # e7 + e8: a member, but x7 < x8 has no reconstruction
+    return {
+        "orthant": (orthant3, [[Element(rn3, r)] for r in e3]),
+        "rescaled": (orthant3, [[Element(rn3, r)] for r in np.diag([100.0, 0.01, 1.0])]),
+        "overlap": (orthant3, [[Element(rn3, e3[0]), Element(rn3, e3[1])], [Element(rn3, e3[0] + e3[1]), Element(rn3, e3[2])]]),
+        "bad-generator": (orthant3, [[Element(rn3, e3[0])], [Element(rn3, e3[1]), Element(rn3, -e3[2])]]),
+        "psd-split": (psd2, [[g1], [g2, g3]]),
+        "low-acceptance": (orthant8, [[Element(rn8, r)] for r in e8]),
+        "low-acceptance-reject": (orthant8, [[Element(rn8, r)] for r in sheared]),
+    }
+
+
+def test_certificate_check_matches_per_candidate_oracle():
+    # every verdict, its detail and the "accepted only" error match the
+    # oracle; together the cases reach each outcome
+    outcomes = set()
+    for case, (sset, parts) in _certificate_cases().items():
+        cert = DecompositionCertificate(tuple(tuple(p) for p in parts))
+        for seed, samples in ((0, 20), (1, 1), (2, 5)):
+            expected = _certificate_check_per_candidate(
+                lambda el: ss_member(sset, el), cert, samples, seed
+            )
+            if isinstance(expected, str):
+                with pytest.raises(ValueError) as info:
+                    certificate_check(sset, cert, samples, seed)
+                assert str(info.value) == expected, (case, seed, samples)
+                outcomes.add("accepted-only")
+                continue
+            v = certificate_check(sset, cert, samples, seed)
+            assert (v.accepted, v.failed_clause, v.detail) == expected, (case, seed, samples)
+            outcomes.add(v.failed_clause)
+    assert outcomes == {
+        None,
+        "span-independence",
+        "generator-membership",
+        "nonnegative-reconstruction",
+        "accepted-only",
+    }
+
+
+def test_certificate_check_rejects_another_algebra():
+    a = coordinate_algebra(2)
+    cert = DecompositionCertificate(((Element(a, np.array([1.0, 0.0])),),))
+    with pytest.raises(AlgebraMismatchError):
+        certificate_check(psd_set(2), cert, samples=5, seed=0)
 
 
 def test_certificate_validation():

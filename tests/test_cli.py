@@ -320,8 +320,8 @@ def test_float_budget_is_checked_before_allocating(tmp_path, capsys, monkeypatch
     cone = permsets.make_rearrangement_cone(3, 1)
     with pytest.raises(ValueError, match="over the budget"):
         permsets.pointed_sample_check(cone, 10**12, 0)
-    # certify draws 50 candidates per sample: an oversized --samples used to
-    # loop for hours, and is now refused before the draw
+    # certify draws 50 candidates per sample in one stack, so an oversized
+    # --samples is refused before the draw
     rn3 = coordinate_algebra(3)
     rays = ss.DecompositionCertificate(tuple((Element(rn3, r),) for r in np.eye(3)))
     with pytest.raises(ValueError, match="over the budget"):

@@ -605,16 +605,16 @@ def _certificate_cases():
     psd2 = psd_set(2)
     g1, g2 = (element_from_sym(s2, np.diag(d)) for d in ([1.0, 0.0], [0.0, 1.0]))
     g3 = element_from_sym(s2, np.array([[0.5, 0.5], [0.5, 0.5]]))
-    e3, e8 = np.eye(3), np.eye(8)
-    sheared = e8.copy()
+    e1, e2, e3 = (Element(rn3, r) for r in np.eye(3))
+    sheared = np.eye(8)
     sheared[7, 6] = 1.0  # e7 + e8: a member, but x7 < x8 has no reconstruction
     return {
-        "orthant": (orthant3, [[Element(rn3, r)] for r in e3]),
+        "orthant": (orthant3, [[e1], [e2], [e3]]),
         "rescaled": (orthant3, [[Element(rn3, r)] for r in np.diag([100.0, 0.01, 1.0])]),
-        "overlap": (orthant3, [[Element(rn3, e3[0]), Element(rn3, e3[1])], [Element(rn3, e3[0] + e3[1]), Element(rn3, e3[2])]]),
-        "bad-generator": (orthant3, [[Element(rn3, e3[0])], [Element(rn3, e3[1]), Element(rn3, -e3[2])]]),
+        "overlap": (orthant3, [[e1, e2], [add_elements(e1, e2), e3]]),
+        "bad-generator": (orthant3, [[e1], [e2, scale_element(-1.0, e3)]]),
         "psd-split": (psd2, [[g1], [g2, g3]]),
-        "low-acceptance": (orthant8, [[Element(rn8, r)] for r in e8]),
+        "low-acceptance": (orthant8, [[Element(rn8, r)] for r in np.eye(8)]),
         "low-acceptance-reject": (orthant8, [[Element(rn8, r)] for r in sheared]),
     }
 

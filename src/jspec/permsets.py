@@ -165,7 +165,10 @@ def make_finite_orbit(points) -> PermSet:
     """The full permutation orbit of the given points, as a finite set.
 
     Membership tolerance is FINITE_TOL in the max norm.  The orbit is
-    materialized, so the dimension is capped at 8.
+    materialized, so the dimension is capped at 8, and its size is checked
+    against the float budget before it is allocated.  A margin compares
+    each sorted row with each sorted point, so its stack holds
+    [rows, points, n], not [rows, orbit points, n].
     """
     pts = [np.asarray(p, dtype=float) for p in points]
     if not pts:
@@ -175,16 +178,23 @@ def make_finite_orbit(points) -> PermSet:
         raise ValueError("points must share one length")
     if not all(np.isfinite(p).all() for p in pts):
         raise ValueError("points must be finite numbers")
-    if n > _MAX_ORBIT_DIM:
-        raise ValueError(f"orbit materialization capped at n = {_MAX_ORBIT_DIM}")
-    orbit = {tuple(p[list(sigma)]) for p in pts for sigma in itertools.permutations(range(n))}
-    orbit_arr = np.array(sorted(orbit))
+    if not 1 <= n <= _MAX_ORBIT_DIM:
+        raise ValueError(f"orbit materialization needs 1 <= n <= {_MAX_ORBIT_DIM}, got n = {n}")
+    perms = np.array(list(itertools.permutations(range(n))))
+    check_float_budget(len(pts) * len(perms) * n, f"the orbit of {len(pts)} points in R^{n}")
+    # every permutation of every point, sorted and deduplicated; + 0.0 makes -0.0 +0.0
+    orbit = np.array(pts)[:, perms].reshape(-1, n) + 0.0
+    orbit = orbit[np.lexsort(orbit.T[::-1])]
+    orbit_arr = orbit[np.concatenate(([True], (orbit[1:] != orbit[:-1]).any(axis=1)))]
     all_zero = bool(np.all(orbit_arr == 0.0))
+    sorted_pts = np.sort(pts, axis=1)
 
     def margin(rows: np.ndarray) -> np.ndarray:
-        # FINITE_TOL minus max-norm distance to the nearest orbit point
-        dists = np.abs(rows[:, None, :] - orbit_arr[None, :, :]).max(axis=2).min(axis=1)
-        return FINITE_TOL - dists
+        # FINITE_TOL minus the max-norm distance to the nearest orbit point: the
+        # permutation of a point nearest a row pairs sorted entries with sorted entries
+        check_float_budget(len(rows) * sorted_pts.size, f"{len(rows)} rows against the points")
+        gaps = np.abs(np.sort(rows, axis=1)[:, None, :] - sorted_pts[None, :, :])
+        return FINITE_TOL - gaps.max(axis=2).min(axis=1)
 
     return PermSet(
         n=n,

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedAlgebraError,
     check_float_budget,
 )
-from .nnls import nnls_projected_gradient
+from .nnls import _nnls_rows
 from .orbits import PathPolyline, _orbit_coords, _orbit_leg
 from .permsets import PermSet, down_member
 from .spectral import (
@@ -443,9 +443,11 @@ def certificate_check(
     `sset`, and (iii) the first `samples` members among 50 * samples
     Gaussian candidates are each reconstructed by nonnegative coefficients
     over the pooled generators within the NNLS residual threshold.  The
-    generators and the candidates are each one stack: one eigenvalue pass
-    and one `margin_many`.  Candidate i is row i of one
-    `default_rng(seed)` draw: the stream a candidate-at-a-time loop reads.
+    generators are one stack.  Candidate i is row i of one `default_rng(seed)`
+    stream, drawn in chunks that double the rows drawn so far (the first
+    has `samples` rows) until `samples` members are found; each chunk is one
+    eigenvalue pass and one `margin_many`.  One stacked NNLS reconstructs
+    all members, and the first over the threshold is reported.
     """
     if samples < 1:
         raise ValueError("need at least one audit sample")
@@ -480,18 +482,21 @@ def certificate_check(
     max_attempts = 50 * samples
     # the candidates, plus the eigenvalue pass's matrices (at most 2 * dim reals each)
     check_float_budget(3 * max_attempts * a.dim, f"{max_attempts} certificate candidates")
-    draws = np.random.default_rng(int(seed)).standard_normal((max_attempts, a.dim))
-    members = draws[sset.q.margin_many(_eigenvalues(a, draws)) >= 0.0][:samples]
-    gmat = stacked.T
-    # the members' isometric coordinates, as `alg.isometric_coords` gives each
-    for k, b in enumerate(np.sqrt(alg._inner_weights(a)) * members):
-        _, residual = nnls_projected_gradient(gmat, b, target_residual=0.9 * NNLS_RESIDUAL)
-        if residual > NNLS_RESIDUAL:
-            return CertificateVerdict(
-                accepted=False,
-                failed_clause="nonnegative-reconstruction",
-                detail=f"sample {k} has NNLS residual {residual:.3e} > {NNLS_RESIDUAL:g}",
-            )
+    rng, members, drawn = np.random.default_rng(int(seed)), np.empty((0, a.dim)), 0
+    while len(members) < samples and drawn < max_attempts:
+        chunk = rng.standard_normal((min(max(drawn, samples), max_attempts - drawn), a.dim))
+        drawn += len(chunk)
+        members = np.vstack([members, chunk[sset.q.margin_many(_eigenvalues(a, chunk)) >= 0.0]])
+    # the first `samples` members' isometric coordinates, as `alg.isometric_coords` gives each
+    _, residuals = _nnls_rows(stacked.T, np.sqrt(alg._inner_weights(a)) * members[:samples])
+    over = np.flatnonzero(residuals > NNLS_RESIDUAL)
+    if over.size:
+        k = over[0]
+        return CertificateVerdict(
+            accepted=False,
+            failed_clause="nonnegative-reconstruction",
+            detail=f"sample {k} has NNLS residual {residuals[k]:.3e} > {NNLS_RESIDUAL:g}",
+        )
     if len(members) < samples:
         raise ValueError(
             f"membership oracle accepted only {len(members)}/{samples} samples "

@@ -632,6 +632,95 @@ def test_certify_orthant(tmp_path, run_cli):
     assert payload["accepted"] is True
 
 
+def _coord_cert(parts):
+    """A certificate document over R^3 from lists of generator coordinates."""
+    a = coordinate_algebra(3)
+    elements = [[Element(a, np.array(g, dtype=float)) for g in part] for part in parts]
+    return {"parts": [[emit_element(g) for g in part] for part in elements]}
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [[[100.0, 0, 0]], [[0, 0.01, 0]], [[0, 0, 1.0]]],  # projected gradient rejected it
+        [[[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 1.0, 0]]],  # more generators than span
+    ],
+    ids=["rescaled-rays", "one-part"],
+)
+def test_certify_accepts_orthant_certificates(tmp_path, run_cli, parts):
+    set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1})
+    cert_path = write_json(tmp_path, "cert.json", _coord_cert(parts))
+    proc = run_cli(["certify", set_path, cert_path, "--samples", "20", "--seed", "0"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["accepted"] is True
+
+
+def _singular(gram, rhs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _stuck(gram, rhs):
+    return np.zeros_like(rhs)  # never moves, so KKT never holds
+
+
+@pytest.mark.parametrize(
+    "solve, message",
+    [(_singular, "passive-set solve failed"), (_stuck, "KKT")],
+    ids=["linalg-error", "kkt"],
+)
+def test_certify_nnls_failure_exits_3(tmp_path, capsys, monkeypatch, solve, message):
+    # a solver failure is a numeric failure: never a reject, never an input error
+    write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1})
+    write_json(tmp_path, "cert.json", _coord_cert([[g] for g in np.eye(3)]))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    assert cli.main(["certify", "set.json", "cert.json", "--samples", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numeric failure" in err and message in err
+
+
+def test_float_budget_bounds_the_nnls_stack(tmp_path, capsys, monkeypatch):
+    # one part of 40 generators over R^3: the NNLS stack of 2 members holds
+    # 2 * 40 * 40 floats, more than the 3 * 100 * 3 of the 100 candidates
+    gens = np.vstack([np.eye(3), np.random.default_rng(0).uniform(0.1, 1.0, (37, 3))])
+    write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1})
+    write_json(tmp_path, "cert.json", _coord_cert([gens]))
+    monkeypatch.chdir(tmp_path)
+    argv = ["certify", "set.json", "cert.json", "--samples", "2", "--seed", "0"]
+    monkeypatch.setattr(errors, "FLOAT_BUDGET", 2 * 40 * 40)
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["accepted"] is True
+    monkeypatch.setattr(errors, "FLOAT_BUDGET", 2 * 40 * 40 - 1)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "NNLS of 2 rows over 40 generators would hold 3200 floats" in err
+
+
+def test_finite_orbit_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # 8! permutations of a point with distinct entries, 8 floats each
+    write_json(tmp_path, "set.json", {"set": "finite", "points": [list(range(8))]})
+    write_json(tmp_path, "x.json", emit_element(Element(coordinate_algebra(8), np.arange(8.0))))
+    monkeypatch.chdir(tmp_path)
+    floats = 40320 * 8  # the orbit, and one row's margin stack against it
+    monkeypatch.setattr(errors, "FLOAT_BUDGET", floats)
+    assert cli.main(["member", "set.json", "x.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["member"] is True
+    monkeypatch.setattr(errors, "FLOAT_BUDGET", floats - 1)
+    assert cli.main(["member", "set.json", "x.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "the orbit of 1 points in R^8 would hold" in err
+
+
+def test_the_library_never_imports_scipy():
+    # scipy is a test-only reference solver
+    code = "import sys, jspec, jspec.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_certify_rejects_psd_split(tmp_path, run_cli):
     a = RealSymmetric(2)
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 2, "m": 1})

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from jspec import (
     pointed_sample_check,
     sort_desc,
 )
+from jspec import errors
+from jspec.permsets import FINITE_TOL
 
 finite_vectors = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=2, max_size=7
@@ -75,6 +79,57 @@ def test_finite_orbit_examples():
     assert len(sym.finite_points) == 1
     with pytest.raises(ValueError):
         make_finite_orbit([])
+    with pytest.raises(ValueError):
+        make_finite_orbit([[]])  # no coordinates: no orbit to gather
+
+
+def _orbit_by_tuples(points):
+    """Reference: the orbit as a sorted set of permuted tuples."""
+    pts = [np.asarray(p, dtype=float) for p in points]
+    perms = itertools.permutations(range(pts[0].size))
+    return np.array(sorted({tuple(p[list(s)]) for s in perms for p in pts}))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[1.0, 1.0, 0.0, 0.0]],
+        [[2.0, -1.0, 2.0, -1.0, 0.5], [-1.0, 2.0, -1.0, 2.0, 0.5]],
+        [[-0.0, 3.0, -3.0, 0.0], [0.0, 0.0, 1.5, -1.5]],
+        [[-2.5, 1.0, 1.0, -2.5, 7.0, 0.0, 1.0], [4.0, -4.0, 0.0, 0.0, 0.0, 4.0, -4.0]],
+    ],
+    ids=["repeated", "shared-orbit", "signed-zeros", "mixed-sign"],
+)
+def test_finite_orbit_rows_match_the_tuple_construction(points):
+    orbit = make_finite_orbit(points).finite_points
+    assert np.array_equal(orbit, _orbit_by_tuples(points))
+    assert not np.signbit(orbit[orbit == 0.0]).any()  # a zero is always +0.0
+
+
+def test_finite_orbit_margin_is_the_distance_to_every_orbit_point():
+    # the sorted pairing gives, bit for bit, the margin against the whole orbit
+    rng = np.random.default_rng(3)
+    repeated = [[2.0, -1.0, 2.0, 0.5, -3.0]]
+    mixed = [[1.0, 1.0, 0.0, 0.0, 0.0], [0.5, -1.0, 4.0, 2.0, 2.0]]
+    for points in (repeated, mixed):
+        q_set = make_finite_orbit(points)
+        orbit = q_set.finite_points
+        near = rng.choice([0.0, 1e-13, -3e-12], size=(20, 5))  # inside and outside FINITE_TOL
+        odd = [[np.nan, 0, 0, 0, 0], [np.inf, 0, 0, 0, 0]]
+        picked = orbit[rng.integers(len(orbit), size=20)]
+        rows = np.vstack([picked + near, rng.standard_normal((20, 5)), odd])
+        reference = FINITE_TOL - np.abs(rows[:, None, :] - orbit[None]).max(axis=2).min(axis=1)
+        assert np.array_equal(q_set.margin_many(rows), reference, equal_nan=True)
+
+
+def test_finite_orbit_margin_checks_the_float_budget(monkeypatch):
+    q_set = make_finite_orbit([[1.0, 0.0, 0.0], [2.0, 2.0, 1.0]])  # 2 points of 3 floats
+    rows = np.zeros((10, 3))
+    monkeypatch.setattr(errors, "FLOAT_BUDGET", 10 * 2 * 3)
+    assert q_set.margin_many(rows).shape == (10,)
+    monkeypatch.setattr(errors, "FLOAT_BUDGET", 10 * 2 * 3 - 1)
+    with pytest.raises(ValueError, match="10 rows against the points"):
+        q_set.margin_many(rows)
 
 
 def test_finite_orbit_rejects_non_finite_points():

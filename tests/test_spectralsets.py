@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jspec import (
     AlgebraMismatchError,
@@ -31,6 +33,7 @@ from jspec import (
     isometric_coords,
     make_finite_orbit,
     make_rearrangement_cone,
+    make_trace_halfspace,
     make_trace_norm_cone,
     norm,
     orbit_sample,
@@ -46,7 +49,8 @@ from jspec import (
     unit_element,
 )
 from jspec import canonical_frame, compose_theta, custom_permset
-from jspec.nnls import nnls_projected_gradient
+from jspec import spectralsets
+from jspec.nnls import _nnls_rows, nnls
 from jspec.spectralsets import NNLS_RESIDUAL, _numerical_rank
 
 from conftest import SIMPLE_KINDS, element_with_eigenvalues
@@ -498,10 +502,52 @@ def test_nnls_matches_reference_solver():
     for _ in range(20):
         gmat = rng.standard_normal((8, 5))
         b = rng.standard_normal(8)
-        w, res = nnls_projected_gradient(gmat, b, max_iter=50_000)
+        w, res = nnls(gmat, b)
         w_ref, res_ref = scipy.optimize.nnls(gmat, b)
         assert res == pytest.approx(res_ref, abs=1e-6)
         assert np.all(w >= 0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_nnls_nearly_parallel_generators(eps):
+    # projected gradient stopped at residuals 5.8e-3, 7.5e-4 and 7.5e-5 here
+    gmat = np.array([[1.0, 1.0, 0.0], [0.0, eps, 0.0], [0.0, 0.0, 1.0]])
+    w, res = nnls(gmat, gmat @ np.array([0.5, 2.0, 1.0]))
+    assert res <= 1e-6
+    assert np.all(w >= 0.0)
+
+
+@st.composite
+def nnls_problems(draw):
+    """Small integer generators, p > m included, and a few float right-hand sides."""
+    m, p, k = draw(st.integers(1, 5)), draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    entries = draw(st.lists(st.integers(-3, 3), min_size=m * p, max_size=m * p))
+    values = st.floats(-4.0, 4.0, allow_nan=False)
+    rhs = draw(st.lists(values, min_size=k * m, max_size=k * m))
+    return np.array(entries, dtype=float).reshape(m, p), np.array(rhs).reshape(k, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nnls_problems())
+@example(  # more generators than coordinates, a repeated direction, a zero column
+    (
+        np.array([[1.0, 0.0, 1.0, 1.0, 2.0, 0.0], [0.0, 1.0, 1.0, -1.0, 0.0, 0.0]]),
+        np.array([[3.0, 1.0], [1.0, -2.0], [-1.0, -1.0], [0.0, 0.0]]),
+    )
+)
+def test_nnls_matches_reference_and_its_rows(problem):
+    gmat, rhs = problem
+    w, residuals = _nnls_rows(gmat, rhs)
+    assert np.all(w >= 0.0)
+    for row, b in enumerate(rhs):
+        w_row, res_row = nnls(gmat, b)
+        assert np.abs(w_row - w[row]).max() <= 1e-12
+        assert abs(res_row - residuals[row]) <= 1e-12
+        try:
+            _, res_ref = scipy.optimize.nnls(gmat, b)
+        except RuntimeError:  # the reference's own iteration cap
+            continue
+        assert abs(residuals[row] - res_ref) <= 1e-9
 
 
 def test_certificate_orthant_accepted():
@@ -584,9 +630,7 @@ def _certificate_check_per_candidate(k_members, cert, samples, seed):
         if not k_members(x):
             continue
         accepted += 1
-        _, residual = nnls_projected_gradient(
-            stacked.T, isometric_coords(x), target_residual=0.9 * NNLS_RESIDUAL
-        )
+        _, residual = nnls(stacked.T, isometric_coords(x))
         if residual > NNLS_RESIDUAL:
             detail = f"sample {accepted - 1} has NNLS residual {residual:.3e} > {NNLS_RESIDUAL:g}"
             return (False, "nonnegative-reconstruction", detail)
@@ -645,6 +689,24 @@ def test_certificate_check_matches_per_candidate_oracle():
         "nonnegative-reconstruction",
         "accepted-only",
     }
+
+
+def test_certificate_draws_stop_once_samples_members_are_found(monkeypatch):
+    # half the candidates have a nonnegative trace: 200 members take 400
+    # rows of the stream, not all 50 * 200 candidates
+    a = RealSymmetric(8)
+    sset = SpectralSet(a, make_trace_halfspace(8))
+    cert = DecompositionCertificate(((unit_element(a),),))
+    eigenvalues, rows = spectralsets._eigenvalues, []
+
+    def counting(algebra, coords):
+        rows.append(len(coords))
+        return eigenvalues(algebra, coords)
+
+    monkeypatch.setattr(spectralsets, "_eigenvalues", counting)
+    verdict = certificate_check(sset, cert, samples=200, seed=2)
+    assert rows == [1, 200, 200]  # the generator, then two chunks
+    assert verdict.failed_clause == "nonnegative-reconstruction"
 
 
 def test_certificate_check_rejects_another_algebra():

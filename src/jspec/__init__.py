@@ -56,7 +56,6 @@ from .orbits import (
     identity_automorphism,
     orbit_path,
     orbit_sample,
-    product_automorphism,
     random_g_automorphism,
     restricted_orbit_path,
 )

@@ -28,7 +28,7 @@ from .errors import (
     OrbitMismatchError,
     UnsupportedAlgebraError,
 )
-from .orbits import orbit_sample
+from .orbits import _orbit_coords
 from .permsets import pointed_sample_check
 from .spectral import eigen_map, spectral_decompose
 from .spectralsets import SpectralSet
@@ -136,22 +136,18 @@ def _cmd_fan(args):
 
 def _cmd_orbit_sample(args):
     x = jio.parse_element(_load(args.element))
-    samples = orbit_sample(x, args.count, args.seed)
-    return {"samples": _element_docs(x.algebra, samples)}
+    return {"samples": jio._element_docs(x.algebra, _orbit_coords(x, args.count, args.seed))}
 
 
 def _cmd_components(args):
     q_set = jio.parse_permset(_load(args.set))
     algebra = jio.parse_algebra(_load(args.algebra))
     comps = ss.components_finite(SpectralSet(algebra, q_set))
+    docs = _element_docs(algebra, [c.element for c in comps])
     return {
         "components": [
-            {
-                "representative": c.representative,
-                "description": c.description,
-                "element": jio.emit_element(c.element),
-            }
-            for c in comps
+            {"representative": c.representative, "description": c.description, "element": doc}
+            for c, doc in zip(comps, docs)
         ]
     }
 

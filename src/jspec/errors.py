@@ -8,8 +8,9 @@ FLOAT_BUDGET = 2**26
 """Most floats (512 MiB of float64) that one stacked array may hold: the
 Haar draws of an orbit sample, a path's representation matrices and a
 `connect` stack, the candidate rows of a pointedness probe, the
-candidates and the NNLS stack of a certificate audit, and a finite
-orbit and its margin stacks.  Each is checked before it is allocated,
+candidates and the NNLS stack of a certificate audit, a finite set's
+margin stacks, and the n! orbit that product `components` builds from a
+finite set's points.  Each is checked before it is allocated,
 so an oversized request (a huge `--count`, `--samples` or `--steps`, a
 certificate with too many generators, too many finite-set points) is an
 input error, never an attempt to allocate it."""

@@ -6,8 +6,9 @@ real symmetric matrices (identity component: det U = +1), a unitary U acting
 as X -> U X U^* on Hermitian matrices (the automorphism group is connected,
 so everything is in the identity component), and an orthogonal matrix R
 acting on the vector part of a spin factor with the leading coordinate fixed
-(identity component: det R = +1).  Product automorphisms act factor-wise;
-factor-permuting maps are deliberately excluded.
+(identity component: det R = +1).  A product has no representation here:
+`restricted_orbit_path` moves it factor by factor, and factor-permuting
+maps are deliberately excluded.
 
 Paths inside the identity component are realized by factoring the
 representation into plane rotations (plus diagonal phases in the unitary
@@ -57,7 +58,6 @@ __all__ = [
     "GPath",
     "PathPolyline",
     "automorphism_from_matrix",
-    "product_automorphism",
     "identity_automorphism",
     "apply_automorphism",
     "random_g_automorphism",
@@ -75,16 +75,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Automorphism:
-    """Algebra automorphism with its per-kind representation.
+    """Automorphism of a simple algebra with its per-kind representation.
 
-    `matrix` holds the orthogonal/unitary representation for simple kinds;
-    `factors` holds per-factor automorphisms for products.  `in_g` records
+    `matrix` holds the orthogonal/unitary representation.  `in_g` records
     membership in the identity component of the automorphism group.
     """
 
     algebra: Algebra
-    matrix: np.ndarray | None
-    factors: tuple["Automorphism", ...] | None
+    matrix: np.ndarray
     in_g: bool
 
 
@@ -93,7 +91,10 @@ def _rep_size(a: Algebra) -> int:
         return a.n
     if isinstance(a, SpinFactor):
         return a.d - 1
-    raise UnsupportedAlgebraError("product automorphisms are built factor-wise")
+    raise UnsupportedAlgebraError(
+        "automorphisms are represented on simple algebras; "
+        "restricted_orbit_path moves a product factor by factor"
+    )
 
 
 def automorphism_from_matrix(a: Algebra, mat) -> Automorphism:
@@ -102,8 +103,6 @@ def automorphism_from_matrix(a: Algebra, mat) -> Automorphism:
     Real symmetric with odd n: U and -U induce the same map, so the sign is
     canonicalized to det +1, making the identity-component flag exact.
     """
-    if isinstance(a, ProductAlgebra):
-        raise UnsupportedAlgebraError("build product automorphisms from factors")
     size = _rep_size(a)
     want_complex = isinstance(a, ComplexHermitian)
     mat = np.array(mat, dtype=complex if want_complex else float)
@@ -113,26 +112,18 @@ def automorphism_from_matrix(a: Algebra, mat) -> Automorphism:
     if gram_err > ORTHO_TOL:
         raise ValueError(f"representation is not orthogonal/unitary (error {gram_err:.2e})")
     if want_complex:
-        return Automorphism(a, mat, None, True)
+        return Automorphism(a, mat, True)
     det = float(np.linalg.det(mat))
     if isinstance(a, RealSymmetric) and a.n % 2 == 1 and det < 0.0:
         mat = -mat
         det = -det
-    return Automorphism(a, mat, None, det > 0.0)
-
-
-def product_automorphism(parts) -> Automorphism:
-    parts = tuple(parts)
-    a = ProductAlgebra(tuple(p.algebra for p in parts))
-    return Automorphism(a, None, parts, all(p.in_g for p in parts))
+    return Automorphism(a, mat, det > 0.0)
 
 
 def identity_automorphism(a: Algebra) -> Automorphism:
-    if isinstance(a, ProductAlgebra):
-        return product_automorphism([identity_automorphism(f) for f in a.factors])
     size = _rep_size(a)
     eye = np.eye(size, dtype=complex if isinstance(a, ComplexHermitian) else float)
-    return Automorphism(a, eye, None, True)
+    return Automorphism(a, eye, True)
 
 
 def _act(a: Algebra, mats: np.ndarray, x: Element) -> np.ndarray:
@@ -148,11 +139,7 @@ def _act(a: Algebra, mats: np.ndarray, x: Element) -> np.ndarray:
 def apply_automorphism(phi: Automorphism, x: Element) -> Element:
     if phi.algebra != x.algebra:
         raise AlgebraMismatchError(f"automorphism on {phi.algebra} applied to {x.algebra}")
-    a = x.algebra
-    if isinstance(a, ProductAlgebra):
-        parts = [apply_automorphism(p, xi) for p, xi in zip(phi.factors, alg.split_product(x))]
-        return alg.join_product(a, parts)
-    return Element(a, _act(a, phi.matrix[None], x)[0])
+    return Element(x.algebra, _act(x.algebra, phi.matrix[None], x)[0])
 
 
 def _haar(n: int, rng, k: int, unitary: bool) -> np.ndarray:
@@ -175,12 +162,10 @@ def _haar(n: int, rng, k: int, unitary: bool) -> np.ndarray:
 
 
 def random_g_automorphism(a: Algebra, rng) -> Automorphism:
-    """Random element of the identity component: one Haar draw per simple
-    factor, taken from `rng`."""
-    if isinstance(a, ProductAlgebra):
-        return product_automorphism([random_g_automorphism(f, rng) for f in a.factors])
+    """Random element of the identity component of a simple algebra: one
+    Haar draw, taken from `rng`."""
     haar = _haar(_rep_size(a), rng, 1, isinstance(a, ComplexHermitian))
-    return Automorphism(a, haar[0], None, True)
+    return Automorphism(a, haar[0], True)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +213,11 @@ def frame_transport(e_frame: JordanFrame, f_frame: JordanFrame) -> Automorphism:
         u_f = f_frame.basis[:, f_frame.order]
         if isinstance(a, RealSymmetric) and np.linalg.det(u_e) * np.linalg.det(u_f) < 0.0:
             u_f[:, 0] = -u_f[:, 0]
-        return Automorphism(a, u_f @ u_e.conj().T, None, True)
+        return Automorphism(a, u_f @ u_e.conj().T, True)
     # the first listed spin idempotent is (1/2, u/2) at basis position 0
     u = e_frame.basis if e_frame.order[0] == 0 else -e_frame.basis
     v = f_frame.basis if f_frame.order[0] == 0 else -f_frame.basis
-    return Automorphism(a, _rotation_between(u, v), None, True)
+    return Automorphism(a, _rotation_between(u, v), True)
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +289,15 @@ class GPath:
     component by construction (angles and phases scale with t)."""
 
     algebra: Algebra
-    rotations: tuple | None  # (p, q, angle) or (p, q, angle, psi)
+    rotations: tuple  # (p, q, angle) or (p, q, angle, psi)
     phases: np.ndarray | None
-    factor_paths: tuple["GPath", ...] | None
 
     def sample(self, t: float) -> Automorphism:
-        if self.factor_paths is not None:
-            return product_automorphism([fp.sample(t) for fp in self.factor_paths])
-        return Automorphism(self.algebra, self.matrices([t])[0], None, True)
+        return Automorphism(self.algebra, self.matrices([t])[0], True)
 
     def matrices(self, ts) -> np.ndarray:
-        """Representation matrices at every t of `ts`, stacked [len(ts), r, r]
-        (simple kinds); each rotation is replayed once over the whole vector."""
+        """Representation matrices at every t of `ts`, stacked [len(ts), r, r];
+        each rotation is replayed once over the whole vector."""
         ts = np.asarray(ts, dtype=float)
         size = _rep_size(self.algebra)
         unitary = isinstance(self.algebra, ComplexHermitian)
@@ -342,12 +324,10 @@ def g_path(phi: Automorphism) -> GPath:
             "automorphism is outside the identity component; no path exists"
         )
     a = phi.algebra
-    if isinstance(a, ProductAlgebra):
-        return GPath(a, None, None, tuple(g_path(p) for p in phi.factors))
     if isinstance(a, ComplexHermitian):
         rots, phases = _factor_unitary(phi.matrix)
-        return GPath(a, tuple(rots), phases, None)
-    return GPath(a, tuple(_factor_special_orthogonal(phi.matrix)), None, None)
+        return GPath(a, tuple(rots), phases)
+    return GPath(a, tuple(_factor_special_orthogonal(phi.matrix)), None)
 
 
 # ---------------------------------------------------------------------------

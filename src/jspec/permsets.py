@@ -6,12 +6,12 @@ asked one stack of rows at a time; margins let path audits shrink strict
 inequalities by a tolerance.  A custom predicate is a black box wrapped as
 the margin 0 (member) or -inf (not), which no slack relaxes: the library
 audits its permutation invariance only by random sampling, and flag honesty
-(convex, cone, closed) is the caller's contract.
+(convex, cone) is the caller's contract.  A finite set is stored as its
+sorted points, one per permutation orbit.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import check_float_budget
 
 FINITE_TOL = 1e-12
-_MAX_ORBIT_DIM = 8  # n! orbit materialization guard
+_MAX_ORBIT_DIM = 8  # guards the n! orbit that product `components` builds
 
 __all__ = [
     "FINITE_TOL",
@@ -40,8 +40,9 @@ class PermSet:
     """A permutation-invariant subset of R^n.
 
     `margin_fn` maps rows [k, n] to k margins; a row is a member iff its
-    margin is >= 0.  `finite_points` holds the deduplicated full permutation
-    orbit when the set is finite.
+    margin is >= 0.  A finite set's `points` hold one point per orbit,
+    sorted non-increasing, deduplicated and in lexicographic order; every
+    other set has none.
     """
 
     n: int
@@ -49,9 +50,7 @@ class PermSet:
     margin_fn: Callable[[np.ndarray], np.ndarray]
     convex: bool = False
     cone: bool = False
-    closed: bool = False
-    pointed: bool | None = None
-    finite_points: np.ndarray | None = None
+    points: np.ndarray | None = None
 
     def _rows(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -71,13 +70,11 @@ class PermSet:
         """Margins [k] of the rows [k, n], one call for the whole stack."""
         return self.margin_fn(np.asarray(rows, dtype=float))
 
-    def down_points(self) -> np.ndarray:
-        """Sorted (non-increasing) representatives of a finite set, deduplicated,
-        in lexicographic order."""
-        if self.finite_points is None:
-            raise ValueError(f"{self.tag} has no finite point list")
-        reps = {tuple(np.sort(p)[::-1]) for p in self.finite_points}
-        return np.array(sorted(reps))
+
+def _lex_unique(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a stack [k, n], in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
 
 
 def custom_permset(
@@ -85,7 +82,6 @@ def custom_permset(
     predicate: Callable[[np.ndarray], bool],
     convex: bool = False,
     cone: bool = False,
-    closed: bool = False,
 ) -> PermSet:
     """Wrap a caller-supplied membership predicate (assumed permutation
     invariant) as the margin 0 or -inf, asked once per row in row order."""
@@ -93,9 +89,7 @@ def custom_permset(
     def margin(rows: np.ndarray) -> np.ndarray:
         return np.array([0.0 if predicate(r) else -np.inf for r in rows], dtype=float)
 
-    return PermSet(
-        n=n, tag="custom", margin_fn=margin, convex=convex, cone=cone, closed=closed
-    )
+    return PermSet(n=n, tag="custom", margin_fn=margin, convex=convex, cone=cone)
 
 
 def make_rearrangement_cone(n: int, m: int) -> PermSet:
@@ -111,15 +105,7 @@ def make_rearrangement_cone(n: int, m: int) -> PermSet:
         # exactly with the tail sum of the sorted vector
         return np.sort(rows, axis=1)[:, m - 1 :: -1].sum(axis=1)
 
-    return PermSet(
-        n=n,
-        tag=f"rearr({n},{m})",
-        convex=True,
-        cone=True,
-        closed=True,
-        pointed=True,
-        margin_fn=margin,
-    )
+    return PermSet(n=n, tag=f"rearr({n},{m})", margin_fn=margin, convex=True, cone=True)
 
 
 def make_trace_norm_cone(n: int) -> PermSet:
@@ -131,15 +117,7 @@ def make_trace_norm_cone(n: int) -> PermSet:
     def margin(rows: np.ndarray) -> np.ndarray:
         return rows.sum(axis=1) - factor * np.linalg.norm(rows, axis=1)
 
-    return PermSet(
-        n=n,
-        tag=f"tracenorm({n})",
-        convex=True,
-        cone=True,
-        closed=True,
-        pointed=True,
-        margin_fn=margin,
-    )
+    return PermSet(n=n, tag=f"tracenorm({n})", margin_fn=margin, convex=True, cone=True)
 
 
 def make_trace_halfspace(n: int) -> PermSet:
@@ -150,25 +128,17 @@ def make_trace_halfspace(n: int) -> PermSet:
     def margin(rows: np.ndarray) -> np.ndarray:
         return rows.sum(axis=1)
 
-    return PermSet(
-        n=n,
-        tag=f"halfspace-trace({n})",
-        convex=True,
-        cone=True,
-        closed=True,
-        pointed=False,
-        margin_fn=margin,
-    )
+    return PermSet(n=n, tag=f"halfspace-trace({n})", margin_fn=margin, convex=True, cone=True)
 
 
 def make_finite_orbit(points) -> PermSet:
     """The full permutation orbit of the given points, as a finite set.
 
-    Membership tolerance is FINITE_TOL in the max norm.  The orbit is
-    materialized, so the dimension is capped at 8, and its size is checked
-    against the float budget before it is allocated.  A margin compares
-    each sorted row with each sorted point, so its stack holds
-    [rows, points, n], not [rows, orbit points, n].
+    Membership tolerance is FINITE_TOL in the max norm.  The set is stored
+    as its `points`: each point sorted once, deduplicated.  The dimension
+    is capped at 8, since product `components` builds the n! orbit.  A
+    margin compares each sorted row with each sorted point, so its stack
+    holds [rows, points, n], not [rows, orbit points, n].
     """
     pts = [np.asarray(p, dtype=float) for p in points]
     if not pts:
@@ -180,31 +150,25 @@ def make_finite_orbit(points) -> PermSet:
         raise ValueError("points must be finite numbers")
     if not 1 <= n <= _MAX_ORBIT_DIM:
         raise ValueError(f"orbit materialization needs 1 <= n <= {_MAX_ORBIT_DIM}, got n = {n}")
-    perms = np.array(list(itertools.permutations(range(n))))
-    check_float_budget(len(pts) * len(perms) * n, f"the orbit of {len(pts)} points in R^{n}")
-    # every permutation of every point, sorted and deduplicated; + 0.0 makes -0.0 +0.0
-    orbit = np.array(pts)[:, perms].reshape(-1, n) + 0.0
-    orbit = orbit[np.lexsort(orbit.T[::-1])]
-    orbit_arr = orbit[np.concatenate(([True], (orbit[1:] != orbit[:-1]).any(axis=1)))]
-    all_zero = bool(np.all(orbit_arr == 0.0))
-    sorted_pts = np.sort(pts, axis=1)
+    # one sorted point per orbit; + 0.0 makes -0.0 +0.0
+    down = _lex_unique(np.sort(pts, axis=1)[:, ::-1] + 0.0)
+    down.setflags(write=False)
+    ascending = down[:, ::-1]
 
     def margin(rows: np.ndarray) -> np.ndarray:
         # FINITE_TOL minus the max-norm distance to the nearest orbit point: the
         # permutation of a point nearest a row pairs sorted entries with sorted entries
-        check_float_budget(len(rows) * sorted_pts.size, f"{len(rows)} rows against the points")
-        gaps = np.abs(np.sort(rows, axis=1)[:, None, :] - sorted_pts[None, :, :])
+        check_float_budget(len(rows) * ascending.size, f"{len(rows)} rows against the points")
+        gaps = np.abs(np.sort(rows, axis=1)[:, None, :] - ascending[None, :, :])
         return FINITE_TOL - gaps.max(axis=2).min(axis=1)
 
     return PermSet(
         n=n,
-        tag=f"finite({len(orbit_arr)} pts)",
-        convex=len(orbit_arr) == 1,
-        cone=all_zero,
-        closed=True,
-        pointed=True if all_zero else None,
-        finite_points=orbit_arr,
+        tag=f"finite({len(down)} orbits)",
         margin_fn=margin,
+        convex=bool(len(down) == 1 and down[0, 0] == down[0, -1]),
+        cone=not down.any(),
+        points=down,
     )
 
 

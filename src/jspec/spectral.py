@@ -154,9 +154,6 @@ class JordanFrame:
             by_pos = [Element(a, c) for c in alg.coords_of(a, outers)]
         return tuple(by_pos[k] for k in self.order)
 
-    def __len__(self):
-        return self.algebra.rank
-
 
 # ---------------------------------------------------------------------------
 # eigenvalue map

@@ -12,6 +12,8 @@ call per stage; membership is always one `PermSet.margin_many` per stack.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ from .errors import (
 )
 from .nnls import _nnls_rows
 from .orbits import PathPolyline, _orbit_coords, _orbit_leg
-from .permsets import PermSet, down_member
+from .permsets import PermSet, _lex_unique, down_member
 from .spectral import (
     _compose,
     _eigenvalue_blocks,
@@ -152,8 +154,10 @@ def factor_blocks(x: Element) -> np.ndarray:
 
 
 def _block_sorted(q: np.ndarray, a: ProductAlgebra) -> np.ndarray:
+    """Each factor block of the rows q [..., rank] sorted non-increasing."""
     offs = alg._rank_offsets(a)
-    return np.concatenate([sort_desc(q[i:j]) for i, j in zip(offs, offs[1:])])
+    blocks = [np.sort(q[..., i:j], axis=-1)[..., ::-1] for i, j in zip(offs, offs[1:])]
+    return np.concatenate(blocks, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +240,7 @@ def connect(
     if q_path is None:
         if float(np.abs(start_q - end_q).max()) <= tolerance or (simple and sset.q.convex):
             vertices = [start_q, end_q]
-        elif not simple and sset.q.finite_points is not None:
+        elif not simple and sset.q.points is not None:
             raise InfeasiblePathError(
                 "no coefficient path exists inside a finite set between "
                 "distinct factor-block assignments",
@@ -261,7 +265,7 @@ def connect(
                         clause="qpath-down-member",
                     )
         else:
-            vertices = [_block_sorted(v, a) for v in vertices]
+            vertices = _block_sorted(np.array(vertices), a)
             for k, v in enumerate(vertices):
                 if not sset.q.member(v):
                     raise InfeasiblePathError(
@@ -300,21 +304,26 @@ def _fmt_vec(v: np.ndarray) -> str:
 def components_finite(sset: SpectralSet) -> list[SpectralComponent]:
     """Arcwise connected components of the spectral set of a finite Q.
 
-    Simple algebra: one component per distinct sorted representative, the
-    full eigenvalue orbit of that vector.  Product algebra: one component
-    per distinct assignment of eigenvalues to factors (block-sorted), each a
+    Simple algebra: one component per sorted point of Q, the full
+    eigenvalue orbit of that vector.  Product algebra: one component per
+    distinct assignment of eigenvalues to factors (block-sorted), each a
     restricted orbit; these are pairwise disjoint compact sets, hence
-    genuinely separate components.
+    genuinely separate components.  Only the product case builds the n!
+    orbit of the points, inside the float budget.
     """
-    if sset.q.finite_points is None:
+    points = sset.q.points
+    if points is None:
         raise ValueError("component enumeration needs a finite set")
     a = sset.algebra
     frame = canonical_frame(a)
     if a.is_simple():
-        reps = sset.q.down_points()
+        reps = points
         descriptions = [f"eigenvalue orbit of {_fmt_vec(rep)}" for rep in reps]
     else:
-        reps = np.array(sorted({tuple(_block_sorted(p, a)) for p in sset.q.finite_points}))
+        n, k = a.rank, len(points)
+        check_float_budget(k * math.factorial(n) * n, f"the orbit of {k} points in R^{n}")
+        orbit = points[:, list(itertools.permutations(range(n)))]
+        reps = _lex_unique(_block_sorted(orbit, a).reshape(-1, n))
         offs = alg._rank_offsets(a)
         descriptions = [
             "restricted orbit with factor blocks "

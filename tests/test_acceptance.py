@@ -286,8 +286,8 @@ def test_criterion_10_orbit_closedness_and_invariance():
         builders.append(make_finite_orbit([np.linspace(n, 1, n)]))
         for q_set in builders:
             sset = SpectralSet(a, q_set)
-            if q_set.finite_points is not None:
-                q0 = q_set.down_points()[0]
+            if q_set.points is not None:
+                q0 = q_set.points[0]
             else:
                 q0 = sort_desc(_member_with_margin(q_set, n, rng))
             frame, _ = spectral_decompose(random_element(a, trials + 70_000))

@@ -27,7 +27,14 @@ from jspec import (
 from jspec import cli, errors, orbits, permsets, spectral
 from jspec import spectralsets as ss
 from jspec.algebra import distance
-from jspec.io import emit_algebra, emit_element, parse_element, parse_permset, render_json
+from jspec.io import (
+    emit_algebra,
+    emit_element,
+    parse_algebra,
+    parse_element,
+    parse_permset,
+    render_json,
+)
 
 
 def run_module(args, stdin):
@@ -249,7 +256,7 @@ def test_non_numeric_json_exits_2(tmp_path, capsys, monkeypatch, argv):
 @pytest.mark.parametrize(
     "handler, argv",
     [
-        ("orbit_sample", ["orbit-sample", "x.json", "--count", "1000000000000"]),
+        ("_orbit_coords", ["orbit-sample", "x.json", "--count", "1000000000000"]),
         ("pointed_sample_check", ["pointed-check", "set.json", "--samples", "1000000000000"]),
     ],
 )
@@ -603,6 +610,30 @@ def test_components_coordinate_space(tmp_path, run_cli):
     assert len(payload["components"]) == 3
 
 
+@pytest.mark.parametrize(
+    "algebra_doc",
+    [
+        {"kind": "sym", "n": 4},
+        {"kind": "product", "factors": [{"kind": "herm", "n": 2}, {"kind": "spin", "d": 3}]},
+        {"kind": "product", "factors": [{"kind": "sym", "n": 3}, {"kind": "sym", "n": 1}]},
+    ],
+)
+def test_components_stdout_is_emit_element_per_component(tmp_path, run_cli, algebra_doc):
+    # one stacked emit renders each component as `emit_element` does alone
+    set_doc = {"set": "finite", "points": [[2.0, -1.0, 0.5, 0.5], [0.0, 3.0, 1.0, -0.0]]}
+    proc = run_cli(["components", write_json(tmp_path, "set.json", set_doc),
+                    write_json(tmp_path, "alg.json", algebra_doc)])
+    assert proc.returncode == 0
+    sset = ss.SpectralSet(parse_algebra(algebra_doc), parse_permset(set_doc))
+    per_component = [
+        {"representative": c.representative, "description": c.description,
+         "element": emit_element(c.element)}
+        for c in ss.components_finite(sset)
+    ]
+    assert len(per_component) >= 2
+    assert proc.stdout == render_json({"components": per_component}) + "\n"
+
+
 def test_finite_set_non_finite_point_exits_2(tmp_path, capsys):
     alg_path = write_json(tmp_path, "alg.json", emit_algebra(RealSymmetric(3)))
     x_path = write_json(tmp_path, "x.json", emit_element(random_element(RealSymmetric(3), 0)))
@@ -699,16 +730,24 @@ def test_float_budget_bounds_the_nnls_stack(tmp_path, capsys, monkeypatch):
 
 
 def test_finite_orbit_over_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # 8! permutations of a point with distinct entries, 8 floats each
+    # 8! permutations of a point with distinct entries, 8 floats each: only
+    # product `components` builds that orbit, parsing the set never does
+    r8 = coordinate_algebra(8)
     write_json(tmp_path, "set.json", {"set": "finite", "points": [list(range(8))]})
-    write_json(tmp_path, "x.json", emit_element(Element(coordinate_algebra(8), np.arange(8.0))))
+    write_json(tmp_path, "x.json", emit_element(Element(r8, np.arange(8.0))))
+    write_json(tmp_path, "r8.json", emit_algebra(r8))
+    # the same orbit, which block-sorts to 8 components rather than 8!
+    s7s1 = {"kind": "product", "factors": [{"kind": "sym", "n": 7}, {"kind": "sym", "n": 1}]}
+    write_json(tmp_path, "s7s1.json", s7s1)
     monkeypatch.chdir(tmp_path)
-    floats = 40320 * 8  # the orbit, and one row's margin stack against it
+    floats = 40320 * 8
     monkeypatch.setattr(errors, "FLOAT_BUDGET", floats)
+    assert cli.main(["components", "set.json", "s7s1.json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["components"]) == 8
+    monkeypatch.setattr(errors, "FLOAT_BUDGET", floats - 1)
     assert cli.main(["member", "set.json", "x.json"]) == 0
     assert json.loads(capsys.readouterr().out)["member"] is True
-    monkeypatch.setattr(errors, "FLOAT_BUDGET", floats - 1)
-    assert cli.main(["member", "set.json", "x.json"]) == 2
+    assert cli.main(["components", "set.json", "r8.json"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "the orbit of 1 points in R^8 would hold" in err
@@ -1074,8 +1113,6 @@ def test_element_round_trip_bit_stable(algebra_doc):
     ],
 )
 def test_stacked_element_docs_are_emit_element_per_row(algebra_doc):
-    from jspec.io import parse_algebra
-
     a = parse_algebra(algebra_doc)
     xs = [random_element(a, seed) for seed in range(5)]
     assert cli._element_docs(a, xs) == [emit_element(x) for x in xs]

@@ -32,7 +32,7 @@ from jspec import (
 )
 from jspec.algebra import Element, join_product, sym_matrix
 
-from conftest import SIMPLE_KINDS, element_with_eigenvalues, random_frame
+from conftest import PRODUCT_KINDS, SIMPLE_KINDS, element_with_eigenvalues, random_frame
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +126,17 @@ def test_transport_rejects_products():
     frame = random_frame(a, 1)
     with pytest.raises(UnsupportedAlgebraError):
         frame_transport(frame, frame)
+
+
+@pytest.mark.parametrize("algebra", PRODUCT_KINDS, ids=str)
+def test_automorphisms_of_products_are_not_represented(algebra):
+    # a product moves factor by factor along restricted_orbit_path instead
+    with pytest.raises(UnsupportedAlgebraError, match="restricted_orbit_path"):
+        identity_automorphism(algebra)
+    with pytest.raises(UnsupportedAlgebraError, match="restricted_orbit_path"):
+        random_g_automorphism(algebra, np.random.default_rng(0))
+    with pytest.raises(UnsupportedAlgebraError, match="restricted_orbit_path"):
+        automorphism_from_matrix(algebra, np.eye(algebra.rank))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jspec import (
+    SpectralSet,
+    components_finite,
+    coordinate_algebra,
     custom_permset,
     down_member,
     make_finite_orbit,
@@ -69,14 +72,13 @@ def test_trace_norm_cone_examples():
 
 def test_finite_orbit_examples():
     q = make_finite_orbit([[1.0, 0.0, 0.0]])
-    assert sorted(map(tuple, q.finite_points)) == [
-        (0.0, 0.0, 1.0),
-        (0.0, 1.0, 0.0),
-        (1.0, 0.0, 0.0),
-    ]
-    assert np.array_equal(q.down_points(), [[1.0, 0.0, 0.0]])
+    assert np.array_equal(q.points, [[1.0, 0.0, 0.0]])
+    assert not q.convex and not q.cone
+    shared = make_finite_orbit([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    assert np.array_equal(shared.points, [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     sym = make_finite_orbit([[1.0, 1.0]])
-    assert len(sym.finite_points) == 1
+    assert len(sym.points) == 1
+    assert sym.convex and not sym.cone
     with pytest.raises(ValueError):
         make_finite_orbit([])
     with pytest.raises(ValueError):
@@ -90,6 +92,11 @@ def _orbit_by_tuples(points):
     return np.array(sorted({tuple(p[list(s)]) for s in perms for p in pts}))
 
 
+def _sorted_points_by_tuples(points):
+    """Reference: one non-increasing tuple per orbit, as a sorted set."""
+    return np.array(sorted({tuple(sorted(p, reverse=True)) for p in points}))
+
+
 @pytest.mark.parametrize(
     "points",
     [
@@ -101,9 +108,14 @@ def _orbit_by_tuples(points):
     ids=["repeated", "shared-orbit", "signed-zeros", "mixed-sign"],
 )
 def test_finite_orbit_rows_match_the_tuple_construction(points):
-    orbit = make_finite_orbit(points).finite_points
+    q_set = make_finite_orbit(points)
+    assert np.array_equal(q_set.points, _sorted_points_by_tuples(points))
+    assert not np.signbit(q_set.points[q_set.points == 0.0]).any()  # a zero is always +0.0
+    # over R^n every permutation is its own component, so the representatives are the orbit
+    comps = components_finite(SpectralSet(coordinate_algebra(q_set.n), q_set))
+    orbit = np.array([c.representative for c in comps])
     assert np.array_equal(orbit, _orbit_by_tuples(points))
-    assert not np.signbit(orbit[orbit == 0.0]).any()  # a zero is always +0.0
+    assert not np.signbit(orbit[orbit == 0.0]).any()
 
 
 def test_finite_orbit_margin_is_the_distance_to_every_orbit_point():
@@ -113,7 +125,7 @@ def test_finite_orbit_margin_is_the_distance_to_every_orbit_point():
     mixed = [[1.0, 1.0, 0.0, 0.0, 0.0], [0.5, -1.0, 4.0, 2.0, 2.0]]
     for points in (repeated, mixed):
         q_set = make_finite_orbit(points)
-        orbit = q_set.finite_points
+        orbit = _orbit_by_tuples(points)
         near = rng.choice([0.0, 1e-13, -3e-12], size=(20, 5))  # inside and outside FINITE_TOL
         odd = [[np.nan, 0, 0, 0, 0], [np.inf, 0, 0, 0, 0]]
         picked = orbit[rng.integers(len(orbit), size=20)]
@@ -168,8 +180,8 @@ def test_permutation_invariance(build):
         q = rng.standard_normal(q_set.n) + rng.choice([0.0, 2.0])
         sigma = rng.permutation(q_set.n)
         assert q_set.member(q) == q_set.member(q[sigma])
-    if q_set.finite_points is not None:
-        for p in q_set.finite_points:
+    if q_set.points is not None:
+        for p in q_set.points:
             sigma = rng.permutation(q_set.n)
             assert q_set.member(p[sigma])
 
@@ -245,7 +257,7 @@ def test_pointed_check_witness_independent_of_sample_count():
 
 
 def test_custom_predicate_support():
-    ball = custom_permset(3, lambda q: float(np.linalg.norm(q)) <= 1.0, convex=True, closed=True)
+    ball = custom_permset(3, lambda q: float(np.linalg.norm(q)) <= 1.0, convex=True)
     assert ball.member([0.1, 0.2, 0.0])
     assert not ball.member([2.0, 0.0, 0.0])
     # a black box is the margin 0 inside and -inf outside, which no slack relaxes

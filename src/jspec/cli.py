@@ -13,8 +13,6 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import io as jio
 from . import spectralsets as ss
 from .algebra import norm
@@ -74,11 +72,6 @@ def _nonneg(value: str) -> int:
     return v
 
 
-def _element_docs(a, xs) -> list[dict]:
-    """Documents of elements of `a`, unpacked as one coordinate stack."""
-    return jio._element_docs(a, np.reshape([x.coords for x in xs], (len(xs), a.dim)))
-
-
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -93,7 +86,7 @@ def _cmd_decompose(args):
     frame, values = spectral_decompose(x)
     return {
         "lambda": values,
-        "frame": _element_docs(x.algebra, frame.idempotents),
+        "frame": jio._element_texts(x.algebra, [e.coords for e in frame.idempotents]),
     }
 
 
@@ -136,18 +129,18 @@ def _cmd_fan(args):
 
 def _cmd_orbit_sample(args):
     x = jio.parse_element(_load(args.element))
-    return {"samples": jio._element_docs(x.algebra, _orbit_coords(x, args.count, args.seed))}
+    return {"samples": jio._element_texts(x.algebra, _orbit_coords(x, args.count, args.seed))}
 
 
 def _cmd_components(args):
     q_set = jio.parse_permset(_load(args.set))
     algebra = jio.parse_algebra(_load(args.algebra))
     comps = ss.components_finite(SpectralSet(algebra, q_set))
-    docs = _element_docs(algebra, [c.element for c in comps])
+    texts = jio._element_texts(algebra, [c.element.coords for c in comps])
     return {
         "components": [
-            {"representative": c.representative, "description": c.description, "element": doc}
-            for c, doc in zip(comps, docs)
+            {"representative": c.representative, "description": c.description, "element": text}
+            for c, text in zip(comps, texts)
         ]
     }
 
@@ -170,8 +163,9 @@ def _cmd_sum_split(args):
     q2_set = jio.parse_permset(_load(args.q2set))
     q1 = jio.parse_numbers(_json(args.q1, "--q1"), "--q1")
     q2 = jio.parse_numbers(_json(args.q2, "--q2"), "--q2")
-    part1, part2 = ss.sum_split(z, q1_set, q2_set, q1, q2)
-    return {"part1": jio.emit_element(part1), "part2": jio.emit_element(part2)}
+    split = ss.sum_split(z, q1_set, q2_set, q1, q2)
+    part1, part2 = jio._element_texts(z.algebra, [x.coords for x in split])
+    return {"part1": part1, "part2": part2}
 
 
 def _cmd_pointed_check(args):

@@ -9,11 +9,10 @@ FLOAT_BUDGET = 2**26
 Haar draws of an orbit sample, a path's representation matrices and a
 `connect` stack, the candidate rows of a pointedness probe, the
 candidates and the NNLS stack of a certificate audit, a finite set's
-margin stacks, and the n! orbit that product `components` builds from a
-finite set's points.  Each is checked before it is allocated,
-so an oversized request (a huge `--count`, `--samples` or `--steps`, a
-certificate with too many generators, too many finite-set points) is an
-input error, never an attempt to allocate it."""
+margin stacks, and the n! orbit, frame and composition of `components`.
+Each is checked before it is allocated, so an oversized request (a huge
+`--count`, `--samples` or `--steps`, too many generators or finite-set
+points, a huge algebra) is an input error, never an allocation."""
 
 
 def check_float_budget(floats: int, what: str):

@@ -5,17 +5,18 @@ Element payloads are redundant on purpose (full matrices, not packed
 coordinates): symmetry and antisymmetry are validated on read within
 SYMMETRY_TOL and the parse/emit round trip is value-exact.  Floats render
 with 17 significant digits (`%.17g`), which round-trips IEEE doubles.  The
-renderer dispatches on exact Python types.  A list whose items are all
-floats (one matrix row), or a list of equal-length lists of floats (one
-matrix), is checked for finiteness once and formatted by one `%`
-operation, with a template cached per length or per (rows, cols): a frame
-of 40x40 matrices costs one call per matrix, not one per float.
+renderer dispatches on exact Python types.  Element documents have one
+emitter: per algebra, the `%` template of one document (descriptor text and
+one `%.17g` slot per number) is filled once per element of a coordinate
+stack, and the renderer writes that text unchanged; `emit_element` is the
+same text decoded.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from json.encoder import encode_basestring_ascii as _string
 
@@ -196,28 +197,53 @@ def _parse_element_data(a: Algebra, data) -> Element:
     return alg.join_product(a, parts)
 
 
-def _element_docs(a: Algebra, coords: np.ndarray) -> list[dict]:
-    """Element documents of the rows of coords [k, dim], all unpacked by one
-    `matrix_of` and converted by one `.tolist()` per part; the documents
-    share one algebra descriptor."""
-    if isinstance(a, RealSymmetric):
-        data = alg.matrix_of(a, coords).tolist()
-    elif isinstance(a, ComplexHermitian):
-        m = alg.matrix_of(a, coords)
-        data = [{"re": re, "im": im} for re, im in zip(m.real.tolist(), m.imag.tolist())]
+class _Json(str):
+    """JSON text that `_render` writes unchanged."""
+
+
+def _numbers(a: Algebra, coords: np.ndarray) -> np.ndarray:
+    """The numbers [k, slots] of the element documents of the rows of
+    coords [k, dim], in document order, the matrices by one `matrix_of`."""
+    if isinstance(a, (RealSymmetric, ComplexHermitian)):
+        m = alg.matrix_of(a, coords).reshape(len(coords), a.n * a.n)
+        return np.hstack([m.real, m.imag]) if np.iscomplexobj(m) else m
+    if isinstance(a, SpinFactor):
+        return coords
+    offs = alg._factor_offsets(a)
+    return np.hstack([_numbers(f, coords[:, i:j]) for f, i, j in zip(a.factors, offs, offs[1:])])
+
+
+@functools.lru_cache(maxsize=64)
+def _template(a: Algebra) -> str:
+    """The `%` template of one element document of `a`: its descriptor
+    text and one `%.17g` slot per number, in the order of `_numbers`."""
+    if isinstance(a, (RealSymmetric, ComplexHermitian)):
+        data = [[_Json("%.17g")] * a.n] * a.n
+        if isinstance(a, ComplexHermitian):
+            data = {"re": data, "im": data}
     elif isinstance(a, SpinFactor):
-        x0s, xbars = coords[:, 0].tolist(), coords[:, 1:].tolist()
-        data = [{"x0": x0, "xbar": xbar} for x0, xbar in zip(x0s, xbars)]
+        data = {"x0": _Json("%.17g"), "xbar": [_Json("%.17g")] * (a.d - 1)}
     else:
-        offs = alg._factor_offsets(a)
-        parts = [_element_docs(f, coords[:, i:j]) for f, i, j in zip(a.factors, offs, offs[1:])]
-        data = [{"factors": list(docs)} for docs in zip(*parts)]
-    descriptor = emit_algebra(a)
-    return [{"alg": descriptor, "data": d} for d in data]
+        data = {"factors": [_Json(_template(f)) for f in a.factors]}
+    return _render({"alg": emit_algebra(a), "data": data})
+
+
+def _element_texts(a: Algebra, coords) -> list[_Json]:
+    """JSON text of each element of `a` with coordinates a row of coords
+    [k, dim]: one finiteness check over the stack, then one `%` of the
+    algebra's template per row, so one row's floats are alive at a time."""
+    numbers = _numbers(a, np.asarray(coords, dtype=float).reshape(-1, a.dim))
+    bad = numbers[~np.isfinite(numbers)]  # in document order
+    if bad.size:
+        raise NumericError(f"cannot render the non-finite number {float(bad[0])!r} as JSON")
+    template = _template(a)
+    return [_Json(template % tuple(row.tolist())) for row in numbers]
 
 
 def emit_element(x: Element) -> dict:
-    return _element_docs(x.algebra, x.coords[None])[0]
+    """The text the CLI prints for x, decoded: "-0" as -0.0, "1" as an int."""
+    (text,) = _element_texts(x.algebra, x.coords[None])
+    return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +286,10 @@ def parse_certificate(doc) -> DecompositionCertificate:
 
 
 def emit_polyline(path: PathPolyline) -> dict:
+    """The `connect` document of a path for the CLI, the only caller: its
+    `samples` are element text that only `render_json` writes."""
     return {
-        "samples": _element_docs(path.algebra, path.coords),
+        "samples": _element_texts(path.algebra, path.coords),
         "max_step": path.max_step,
         "tolerance": path.tolerance,
     }
@@ -271,36 +299,14 @@ def emit_polyline(path: PathPolyline) -> dict:
 # deterministic rendering
 
 
-@functools.lru_cache(maxsize=64)
-def _float_row(length: int) -> str:
-    return "[" + ", ".join(["%.17g"] * length) + "]"
-
-
-@functools.lru_cache(maxsize=64)
-def _float_matrix(rows: int, cols: int) -> str:
-    return "[" + ", ".join([_float_row(cols)] * rows) + "]"
-
-
-def _finite_floats(values) -> bool:
-    return set(map(type, values)) == {float} and all(map(math.isfinite, values))
-
-
 def _render(value) -> str:
     kind = type(value)
     if kind is list or kind is tuple:
-        # one format call per row, or per matrix, of finite floats; anything
-        # else, a non-finite float included, is rendered (and named) below
-        if value:
-            first = type(value[0])
-            if first is float and _finite_floats(value):
-                return _float_row(len(value)) % tuple(value)
-            if first is list and len(set(map(type, value))) == 1 and len(set(map(len, value))) == 1:
-                flat = tuple(itertools.chain.from_iterable(value))
-                if flat and _finite_floats(flat):
-                    return _float_matrix(len(value), len(value[0])) % flat
         return "[" + ", ".join(map(_render, value)) + "]"
     if kind is dict:
         return "{" + ", ".join(f"{_string(str(k))}: {_render(v)}" for k, v in value.items()) + "}"
+    if kind is _Json:
+        return value
     if kind is float:
         if not math.isfinite(value):
             raise NumericError(f"cannot render the non-finite number {value!r} as JSON")

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import check_float_budget
 
 FINITE_TOL = 1e-12
-_MAX_ORBIT_DIM = 8  # guards the n! orbit that product `components` builds
 
 __all__ = [
     "FINITE_TOL",
@@ -135,21 +134,18 @@ def make_finite_orbit(points) -> PermSet:
     """The full permutation orbit of the given points, as a finite set.
 
     Membership tolerance is FINITE_TOL in the max norm.  The set is stored
-    as its `points`: each point sorted once, deduplicated.  The dimension
-    is capped at 8, since product `components` builds the n! orbit.  A
-    margin compares each sorted row with each sorted point, so its stack
+    as its `points`: each point sorted once, deduplicated.  A margin
+    compares each sorted row with each sorted point, so its stack
     holds [rows, points, n], not [rows, orbit points, n].
     """
     pts = [np.asarray(p, dtype=float) for p in points]
     if not pts:
         raise ValueError("need at least one point")
     n = pts[0].size
-    if any(p.shape != (n,) for p in pts):
-        raise ValueError("points must share one length")
+    if n < 1 or any(p.shape != (n,) for p in pts):
+        raise ValueError("points must share one length n >= 1")
     if not all(np.isfinite(p).all() for p in pts):
         raise ValueError("points must be finite numbers")
-    if not 1 <= n <= _MAX_ORBIT_DIM:
-        raise ValueError(f"orbit materialization needs 1 <= n <= {_MAX_ORBIT_DIM}, got n = {n}")
     # one sorted point per orbit; + 0.0 makes -0.0 +0.0
     down = _lex_unique(np.sort(pts, axis=1)[:, ::-1] + 0.0)
     down.setflags(write=False)

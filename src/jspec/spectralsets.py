@@ -309,18 +309,19 @@ def components_finite(sset: SpectralSet) -> list[SpectralComponent]:
     distinct assignment of eigenvalues to factors (block-sorted), each a
     restricted orbit; these are pairwise disjoint compact sets, hence
     genuinely separate components.  Only the product case builds the n!
-    orbit of the points, inside the float budget.
+    orbit of the points, for rank n <= 8; each stack is budgeted first.
     """
     points = sset.q.points
     if points is None:
         raise ValueError("component enumeration needs a finite set")
     a = sset.algebra
-    frame = canonical_frame(a)
     if a.is_simple():
         reps = points
         descriptions = [f"eigenvalue orbit of {_fmt_vec(rep)}" for rep in reps]
     else:
         n, k = a.rank, len(points)
+        if n > 8:
+            raise ValueError(f"product components build the n! orbit and need n <= 8, got n = {n}")
         check_float_budget(k * math.factorial(n) * n, f"the orbit of {k} points in R^{n}")
         orbit = points[:, list(itertools.permutations(range(n)))]
         reps = _lex_unique(_block_sorted(orbit, a).reshape(-1, n))
@@ -330,9 +331,12 @@ def components_finite(sset: SpectralSet) -> list[SpectralComponent]:
             + " | ".join(_fmt_vec(rep[i:j]) for i, j in zip(offs, offs[1:]))
             for rep in reps
         ]
+    # the n x n frame and each composition stack [k, n, n], real or complex
+    k = len(reps)
+    check_float_budget(2 * k * a.dim, f"the composition of {k} components in dimension {a.dim}")
     return [
         SpectralComponent(representative=rep, element=Element(a, c), description=text)
-        for rep, c, text in zip(reps, _compose(reps, frame), descriptions)
+        for rep, c, text in zip(reps, _compose(reps, canonical_frame(a)), descriptions)
     ]
 
 

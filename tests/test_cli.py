@@ -28,6 +28,7 @@ from jspec import cli, errors, orbits, permsets, spectral
 from jspec import spectralsets as ss
 from jspec.algebra import distance
 from jspec.io import (
+    _element_texts,
     emit_algebra,
     emit_element,
     parse_algebra,
@@ -289,8 +290,10 @@ _Y2 = {"alg": {"kind": "sym", "n": 2}, "data": [[2.5, 1.5], [1.5, 2.5]]}
         (["connect", "set.json", "x.json", "y.json", "--steps", "100"], 3 * 100 * 3 * 3),
         # 50 candidates per sample in R^2, plus the eigenvalue pass's matrices
         (["certify", "set.json", "cert.json", "--samples", "100"], 3 * 50 * 100 * 2),
+        # the frame and compositions of 2 components of sym(2), dim 3
+        (["components", "finite.json", "sym2.json"], 2 * 2 * 3),
     ],
-    ids=["orbit-sample", "pointed-check", "connect", "certify"],
+    ids=["orbit-sample", "pointed-check", "connect", "certify", "components"],
 )
 def test_float_budget_bounds_stacks(tmp_path, capsys, monkeypatch, argv, floats):
     # the largest stack fits a budget of exactly its size and exits 2, with
@@ -301,6 +304,8 @@ def test_float_budget_bounds_stacks(tmp_path, capsys, monkeypatch, argv, floats)
     rn2 = coordinate_algebra(2)
     rays = {"parts": [[emit_element(Element(rn2, r))] for r in np.eye(2)]}
     write_json(tmp_path, "cert.json", rays)
+    write_json(tmp_path, "finite.json", {"set": "finite", "points": [[1, 0], [2, 0]]})
+    write_json(tmp_path, "sym2.json", {"kind": "sym", "n": 2})
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(errors, "FLOAT_BUDGET", floats)
     assert cli.main(argv) == 0
@@ -753,6 +758,46 @@ def test_finite_orbit_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert "the orbit of 1 points in R^8 would hold" in err
 
 
+def test_finite_set_over_sym9_is_served(tmp_path, capsys, monkeypatch):
+    # the n <= 8 cap belongs to product components alone: a finite set over
+    # sym(9) parses, and member, connect and simple components exit 0
+    sym9 = RealSymmetric(9)
+    write_json(tmp_path, "set.json", {"set": "finite", "points": [list(range(9))]})
+    for name, q in (("x.json", np.arange(9.0)), ("y.json", np.arange(9.0)[::-1])):
+        write_json(tmp_path, name, emit_element(element_from_sym(sym9, np.diag(q))))
+    write_json(tmp_path, "sym9.json", emit_algebra(sym9))
+    write_json(tmp_path, "r9.json", emit_algebra(coordinate_algebra(9)))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["member", "set.json", "x.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["member"] is True
+    assert cli.main(["connect", "set.json", "x.json", "y.json", "--steps", "4"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["samples"]) >= 2
+    assert cli.main(["components", "set.json", "sym9.json"]) == 0
+    (comp,) = json.loads(capsys.readouterr().out)["components"]
+    assert comp["representative"] == list(range(8, -1, -1))
+    # product components build the 9! orbit, which stays refused
+    assert cli.main(["components", "set.json", "r9.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "need n <= 8, got n = 9" in err
+
+
+def test_components_composition_is_budgeted_before_the_frame(tmp_path, capsys, monkeypatch):
+    # sym(20000) and one 20,000-entry point: the frame alone would be n^2
+    # floats, so the composition is refused before anything of that size
+    def no_frame(a):
+        raise AssertionError("a canonical frame was built for an oversized request")
+
+    monkeypatch.setattr(ss, "canonical_frame", no_frame)
+    write_json(tmp_path, "set.json", {"set": "finite", "points": [list(range(20000))]})
+    write_json(tmp_path, "sym.json", {"kind": "sym", "n": 20000})
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["components", "set.json", "sym.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "the composition of 1 components in dimension 200010000 would hold" in err
+
+
 def test_the_library_never_imports_scipy():
     # scipy is a test-only reference solver
     code = "import sys, jspec, jspec.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
@@ -1115,9 +1160,10 @@ def test_element_round_trip_bit_stable(algebra_doc):
 def test_stacked_element_docs_are_emit_element_per_row(algebra_doc):
     a = parse_algebra(algebra_doc)
     xs = [random_element(a, seed) for seed in range(5)]
-    assert cli._element_docs(a, xs) == [emit_element(x) for x in xs]
-    assert render_json(cli._element_docs(a, xs)) == render_json([emit_element(x) for x in xs])
-    assert cli._element_docs(a, []) == []
+    texts = _element_texts(a, [x.coords for x in xs])
+    assert texts == [render_json(emit_element(x)) for x in xs]
+    assert render_json(texts) == render_json([emit_element(x) for x in xs])
+    assert render_json(_element_texts(a, [])) == "[]"
 
 
 def test_render_json_float_style():

@@ -1,4 +1,6 @@
-"""The JSON renderer against a one-call-per-node reference renderer."""
+"""The JSON renderer against a one-call-per-node reference renderer, and
+the element emitter against documents built in the test and rendered by
+that reference."""
 
 import json
 import math
@@ -9,8 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from jspec.algebra import (
+    ComplexHermitian,
+    Element,
+    ProductAlgebra,
+    RealSymmetric,
+    SpinFactor,
+    matrix_of,
+)
 from jspec.errors import NumericError
-from jspec.io import render_json
+from jspec.io import _element_texts, emit_algebra, emit_element, parse_element, render_json
 
 
 def oracle(value) -> str:
@@ -55,7 +65,7 @@ numpy_values = st.one_of(
 )
 leaves = st.one_of(finite_floats, ints, st.booleans(), st.none(), text, numpy_values)
 rows = st.one_of(
-    st.lists(finite_floats, max_size=6),  # the one-format-call fast path
+    st.lists(finite_floats, max_size=6),
     st.lists(st.one_of(finite_floats, ints), max_size=6),
     st.lists(st.booleans(), max_size=4),
 )
@@ -63,8 +73,8 @@ rows = st.one_of(
 
 @st.composite
 def float_matrices(draw):
-    """A list of float rows: equal-length (one format call per matrix),
-    possibly empty, or made ragged, or given one int or -0.0 cell."""
+    """A list of float rows: equal-length, possibly empty, or made ragged,
+    or given one int or -0.0 cell."""
     cols = draw(st.integers(0, 5))
     matrix = draw(st.lists(st.lists(finite_floats, min_size=cols, max_size=cols), max_size=5))
     if matrix and cols:
@@ -174,3 +184,101 @@ def test_non_finite_cell_of_a_matrix_raises_like_reference(matrix, data):
 )
 def test_float_matrix_cases(matrix):
     assert render_json(matrix) == oracle(matrix)
+
+
+# ---------------------------------------------------------------------------
+# the element emitter
+
+MAX = 1.7976931348623157e308
+EMITTED_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS + [MAX, -MAX]), finite_floats)
+simple_algebras = st.one_of(
+    st.integers(1, 3).map(RealSymmetric),
+    st.integers(1, 3).map(ComplexHermitian),
+    st.integers(3, 4).map(SpinFactor),
+)
+# a product of products flattens, so nesting reaches the same factor lists
+algebras = st.recursive(
+    simple_algebras,
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(lambda fs: ProductAlgebra(tuple(fs))),
+    max_leaves=4,
+)
+
+
+def factor_blocks(a, coords):
+    """Each factor of a product with its block of coords [..., dim]."""
+    offs = np.cumsum([0] + [f.dim for f in a.factors])
+    return [(f, coords[..., i:j]) for f, i, j in zip(a.factors, offs, offs[1:])]
+
+
+def reference_doc(a, coords) -> dict:
+    """The element document as a tree built from `matrix_of(...).tolist()`."""
+    if isinstance(a, RealSymmetric):
+        data = matrix_of(a, coords).tolist()
+    elif isinstance(a, ComplexHermitian):
+        m = matrix_of(a, coords)
+        data = {"re": m.real.tolist(), "im": m.imag.tolist()}
+    elif isinstance(a, SpinFactor):
+        data = {"x0": float(coords[0]), "xbar": coords[1:].tolist()}
+    else:
+        data = {"factors": [reference_doc(f, c) for f, c in factor_blocks(a, coords)]}
+    return {"alg": emit_algebra(a), "data": data}
+
+
+def reference_numbers(a, coords) -> np.ndarray:
+    """The matrix entries of the matrix factors of the rows of coords."""
+    if isinstance(a, (RealSymmetric, ComplexHermitian)):
+        return matrix_of(a, coords).view(float).ravel()
+    if isinstance(a, SpinFactor):
+        return np.zeros(0)
+    return np.concatenate([reference_numbers(f, c) for f, c in factor_blocks(a, coords)])
+
+
+@st.composite
+def element_stacks(draw, min_rows=0):
+    a = draw(algebras)
+    rows = draw(st.integers(min_rows, 3))
+    return a, draw(hnp.arrays(np.float64, (rows, a.dim), elements=EMITTED_FLOATS))
+
+
+@settings(max_examples=30, deadline=None)
+@given(element_stacks())
+def test_emitter_matches_reference(stack):
+    a, coords = stack
+    expected = [oracle(reference_doc(a, row)) for row in coords]
+    assert _element_texts(a, coords) == expected
+    assert render_json(_element_texts(a, coords)) == oracle([reference_doc(a, c) for c in coords])
+    for row, text in zip(coords, expected):
+        assert render_json(emit_element(Element(a, row))) == text
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 1j * inf in matrix_of
+@settings(max_examples=25, deadline=None)
+@given(element_stacks(min_rows=1), st.data())
+def test_emitter_names_the_first_non_finite_in_document_order(stack, data):
+    a, coords = stack
+    for _ in range(data.draw(st.integers(1, 2))):
+        i, j = data.draw(st.integers(0, len(coords) - 1)), data.draw(st.integers(0, a.dim - 1))
+        coords[i, j] = data.draw(st.sampled_from(NON_FINITE))
+    expected = outcome(oracle, [reference_doc(a, row) for row in coords])
+    assert expected[0] is NumericError
+    assert outcome(lambda c: render_json(_element_texts(a, c)), coords) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(element_stacks(min_rows=1))
+def test_emitted_element_parses_back(stack):
+    # symmetrizing (m + m.T) / 2 on read overflows past MAX / 2, which the
+    # parser rejects as non-finite; every other element comes back bit for
+    # bit up to the sign of a zero, which the matrix kinds do not keep
+    a, coords = stack
+    x = Element(a, coords[0])
+    doc = emit_element(x)
+    if (np.abs(reference_numbers(a, coords[:1])) > MAX / 2).any():
+        with pytest.raises(ValueError, match="finite"):
+            parse_element(doc)
+        return
+    back = parse_element(doc)
+    assert np.array_equal(back.coords, x.coords)  # equal values: equal bits, but for the sign of 0
+    if isinstance(a, SpinFactor):  # no matrix in between: zeros keep their sign too
+        assert np.array_equal(back.coords.view(np.int64), x.coords.view(np.int64))
+

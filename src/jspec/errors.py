@@ -7,12 +7,12 @@ numerical failures exit 3, and violated mathematical hypotheses exit 4.
 FLOAT_BUDGET = 2**26
 """Most floats (512 MiB of float64) that one stacked array may hold: the
 Haar draws of an orbit sample, a path's representation matrices and a
-`connect` stack, the candidate rows of a pointedness probe, the
-candidates and the NNLS stack of a certificate audit, a finite set's
-margin stacks, and the n! orbit, frame and composition of `components`.
-Each is checked before it is allocated, so an oversized request (a huge
-`--count`, `--samples` or `--steps`, too many generators or finite-set
-points, a huge algebra) is an input error, never an allocation."""
+`connect` stack, the candidate rows of a pointedness probe, the candidates
+and the NNLS stack of a certificate audit, a finite set's margin stacks, and
+the factor-block assignments, frame and composition of `components`.  Each
+is checked before it is allocated, so an oversized request (a huge `--count`,
+`--samples` or `--steps`, too many generators or finite-set points, a huge
+algebra) is an input error, never an allocation."""
 
 
 def check_float_budget(floats: int, what: str):

@@ -297,46 +297,44 @@ def connect(
 # components of finite spectral sets
 
 
-def _fmt_vec(v: np.ndarray) -> str:
-    return "[" + ", ".join(format(float(t), ".12g") for t in v) + "]"
-
-
 def components_finite(sset: SpectralSet) -> list[SpectralComponent]:
     """Arcwise connected components of the spectral set of a finite Q.
 
-    Simple algebra: one component per sorted point of Q, the full
-    eigenvalue orbit of that vector.  Product algebra: one component per
-    distinct assignment of eigenvalues to factors (block-sorted), each a
-    restricted orbit; these are pairwise disjoint compact sets, hence
-    genuinely separate components.  Only the product case builds the n!
-    orbit of the points, for rank n <= 8; each stack is budgeted first.
+    One component per distinct split of a sorted point of Q into the factor
+    blocks, each sorted: a restricted orbit, on a simple algebra (one block)
+    the eigenvalue orbit of the point.  These are pairwise disjoint compact
+    sets, hence separate components.  The n! / (r_1! ... r_m!) assignments
+    of positions to blocks of ranks r_i, the frame and the composition are
+    each budgeted before they are built.
     """
     points = sset.q.points
     if points is None:
         raise ValueError("component enumeration needs a finite set")
-    a = sset.algebra
-    if a.is_simple():
-        reps = points
-        descriptions = [f"eigenvalue orbit of {_fmt_vec(rep)}" for rep in reps]
-    else:
-        n, k = a.rank, len(points)
-        if n > 8:
-            raise ValueError(f"product components build the n! orbit and need n <= 8, got n = {n}")
-        check_float_budget(k * math.factorial(n) * n, f"the orbit of {k} points in R^{n}")
-        orbit = points[:, list(itertools.permutations(range(n)))]
-        reps = _lex_unique(_block_sorted(orbit, a).reshape(-1, n))
-        offs = alg._rank_offsets(a)
-        descriptions = [
-            "restricted orbit with factor blocks "
-            + " | ".join(_fmt_vec(rep[i:j]) for i, j in zip(offs, offs[1:]))
-            for rep in reps
-        ]
+    a, k = sset.algebra, len(points)
+    offs = alg._rank_offsets(a)
+    n, sizes = a.rank, np.diff(offs).tolist()
+    count = math.prod(math.comb(n - i, r) for i, r in zip(offs, sizes))
+    check_float_budget(k * count * n, f"the {count} factor-block assignments of {k} points in R^{n}")
+    # rows of positions, block by block: each block takes increasing positions
+    # among those the earlier blocks left free
+    assign, free = np.empty((1, 0), dtype=np.intp), np.arange(n)[None, :]
+    for r in sizes:
+        m = free.shape[1]
+        picks = np.array(list(itertools.combinations(range(m), r)), dtype=np.intp)
+        # the complements of the picks, row for row: complement reverses lex order
+        rest = np.array(list(itertools.combinations(range(m), m - r)), dtype=np.intp)[::-1]
+        assign = np.hstack([np.repeat(assign, len(picks), axis=0), free[:, picks].reshape(-1, r)])
+        free = free[:, rest].reshape(len(assign), m - r)
+    # a sorted point read at increasing positions keeps each block sorted
+    reps = _lex_unique(points[:, assign].reshape(-1, n))
+    template = "eigenvalue orbit of " if a.is_simple() else "restricted orbit with factor blocks "
+    template += " | ".join("[" + ", ".join(["%.12g"] * r) + "]" for r in sizes)
     # the n x n frame and each composition stack [k, n, n], real or complex
     k = len(reps)
     check_float_budget(2 * k * a.dim, f"the composition of {k} components in dimension {a.dim}")
     return [
-        SpectralComponent(representative=rep, element=Element(a, c), description=text)
-        for rep, c, text in zip(reps, _compose(reps, canonical_frame(a)), descriptions)
+        SpectralComponent(representative=rep, element=Element(a, c), description=template % tuple(q))
+        for rep, q, c in zip(reps, reps.tolist(), _compose(reps, canonical_frame(a)))
     ]
 
 

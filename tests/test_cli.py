@@ -531,6 +531,52 @@ def test_connect_stdout_bytes_are_pinned(tmp_path, capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+_COMPONENTS_DIGESTS = {
+    "sym4": (
+        [[3, 1, 1, -0.0], [0.1, 2.5, -1, 1e-7]],
+        {"kind": "sym", "n": 4},
+        "df3b80b0b1c03bc2bf0fa7a3da3fa13e4d9034d0296bcdf2f2f6d3e0be45522c",
+    ),
+    "herm3": (
+        [[1.5, -2, 0.25], [0.30000000000000004, 0.1, 2]],
+        {"kind": "herm", "n": 3},
+        "fa842000246a56459efb83c5e861694c5ea40b360fbd43e86dc22d3d48af8efd",
+    ),
+    "sym2xspin3-repeated": (
+        [[2, 2, 1, 0]],
+        {"kind": "product", "factors": [{"kind": "sym", "n": 2}, {"kind": "spin", "d": 3}]},
+        "4a08774faa104be8e505618dc1e6d3587f53301749d7435a7bdb30551e4032dd",
+    ),
+    "sym3xsym1xherm2-signed-zero": (
+        [[1, -0.0, 0.5, 0.5, -1.25, 0.0]],
+        {"kind": "product", "factors": [{"kind": "sym", "n": 3}, {"kind": "sym", "n": 1},
+                                        {"kind": "herm", "n": 2}]},
+        "0cfb8b229e1067cf2a0621d76cc8b93e74ddb448cb7e0f7195bf5e7a99b3556f",
+    ),
+    "r4-two-points": (
+        [[1, 2, 3, 4], [0.1, 0.2, 0.2, -0.0]],
+        {"kind": "product", "factors": [{"kind": "sym", "n": 1}] * 4},
+        "1dc0da7666b6cfe88ced4ac062946f9497fccf7cbb6c417dcb1b00b9834a38f6",
+    ),
+    "spin4xherm2-two-points": (
+        [[0.7, -0.0, 1e-3, 2.5], [1, 1, 1, 1]],
+        {"kind": "product", "factors": [{"kind": "spin", "d": 4}, {"kind": "herm", "n": 2}]},
+        "93e512f90ecb65ae6cd86244ca97789def5d67ff61381e1b907b954543d0b15c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COMPONENTS_DIGESTS))
+def test_components_stdout_bytes_are_pinned(tmp_path, capsys, case):
+    # byte identity of `components` stdout over simple and product algebras,
+    # with repeated entries, -0.0 and two points
+    points, algebra_doc, digest = _COMPONENTS_DIGESTS[case]
+    argv = ["components", write_json(tmp_path, "set.json", {"set": "finite", "points": points}),
+            write_json(tmp_path, "alg.json", algebra_doc)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def _connect_one_sample_at_a_time(x, y, q_path, steps):
     """The samples of connect's three legs, each built on its own, as connect
     did before it was one stack: orbit legs, then one compose_theta per point
@@ -735,13 +781,13 @@ def test_float_budget_bounds_the_nnls_stack(tmp_path, capsys, monkeypatch):
 
 
 def test_finite_orbit_over_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # 8! permutations of a point with distinct entries, 8 floats each: only
-    # product `components` builds that orbit, parsing the set never does
+    # 8! assignments of a point with distinct entries to the 8 scalar blocks
+    # of R^8, 8 floats each: only `components` builds them, parsing never does
     r8 = coordinate_algebra(8)
     write_json(tmp_path, "set.json", {"set": "finite", "points": [list(range(8))]})
     write_json(tmp_path, "x.json", emit_element(Element(r8, np.arange(8.0))))
     write_json(tmp_path, "r8.json", emit_algebra(r8))
-    # the same orbit, which block-sorts to 8 components rather than 8!
+    # the same point over blocks of ranks 7 and 1 has 8 assignments, not 8!
     s7s1 = {"kind": "product", "factors": [{"kind": "sym", "n": 7}, {"kind": "sym", "n": 1}]}
     write_json(tmp_path, "s7s1.json", s7s1)
     monkeypatch.chdir(tmp_path)
@@ -755,17 +801,19 @@ def test_finite_orbit_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["components", "set.json", "r8.json"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "the orbit of 1 points in R^8 would hold" in err
+    assert "the 40320 factor-block assignments of 1 points in R^8 would hold 322560 floats" in err
 
 
 def test_finite_set_over_sym9_is_served(tmp_path, capsys, monkeypatch):
-    # the n <= 8 cap belongs to product components alone: a finite set over
-    # sym(9) parses, and member, connect and simple components exit 0
+    # no rank cap: a finite set over sym(9) parses, and member, connect and
+    # components exit 0, over sym(9) and over the rank-9 product sym4 x sym5
     sym9 = RealSymmetric(9)
     write_json(tmp_path, "set.json", {"set": "finite", "points": [list(range(9))]})
     for name, q in (("x.json", np.arange(9.0)), ("y.json", np.arange(9.0)[::-1])):
         write_json(tmp_path, name, emit_element(element_from_sym(sym9, np.diag(q))))
     write_json(tmp_path, "sym9.json", emit_algebra(sym9))
+    s4s5 = {"kind": "product", "factors": [{"kind": "sym", "n": 4}, {"kind": "sym", "n": 5}]}
+    write_json(tmp_path, "s4s5.json", s4s5)
     write_json(tmp_path, "r9.json", emit_algebra(coordinate_algebra(9)))
     monkeypatch.chdir(tmp_path)
     assert cli.main(["member", "set.json", "x.json"]) == 0
@@ -775,11 +823,39 @@ def test_finite_set_over_sym9_is_served(tmp_path, capsys, monkeypatch):
     assert cli.main(["components", "set.json", "sym9.json"]) == 0
     (comp,) = json.loads(capsys.readouterr().out)["components"]
     assert comp["representative"] == list(range(8, -1, -1))
-    # product components build the 9! orbit, which stays refused
+    # C(9, 4) = 126 ways to split nine distinct entries into blocks of 4 and 5
+    assert cli.main(["components", "set.json", "s4s5.json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["components"]) == 126
+    # R^9 is refused by the float budget alone, at 9! assignments x 9 floats
+    monkeypatch.setattr(errors, "FLOAT_BUDGET", 362880 * 9 - 1)
     assert cli.main(["components", "set.json", "r9.json"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "need n <= 8, got n = 9" in err
+    assert "the 362880 factor-block assignments of 1 points in R^9 would hold" in err
+
+
+def test_components_beyond_rank_8_are_the_block_splits(tmp_path, capsys, monkeypatch):
+    # sym6 x sym6 and twelve distinct entries: one component per choice of
+    # the six entries of the first block, each block sorted, no two equal
+    point = [3.5, -1.0, 0.0, 7.25, 2.0, 1e-3, -4.0, 11.0, 0.5, 6.0, -2.5, 9.0]
+    s6s6 = {"kind": "product", "factors": [{"kind": "sym", "n": 6}] * 2}
+    write_json(tmp_path, "set.json", {"set": "finite", "points": [point]})
+    write_json(tmp_path, "s6s6.json", s6s6)
+    write_json(tmp_path, "r12.json", emit_algebra(coordinate_algebra(12)))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["components", "set.json", "s6s6.json"]) == 0
+    reps = [c["representative"] for c in json.loads(capsys.readouterr().out)["components"]]
+    assert len(reps) == 924
+    for rep in reps:
+        assert sorted(rep) == sorted(point)
+        assert rep[:6] == sorted(rep[:6], reverse=True)
+        assert rep[6:] == sorted(rep[6:], reverse=True)
+    assert all(p < q for p, q in zip(reps, reps[1:]))  # distinct, lexicographic
+    # R^12 has 12! assignments, refused before any is built
+    assert cli.main(["components", "set.json", "r12.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "the 479001600 factor-block assignments of 1 points in R^12 would hold" in err
 
 
 def test_components_composition_is_budgeted_before_the_frame(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -335,6 +337,64 @@ def test_components_compose_like_compose_theta(algebra):
     assert len(comps) >= 2
     for c in comps:
         assert np.array_equal(c.element.coords, compose_theta(c.representative, frame).coords)
+
+
+def _components_by_permutations(algebra, points):
+    """Representatives and descriptions as the n! orbit gave them: every
+    permutation of each sorted point, each factor block sorted, as a sorted
+    set, described with `format(.12g)`."""
+    sizes = [algebra.rank] if algebra.is_simple() else [f.rank for f in algebra.factors]
+    offs = np.cumsum([0] + sizes)
+    rows = {
+        tuple(t for i, j in zip(offs, offs[1:]) for t in sorted(perm[i:j], reverse=True))
+        for p in make_finite_orbit(points).points
+        for perm in itertools.permutations(p.tolist())
+    }
+    reps = sorted(rows)
+
+    def fmt(v):
+        return "[" + ", ".join(format(float(t), ".12g") for t in v) + "]"
+
+    if algebra.is_simple():
+        return reps, [f"eigenvalue orbit of {fmt(rep)}" for rep in reps]
+    return reps, [
+        "restricted orbit with factor blocks "
+        + " | ".join(fmt(rep[i:j]) for i, j in zip(offs, offs[1:]))
+        for rep in reps
+    ]
+
+
+_FACTORS = st.one_of(
+    st.integers(1, 4).map(RealSymmetric),
+    st.integers(1, 3).map(ComplexHermitian),
+    st.integers(3, 5).map(SpinFactor),
+)
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1 / 3, 0.1 + 0.2, 1e-300, -7e12])
+
+
+@st.composite
+def _finite_components_cases(draw):
+    factors = draw(st.lists(_FACTORS, min_size=1, max_size=4).filter(
+        lambda fs: sum(f.rank for f in fs) <= 7))
+    simple = len(factors) == 1 and draw(st.booleans())
+    algebra = factors[0] if simple else ProductAlgebra(tuple(factors))
+    point = st.lists(_ENTRIES, min_size=algebra.rank, max_size=algebra.rank)
+    return algebra, draw(st.lists(point, min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_finite_components_cases())
+@example((ProductAlgebra((RealSymmetric(3), SpinFactor(4), RealSymmetric(2))),
+          [[1.0, -0.0, 2.5, 2.5, 0.0, 1 / 3, -1.0], [0.0] * 7, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]]))
+def test_components_match_the_permutation_orbit(case):
+    # the factor-block assignments give the representatives bit for bit, with
+    # no -0.0, and the descriptions character for character
+    algebra, points = case
+    reps, descriptions = _components_by_permutations(algebra, points)
+    comps = components_finite(SpectralSet(algebra, make_finite_orbit(points)))
+    assert [c.description for c in comps] == descriptions
+    assert [c.representative.tobytes() for c in comps] == [np.array(r).tobytes() for r in reps]
+    assert not any(np.signbit(c.representative[c.representative == 0]).any() for c in comps)
 
 
 def test_components_need_finite_flag():

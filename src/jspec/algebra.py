@@ -167,11 +167,11 @@ class ProductAlgebra(Algebra):
             raise ValueError("a product algebra needs at least one factor")
         object.__setattr__(self, "factors", tuple(flat))
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return sum(f.rank for f in self.factors)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(f.dim for f in self.factors)
 
@@ -265,9 +265,9 @@ def matrix_of(a: Algebra, coords) -> np.ndarray:
     if isinstance(a, RealSymmetric):
         values = c + 0.0  # a stored -0.0 unpacks as +0.0
     else:  # Re (i, j) slots hold entry (i, j), the Im slots entry (j, i)
-        z = c[lay.low] + 1j * c[lay.low + 1]
         values = c.astype(complex)
-        values[lay.low], values[lay.low + 1] = z, z.conj()
+        values.imag[lay.low] = c[lay.low + 1]  # in place, not 1j * c: zeros keep their sign
+        values[lay.low + 1] = values[lay.low].conj()
     return np.ascontiguousarray(values[lay.full.T].T)
 
 

@@ -171,7 +171,8 @@ def _parse_element_data(a: Algebra, data) -> Element:
             raise ValueError(f"element: re part not symmetric (deviation {sk_re:.3e})")
         if sk_im > SYMMETRY_TOL:
             raise ValueError(f"element: im part not antisymmetric (deviation {sk_im:.3e})")
-        m = (re + re.T) / 2.0 + 1j * (im - im.T) / 2.0
+        m = np.empty(re.shape, dtype=complex)  # parts set in place: zeros keep their sign
+        m.real, m.imag = (re + re.T) / 2.0, (im - im.T) / 2.0
         return alg.element_from_herm(a, m)
     if isinstance(a, SpinFactor):
         x0 = parse_numbers(_need(data, "x0", "element"), "element x0")

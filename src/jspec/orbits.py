@@ -360,27 +360,17 @@ class PathPolyline:
         return math.sqrt(max(0.0, float(np.vecdot(alg._inner_weights(self.algebra) * d, d).max())))
 
 
-def _orbit_leg(x: Element, y: Element, qx: np.ndarray, qy: np.ndarray, steps: int) -> np.ndarray:
-    """Coordinates [steps, dim] of the orbit path from x to y, whose
-    eigenvalue blocks (one per factor of a product) qx and qy must match:
-    the frame of x is transported onto the frame of y (aligned by the shared
-    non-increasing eigenvalue order; within an exactly degenerate block any
-    alignment reaches the same endpoint) along an identity-component path."""
+def _orbit_leg(x: Element, f_x: JordanFrame, f_y: JordanFrame, steps: int) -> np.ndarray:
+    """Coordinates [steps, dim] of the orbit path of x along the
+    identity-component transport of its frame f_x onto f_y, listed idempotent
+    onto listed idempotent: the path ends at x's eigenvalue blocks composed
+    in f_y (within an exactly degenerate block any alignment reaches the
+    same endpoint).  A product joins its factor legs side by side, taking
+    the factor frames from each frame's `basis`."""
     a = x.algebra
-    product = isinstance(a, ProductAlgebra)
-    offs = alg._rank_offsets(a)
-    blocks = [slice(i, j) for i, j in zip(offs, offs[1:])]
-    for k, b in enumerate(blocks):  # every factor before any leg
-        if not np.max(np.abs(qx[b] - qy[b])) <= EIG_MATCH_TOL:
-            raise OrbitMismatchError(
-                f"factor {k} has mismatched eigenvalues; endpoints are in different restricted orbits"
-                if product else "endpoints have different eigenvalues; they lie in different orbits"
-            )
-    if product:
-        parts = zip(alg.split_product(x), alg.split_product(y), blocks)
-        return np.concatenate([_orbit_leg(xi, yi, qx[b], qy[b], steps) for xi, yi, b in parts], axis=-1)
-    f_x, _ = spectral_decompose(x)
-    f_y, _ = spectral_decompose(y)
+    if isinstance(a, ProductAlgebra):
+        parts = zip(alg.split_product(x), f_x.basis, f_y.basis)
+        return np.concatenate([_orbit_leg(xi, fi, gi, steps) for xi, fi, gi in parts], axis=-1)
     path = g_path(frame_transport(f_x, f_y))
     return _act(a, path.matrices(np.linspace(0.0, 1.0, steps)), x)
 
@@ -390,8 +380,19 @@ def _orbit_polyline(x: Element, y: Element, steps: int) -> PathPolyline:
         raise AlgebraMismatchError("endpoints live in different algebras")
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    qx, qy = _eigenvalue_blocks(x.algebra, np.stack([x.coords, y.coords]))
-    return PathPolyline(x.algebra, _orbit_leg(x, y, qx, qy, steps), EIG_MATCH_TOL)
+    a = x.algebra
+    product = isinstance(a, ProductAlgebra)
+    qx, qy = _eigenvalue_blocks(a, np.stack([x.coords, y.coords]))
+    offs = alg._rank_offsets(a)
+    blocks = [slice(i, j) for i, j in zip(offs, offs[1:])]
+    for k, b in enumerate(blocks):  # every factor before any leg
+        if not np.max(np.abs(qx[b] - qy[b])) <= EIG_MATCH_TOL:
+            raise OrbitMismatchError(
+                f"factor {k} has mismatched eigenvalues; endpoints are in different restricted orbits"
+                if product else "endpoints have different eigenvalues; they lie in different orbits"
+            )
+    leg = _orbit_leg(x, spectral_decompose(x)[0], spectral_decompose(y)[0], steps)
+    return PathPolyline(a, leg, EIG_MATCH_TOL)
 
 
 def orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:

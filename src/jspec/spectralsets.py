@@ -29,7 +29,7 @@ from .errors import (
 )
 from .nnls import _nnls_rows
 from .orbits import PathPolyline, _orbit_coords, _orbit_leg
-from .permsets import PermSet, _lex_unique, down_member
+from .permsets import PermSet, _lex_unique
 from .spectral import (
     _compose,
     _eigenvalue_blocks,
@@ -153,7 +153,7 @@ def factor_blocks(x: Element) -> np.ndarray:
     return _eigenvalue_blocks(x.algebra, x.coords)
 
 
-def _block_sorted(q: np.ndarray, a: ProductAlgebra) -> np.ndarray:
+def _block_sorted(q: np.ndarray, a: alg.Algebra) -> np.ndarray:
     """Each factor block of the rows q [..., rank] sorted non-increasing."""
     offs = alg._rank_offsets(a)
     blocks = [np.sort(q[..., i:j], axis=-1)[..., ::-1] for i, j in zip(offs, offs[1:])]
@@ -200,20 +200,20 @@ def connect(
 ) -> PathPolyline:
     """Constructive path witness from x to y inside the spectral set.
 
-    Three legs: an orbit path from x to the canonical-frame composition of
-    its eigenvalues, a sweep of the canonical frame along a path of
-    coefficient vectors, and an orbit path down to y.  On a simple algebra
-    the coefficient path defaults to the segment between the sorted
-    eigenvalue vectors (valid when Q is convex, or degenerately when the
-    endpoints share eigenvalues); otherwise the caller supplies `q_path`
-    vertices, which must stay in the sorted slice of Q.  On a product
-    algebra the orbit legs are restricted-orbit paths, `q_path` runs through
-    Q itself, its endpoints must equal the per-factor-sorted eigenvalue
-    blocks of x and y, and vertices are normalized per factor block before
-    use.  Every emitted sample is audited for membership at `tolerance`,
-    which must be finite and nonnegative.  The path is one coordinate stack:
-    x and y are diagonalized once, the sweep is one stacked composition and
-    the audit one eigenvalue pass.
+    Three legs, the orbit legs restricted to the factor blocks (a simple
+    algebra is one block): an orbit leg from x to the canonical-frame
+    composition of its eigenvalue blocks, a sweep of that frame along a path
+    of coefficient vectors, and an orbit leg from the composition of y's
+    blocks to y.  Without `q_path` the sweep takes the segment between the
+    blocks when they agree within `tolerance` or Q is flagged convex (Q is
+    permutation invariant, so the segment stays in Q); a finite Q then has
+    no path, and any other Q needs `q_path`, whose vertices are sorted per
+    block, must lie in Q, and must start and end at the blocks of x and y.
+    Every sample is audited for membership at `tolerance` (finite and
+    nonnegative).  The path is one coordinate stack: x and y are
+    diagonalized once, their frames are transported onto the canonical
+    frame, the sweep is one stacked composition and the audit one
+    eigenvalue pass.
     """
     if x.algebra != sset.algebra or y.algebra != sset.algebra:
         raise AlgebraMismatchError("endpoints must live in the set's algebra")
@@ -222,11 +222,10 @@ def connect(
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tolerance!r}")
     a = sset.algebra
-    simple = a.is_simple()
     # per-factor eigenvalue blocks of x and y; pooled and sorted for membership
     start_q, end_q = _eigenvalue_blocks(a, np.stack([x.coords, y.coords]))
     for name, q in (("x", start_q), ("y", end_q)):
-        if not sset.q.member(q if simple else sort_desc(q)):
+        if not sset.q.member(sort_desc(q)):
             raise InfeasiblePathError(
                 f"endpoint {name} is not a member of the spectral set",
                 clause="endpoint-membership",
@@ -235,21 +234,17 @@ def connect(
     if alg.distance(x, y) <= 1e-12 * scale:
         return PathPolyline(a, np.stack([x.coords, y.coords]), tolerance)
 
-    frame = canonical_frame(a)
-
     if q_path is None:
-        if float(np.abs(start_q - end_q).max()) <= tolerance or (simple and sset.q.convex):
+        if float(np.abs(start_q - end_q).max()) <= tolerance or sset.q.convex:
             vertices = [start_q, end_q]
-        elif not simple and sset.q.points is not None:
+        elif sset.q.points is not None:
             raise InfeasiblePathError(
                 "no coefficient path exists inside a finite set between "
                 "distinct factor-block assignments",
                 clause="no-path-in-finite-set",
             )
-        elif simple:
-            raise ValueError("q_path is required when Q is not flagged convex")
         else:
-            raise ValueError("q_path is required in product mode")
+            raise ValueError("q_path is required when Q is not flagged convex")
     else:
         vertices = [np.asarray(v, dtype=float) for v in q_path]
         if len(vertices) < 2:
@@ -257,20 +252,12 @@ def connect(
         for k, v in enumerate(vertices):
             if v.shape != (a.rank,):
                 raise ValueError(f"q_path vertex {k} must have length {a.rank}")
-        if simple:
-            for k, v in enumerate(vertices):
-                if not down_member(sset.q, v):
-                    raise InfeasiblePathError(
-                        f"q_path vertex {k} fails the sorted-membership test",
-                        clause="qpath-down-member",
-                    )
-        else:
-            vertices = _block_sorted(np.array(vertices), a)
-            for k, v in enumerate(vertices):
-                if not sset.q.member(v):
-                    raise InfeasiblePathError(
-                        f"q_path vertex {k} is not in Q", clause="qpath-membership"
-                    )
+        vertices = _block_sorted(np.array(vertices), a)
+        for k, v in enumerate(vertices):
+            if not sset.q.member(v):
+                raise InfeasiblePathError(
+                    f"q_path vertex {k} is not in Q", clause="qpath-membership"
+                )
         if float(np.abs(vertices[0] - start_q).max()) > tolerance or (
             float(np.abs(vertices[-1] - end_q).max()) > tolerance
         ):
@@ -281,14 +268,12 @@ def connect(
 
     # the coordinates, plus the audit's matrices (at most 2 * dim reals each)
     check_float_budget(3 * steps * 3 * a.dim, f"a connect path of {steps} steps per leg")
-    # one composition: both reference endpoints, then the sweep after its start
-    sweep = _interpolate_vertices(vertices, steps)[1:]
-    composed = _compose(np.vstack([start_q, end_q, sweep]), frame)
-    ref_start, ref_end = (Element(a, c) for c in composed[:2])
-    ref_q = _eigenvalue_blocks(a, composed[:2])
-    leg1 = _orbit_leg(x, ref_start, start_q, ref_q[0], steps)
-    leg3 = _orbit_leg(ref_end, y, ref_q[1], end_q, steps)
-    coords = np.concatenate([leg1, composed[2:], leg3[1:]])
+    # one composition: y's reference endpoint, then the sweep after its start
+    frame = canonical_frame(a)
+    composed = _compose(np.vstack([end_q, _interpolate_vertices(vertices, steps)[1:]]), frame)
+    leg1 = _orbit_leg(x, spectral_decompose(x)[0], frame, steps)
+    leg3 = _orbit_leg(Element(a, composed[0]), frame, spectral_decompose(y)[0], steps)
+    coords = np.concatenate([leg1, composed[1:], leg3[1:]])
     _audit_membership(sset, coords, tolerance)
     return PathPolyline(a, coords, tolerance)
 

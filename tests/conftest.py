@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,11 @@ PRODUCT_KINDS = [
 ]
 
 ALL_KINDS = SIMPLE_KINDS + PRODUCT_KINDS
+
+# the tests that start `python -m jspec.cli` import jspec from src/ in the
+# child too, as pytest's `pythonpath` setting makes this process do
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -403,6 +403,26 @@ def test_connect_coordinate_vectors_exit_4(tmp_path, run_cli):
     assert "no-path-in-finite-set" in proc.stderr
 
 
+def test_connect_product_convex_set_without_qpath(tmp_path, run_cli):
+    # a convex Q takes the segment between the factor blocks on a product too
+    set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 4, "m": 1})
+    x_path = write_json(tmp_path, "x.json", _sym2_spin3([[1.5, 0.5], [0.5, 1.5]], 1.5, [0.3, 0.4]))
+    y_path = write_json(tmp_path, "y.json", _sym2_spin3([[1.0, 0.2], [0.2, 1.0]], 1.0, [0.0, 0.6]))
+    proc = run_cli(["connect", set_path, x_path, y_path, "--steps", "5"])
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["samples"]) == 3 * 5 - 2
+
+
+def test_connect_distinct_orbits_of_a_finite_set_exit_4(tmp_path, run_cli):
+    set_path = write_json(tmp_path, "set.json", {"set": "finite", "points": [[1, 0, 0], [2, 0, 0]]})
+    x_path = write_json(tmp_path, "x.json", _sym([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    y_path = write_json(tmp_path, "y.json", _sym([[0, 0, 0], [0, 2, 0], [0, 0, 0]]))
+    proc = run_cli(["connect", set_path, x_path, y_path])
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "no-path-in-finite-set" in proc.stderr
+
+
 def test_connect_with_qpath_file(tmp_path, run_cli):
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 2, "m": 1})
     x = element_from_sym(RealSymmetric(2), np.diag([2.0, 1.0]))

@@ -51,11 +51,13 @@ from jspec import (
     unit_element,
 )
 from jspec import canonical_frame, compose_theta, custom_permset
-from jspec import spectralsets
+from jspec import spectral, spectralsets
+from jspec.algebra import matrix_of
+from jspec.spectral import _eigenvalue_blocks
 from jspec.nnls import _nnls_rows, nnls
 from jspec.spectralsets import NNLS_RESIDUAL, _numerical_rank
 
-from conftest import SIMPLE_KINDS, element_with_eigenvalues
+from conftest import ALL_KINDS, SIMPLE_KINDS, element_with_eigenvalues
 
 
 def psd_set(n):
@@ -213,25 +215,38 @@ def test_connect_explicit_qpath():
 
 
 def test_connect_qpath_vertex_outside_sorted_slice():
+    # an unsorted vertex is sorted, as on a product; a vertex outside Q and a
+    # wrong far endpoint are refused
     a = RealSymmetric(2)
     s = psd_set(2)
     x = element_from_sym(a, np.diag([2.0, 1.0]))
     y = element_from_sym(a, np.diag([4.0, 0.5]))
+    unsorted = connect(s, x, y, q_path=[[2.0, 1.0], [1.0, 3.0], [4.0, 0.5]], steps=6)
+    sorted_ = connect(s, x, y, q_path=[[2.0, 1.0], [3.0, 1.0], [4.0, 0.5]], steps=6)
+    assert np.array_equal(unsorted.coords, sorted_.coords)
     with pytest.raises(InfeasiblePathError) as info:
-        connect(s, x, y, q_path=[[2.0, 1.0], [1.0, 2.0], [4.0, 0.5]])  # unsorted vertex
-    assert info.value.clause == "qpath-down-member"
+        connect(s, x, y, q_path=[[2.0, 1.0], [-1.0, 3.0], [4.0, 0.5]])  # vertex outside Q
+    assert info.value.clause == "qpath-membership"
     with pytest.raises(InfeasiblePathError) as info:
         connect(s, x, y, q_path=[[2.0, 1.0], [3.0, 1.0]])  # wrong far endpoint
     assert info.value.clause == "qpath-endpoints"
 
 
 def test_connect_requires_qpath_for_nonconvex():
+    # a finite Q has no path between distinct orbits; a Q neither convex nor
+    # finite needs the caller's q_path
     a = RealSymmetric(3)
-    s = SpectralSet(a, make_finite_orbit([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
     x = element_from_sym(a, np.diag([1.0, 0.0, 0.0]))
     y = element_from_sym(a, np.diag([2.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
+    s = SpectralSet(a, make_finite_orbit([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+    with pytest.raises(InfeasiblePathError) as info:
         connect(s, x, y)
+    assert info.value.clause == "no-path-in-finite-set"
+    s = SpectralSet(a, custom_permset(3, lambda q: q.max() >= 0.5))
+    with pytest.raises(ValueError, match="q_path is required"):
+        connect(s, x, y)
+    path = connect(s, x, y, q_path=[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], steps=5)
+    assert distance(path.samples[-1], y) <= 1e-9
 
 
 def test_connect_coordinate_vectors_infeasible():
@@ -258,11 +273,18 @@ def test_connect_product_mode_with_qpath():
 
 
 def test_connect_product_mode_requires_qpath():
+    # a convex Q takes the segment between the factor blocks, as a simple
+    # algebra does; a Q neither convex nor finite still needs a q_path
     a = ProductAlgebra((RealSymmetric(2), RealSymmetric(1)))
     s = SpectralSet(a, make_rearrangement_cone(3, 1))
     x = Element(a, np.array([2.0, 0.0, 1.0, 3.0]))
     y = Element(a, np.array([1.0, 0.0, 4.0, 0.5]))
-    with pytest.raises(ValueError):
+    path = connect(s, x, y, steps=8)
+    segment = connect(s, x, y, q_path=[factor_blocks(x), factor_blocks(y)], steps=8)
+    assert np.array_equal(path.coords, segment.coords)
+    assert distance(path.samples[-1], y) <= 1e-9
+    s = SpectralSet(a, custom_permset(3, lambda q: q.max() >= 0.5))
+    with pytest.raises(ValueError, match="q_path is required"):
         connect(s, x, y)
 
 
@@ -278,6 +300,77 @@ def test_connect_product_same_restricted_orbit_without_qpath():
     if ss_member(s, x) and ss_member(s, y):
         path = connect(s, x, y, steps=10)
         assert distance(path.samples[-1], y) <= 1e-9
+
+
+def _two_members(algebra):
+    """Two members of the nonnegative rearrangement cone with distinct eigenvalues."""
+    q = 1.0 + np.arange(algebra.rank, dtype=float)[::-1]
+    return element_with_eigenvalues(algebra, q, 3), element_with_eigenvalues(algebra, 0.5 * q[::-1], 4)
+
+
+@pytest.mark.parametrize("algebra", SIMPLE_KINDS, ids=str)
+def test_connect_simple_algebra_is_one_factor_block(algebra):
+    one, q_set = ProductAlgebra((algebra,)), make_rearrangement_cone(algebra.rank, 1)
+    s, s_one = SpectralSet(algebra, q_set), SpectralSet(one, q_set)
+    x, y = _two_members(algebra)
+    x1, y1 = Element(one, x.coords), Element(one, y.coords)
+    mid = np.linspace(3.0, 1.0, algebra.rank)
+    q_path = [eigen_map(x), mid, eigen_map(y)]
+    for kw in ({}, {"q_path": q_path}):
+        path = connect(s, x, y, steps=7, **kw)
+        path_one = connect(s_one, x1, y1, steps=7, **kw)
+        assert np.array_equal(path.coords, path_one.coords)
+
+
+def _eigensolver_spy(monkeypatch):
+    calls = []
+    real = spectral._eigh_desc
+
+    def spy(m, vectors):
+        calls.append((np.array(m), vectors))
+        return real(m, vectors)
+
+    monkeypatch.setattr(spectral, "_eigh_desc", spy)
+    return calls
+
+
+@pytest.mark.parametrize("algebra", ALL_KINDS, ids=str)
+def test_connect_diagonalizes_only_its_endpoints(algebra, monkeypatch):
+    s = SpectralSet(algebra, make_rearrangement_cone(algebra.rank, 1))
+    x, y = _two_members(algebra)
+    product = isinstance(algebra, ProductAlgebra)
+    parts = zip(split_product(x), split_product(y)) if product else [(x, y)]
+    blocks = [(xi.algebra, (xi.coords, yi.coords)) for xi, yi in parts
+              if isinstance(xi.algebra, (RealSymmetric, ComplexHermitian))]
+    calls = _eigensolver_spy(monkeypatch)
+    steps = 6
+    connect(s, x, y, steps=steps)
+    full = [m for m, vectors in calls if vectors]
+    values = [m for m, vectors in calls if not vectors]
+    # eigh on x and on y per matrix factor, never on a reference endpoint
+    assert len(full) == 2 * len(blocks)
+    for f, b in blocks:
+        assert any(np.array_equal(m, matrix_of(f, b[0])) for m in full)
+        assert any(np.array_equal(m, matrix_of(f, b[1])) for m in full)
+    # two eigvalsh passes per factor of size 2 or more (a 1x1 factor is its
+    # own eigenvalue): the endpoints, then the audit of every sample
+    passes = [2, 3 * steps - 2] * sum(f.n >= 2 for f, _ in blocks)
+    assert sorted(len(m) for m in values) == sorted(passes)
+
+
+@pytest.mark.parametrize("algebra", ALL_KINDS, ids=str)
+def test_connect_orbit_legs_meet_the_sweep(algebra):
+    # leg 1 ends at the canonical-frame composition of x's eigenvalue blocks,
+    # and the sweep at that of y's, where leg 3 starts
+    s = SpectralSet(algebra, make_rearrangement_cone(algebra.rank, 1))
+    x, y = _two_members(algebra)
+    steps = 9
+    coords = connect(s, x, y, steps=steps).coords
+    frame = canonical_frame(algebra)
+    start_q, end_q = _eigenvalue_blocks(algebra, np.stack([x.coords, y.coords]))
+    scale = max(1.0, norm(x), norm(y))
+    assert np.abs(coords[steps - 1] - compose_theta(start_q, frame).coords).max() <= 1e-9 * scale
+    assert np.abs(coords[2 * steps - 2] - compose_theta(end_q, frame).coords).max() <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------

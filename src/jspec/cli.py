@@ -28,7 +28,7 @@ from .errors import (
 )
 from .orbits import _orbit_coords
 from .permsets import pointed_sample_check
-from .spectral import eigen_map, spectral_decompose
+from .spectral import _idempotent_coords, eigen_map, spectral_decompose
 from .spectralsets import SpectralSet
 
 _INPUT_ERRORS = (
@@ -86,7 +86,7 @@ def _cmd_decompose(args):
     frame, values = spectral_decompose(x)
     return {
         "lambda": values,
-        "frame": jio._element_texts(x.algebra, [e.coords for e in frame.idempotents]),
+        "frame": jio._element_texts(x.algebra, _idempotent_coords(frame)),
     }
 
 
@@ -137,10 +137,11 @@ def _cmd_components(args):
     algebra = jio.parse_algebra(_load(args.algebra))
     comps = ss.components_finite(SpectralSet(algebra, q_set))
     texts = jio._element_texts(algebra, [c.element.coords for c in comps])
+    reps = jio._float_rows([c.representative for c in comps])
     return {
         "components": [
-            {"representative": c.representative, "description": c.description, "element": text}
-            for c, text in zip(comps, texts)
+            {"representative": rep, "description": c.description, "element": text}
+            for c, rep, text in zip(comps, reps, texts)
         ]
     }
 

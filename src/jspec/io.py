@@ -6,10 +6,14 @@ coordinates): symmetry and antisymmetry are validated on read within
 SYMMETRY_TOL and the parse/emit round trip is value-exact.  Floats render
 with 17 significant digits (`%.17g`), which round-trips IEEE doubles.  The
 renderer dispatches on exact Python types.  Element documents have one
-emitter: per algebra, the `%` template of one document (descriptor text and
-one `%.17g` slot per number) is filled once per element of a coordinate
-stack, and the renderer writes that text unchanged; `emit_element` is the
-same text decoded.
+emitter, from coordinates: each coordinate is a distinct number of the
+document and is formatted once per element of a coordinate stack, the
+entries (i, j) and (j, i) of a symmetric pair share its text, and the upper
+Im of a Hermitian pair is the lower one's text with its sign flipped.  One
+cached plan per algebra gathers those texts into the `%s` slots of the
+document's template (descriptor text and one slot per number), and the
+renderer writes that text unchanged; `emit_element` is the same text
+decoded.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import functools
 import itertools
 import json
 import math
+import operator
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
@@ -202,43 +208,92 @@ class _Json(str):
     """JSON text that `_render` writes unchanged."""
 
 
-def _numbers(a: Algebra, coords: np.ndarray) -> np.ndarray:
-    """The numbers [k, slots] of the element documents of the rows of
-    coords [k, dim], in document order, the matrices by one `matrix_of`."""
-    if isinstance(a, (RealSymmetric, ComplexHermitian)):
-        m = alg.matrix_of(a, coords).reshape(len(coords), a.n * a.n)
-        return np.hstack([m.real, m.imag]) if np.iscomplexobj(m) else m
-    if isinstance(a, SpinFactor):
-        return coords
-    offs = alg._factor_offsets(a)
-    return np.hstack([_numbers(f, coords[:, i:j]) for f, i, j in zip(a.factors, offs, offs[1:])])
+_Plan = namedtuple("_Plan", "template row zero flip order gather")
 
 
 @functools.lru_cache(maxsize=64)
-def _template(a: Algebra) -> str:
-    """The `%` template of one element document of `a`: its descriptor
-    text and one `%.17g` slot per number, in the order of `_numbers`."""
-    if isinstance(a, (RealSymmetric, ComplexHermitian)):
-        data = [[_Json("%.17g")] * a.n] * a.n
-        if isinstance(a, ComplexHermitian):
-            data = {"re": data, "im": data}
+def _plan(a: Algebra) -> _Plan:
+    """How the element documents of `a` are written from coordinates.
+
+    Every coordinate is a distinct number of the document: `row` formats
+    the dim numbers `coords + zero` with `%.17g`, where `zero` holds +0.0 on
+    a real symmetric coordinate (a stored -0.0 unpacks as +0.0, as in
+    `matrix_of`) and -0.0 elsewhere (the sign is kept).  `flip` lists the
+    coordinates whose text is written again with its sign flipped: the
+    lower Im (i, j) of a Hermitian factor, whose upper Im (j, i) is its
+    negation.  `template` is the document with one `%s` slot per number
+    and the literal `0` of each Hermitian diagonal Im; `order` maps each
+    slot to the formatted texts followed by the flipped ones, and `gather`
+    is that map as one `itemgetter`.  A product concatenates its factors."""
+    if isinstance(a, ProductAlgebra):
+        plans = [_plan(f) for f in a.factors]
+        offs = alg._factor_offsets(a)
+        starts = np.cumsum([a.dim] + [len(p.flip) for p in plans])  # of each factor's flipped texts
+        zero = np.concatenate([p.zero for p in plans])
+        flip = tuple(i + o for p, o in zip(plans, offs) for i in p.flip)
+        order = np.concatenate([
+            np.where(p.order < f.dim, p.order + o, p.order - f.dim + k)
+            for p, f, o, k in zip(plans, a.factors, offs, starts)
+        ])
+        data = {"factors": [_Json(p.template) for p in plans]}
     elif isinstance(a, SpinFactor):
-        data = {"x0": _Json("%.17g"), "xbar": [_Json("%.17g")] * (a.d - 1)}
+        zero, flip, order = np.full(a.dim, -0.0), (), np.arange(a.dim)
+        data = {"x0": _Json("%s"), "xbar": [_Json("%s")] * (a.d - 1)}
+    elif isinstance(a, RealSymmetric):
+        zero, flip, order = np.zeros(a.dim), (), a._layout.full.ravel()
+        data = [[_Json("%s")] * a.n] * a.n
     else:
-        data = {"factors": [_Json(_template(f)) for f in a.factors]}
-    return _render({"alg": emit_algebra(a), "data": data})
+        # Re (i, j) and Re (j, i) are one coordinate; the lower Im (i, j) is
+        # the next one, and the upper Im (j, i), in its Im slot in `full`,
+        # takes the flipped text of that coordinate
+        lay, d = a._layout, np.arange(a.n)
+        upper, diag = d[:, None] < d, d[:, None] == d
+        flip = tuple((lay.low + 1).tolist())
+        flipped = np.zeros(a.dim, dtype=np.intp)
+        flipped[lay.low + 1] = a.dim + np.arange(lay.low.size)
+        im = np.where(upper, flipped[lay.full], lay.full + 1)
+        zero, order = np.full(a.dim, -0.0), np.concatenate([(lay.full - upper).ravel(), im[~diag]])
+        data = {
+            "re": [[_Json("%s")] * a.n] * a.n,
+            "im": [[_Json("0" if i == j else "%s") for j in range(a.n)] for i in range(a.n)],
+        }
+    template = _render({"alg": emit_algebra(a), "data": data})
+    return _Plan(template, "\x00".join(["%.17g"] * a.dim), zero, flip, order,
+                 operator.itemgetter(*order.tolist()))
 
 
 def _element_texts(a: Algebra, coords) -> list[_Json]:
     """JSON text of each element of `a` with coordinates a row of coords
-    [k, dim]: one finiteness check over the stack, then one `%` of the
-    algebra's template per row, so one row's floats are alive at a time."""
-    numbers = _numbers(a, np.asarray(coords, dtype=float).reshape(-1, a.dim))
-    bad = numbers[~np.isfinite(numbers)]  # in document order
+    [k, dim]: one finiteness check over the stack, then per row one `%`
+    that formats each distinct number once, and one `%` of the algebra's
+    template with the texts gathered into document order, so one row's
+    numbers are alive at a time."""
+    plan = _plan(a)
+    numbers = np.asarray(coords, dtype=float).reshape(-1, a.dim) + plan.zero
+    if not np.isfinite(numbers).all():
+        flipped = -numbers[:, np.array(plan.flip, dtype=np.intp)]
+        doc = np.hstack([numbers, flipped])[:, plan.order]
+        bad = doc[~np.isfinite(doc)]  # in document order
+        raise NumericError(f"cannot render the non-finite number {float(bad[0])!r} as JSON")
+    template, row_format, flip, gather = plan.template, plan.row, plan.flip, plan.gather
+    out = []
+    for row in numbers:
+        texts = (row_format % tuple(row.tolist())).split("\x00")
+        if flip:  # negating a finite double, 0.0 and -0.0 included, negates its text
+            texts += [t[1:] if t[0] == "-" else "-" + t for t in map(texts.__getitem__, flip)]
+        out.append(_Json(template % gather(texts)))
+    return out
+
+
+def _float_rows(rows) -> list[_Json]:
+    """JSON text of each row of floats [k, n], the text `_render` writes for
+    it: one finiteness check over the stack, then one `%.17g` row template."""
+    rows = np.asarray(rows, dtype=float)
+    bad = rows[~np.isfinite(rows)]
     if bad.size:
         raise NumericError(f"cannot render the non-finite number {float(bad[0])!r} as JSON")
-    template = _template(a)
-    return [_Json(template % tuple(row.tolist())) for row in numbers]
+    template = "[" + ", ".join(["%.17g"] * rows.shape[1]) + "]"
+    return [_Json(template % tuple(row.tolist())) for row in rows]
 
 
 def emit_element(x: Element) -> dict:

@@ -14,8 +14,9 @@ Matrix kinds are diagonalized by LAPACK through numpy (``eigvalsh`` /
 ``eigh``), whose ascending output is reversed, values and eigenvector
 columns together.  Degenerate eigenvalues admit many valid frames; this
 module returns the one LAPACK computes, in that reversed order, and never
-attempts a canonical choice; `eigen_map` reads a 1x1 matrix kind's
-eigenvalue off its coordinate, the value LAPACK returns for it.
+attempts a canonical choice.  `eigen_map` and `spectral_decompose` read a
+1x1 matrix kind's eigenvalue off its coordinate, with basis [[1]], the
+values LAPACK returns for it.
 Spin-factor elements with vanishing vector part use the first coordinate
 axis for their idempotent pair.
 """
@@ -138,21 +139,25 @@ class JordanFrame:
     @cached_property
     def idempotents(self) -> tuple[Element, ...]:
         """The listed idempotents as elements, built on first use."""
-        a = self.algebra
-        u = self.basis
-        if isinstance(a, ProductAlgebra):
-            zeros = [alg.zero_element(f) for f in a.factors]
-            by_pos = [
-                alg.join_product(a, zeros[:i] + [e] + zeros[i + 1 :])
-                for i, f in enumerate(u)
-                for e in f.idempotents
-            ]
-        elif isinstance(a, SpinFactor):
-            by_pos = [alg.element_from_spin(a, 0.5, s * 0.5 * u) for s in (1.0, -1.0)]
-        else:
-            outers = u.T[:, :, None] * u.T.conj()[:, None, :]  # u_k u_k^*, stacked over k
-            by_pos = [Element(a, c) for c in alg.coords_of(a, outers)]
-        return tuple(by_pos[k] for k in self.order)
+        return tuple(Element(self.algebra, c) for c in _idempotent_coords(self))
+
+
+def _idempotent_coords(frame: JordanFrame) -> np.ndarray:
+    """Coordinates [rank, dim] of the frame's listed idempotents: the stacked
+    outer products u_k u_k^* (matrix kinds), (1/2, +-u/2) (spin), or each
+    factor's idempotents in its block with zeros in the others (product)."""
+    a, u = frame.algebra, frame.basis
+    if isinstance(a, ProductAlgebra):
+        by_pos = np.zeros((a.rank, a.dim))
+        ranks, offs = alg._rank_offsets(a), alg._factor_offsets(a)
+        for f, r0, r1, c0, c1 in zip(u, ranks, ranks[1:], offs, offs[1:]):
+            by_pos[r0:r1, c0:c1] = _idempotent_coords(f)
+    elif isinstance(a, SpinFactor):
+        by_pos = np.column_stack([np.full(2, 0.5), np.array([[0.5], [-0.5]]) * u])
+    else:
+        outers = u.T[:, :, None] * u.T.conj()[:, None, :]  # u_k u_k^*, stacked over k
+        by_pos = alg.coords_of(a, outers)
+    return by_pos[frame.order]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +241,9 @@ def spectral_decompose(x: Element) -> tuple[JordanFrame, np.ndarray]:
         values = np.concatenate([v for _, v in parts])
         order = np.argsort(-values, kind="stable")
         return JordanFrame(a, tuple(f for f, _ in parts), order), values[order]
-    if isinstance(a, (RealSymmetric, ComplexHermitian)):
+    if isinstance(a, (RealSymmetric, ComplexHermitian)) and a.n == 1:
+        values, basis = _eigenvalue_blocks(a, x.coords), np.ones((1, 1))
+    elif isinstance(a, (RealSymmetric, ComplexHermitian)):
         values, basis = _eigh_desc(alg.matrix_of(a, x.coords), vectors=True)
     else:
         x0, xbar = alg.spin_parts(x)

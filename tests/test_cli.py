@@ -597,6 +597,44 @@ def test_components_stdout_bytes_are_pinned(tmp_path, capsys, case):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def _seeded_doc(kind, n, rng):
+    """An element document of a seeded Gaussian sym n, herm n or spin n,
+    written from numpy, not by the emitter."""
+    if kind == "spin":
+        v = rng.standard_normal(n)
+        return {"alg": {"kind": "spin", "d": n}, "data": {"x0": float(v[0]), "xbar": v[1:].tolist()}}
+    m = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if kind == "herm" else 0)
+    m = (m + m.conj().T) / 2.0
+    data = m.tolist() if kind == "sym" else {"re": m.real.tolist(), "im": m.imag.tolist()}
+    return {"alg": {"kind": kind, "n": n}, "data": data}
+
+
+# sha256 of decompose's stdout, recorded before the emitter formatted each
+# distinct number once; the frame follows numpy's bundled LAPACK on x86-64
+_DECOMPOSE_DIGESTS = {
+    "sym8": ([("sym", 8)], "9e0e90b5fd83958006fba9c672e81cd312d400f3952b17b1450daf1ed521f7dc"),
+    "herm5": ([("herm", 5)], "954c5a3eaefd3ccbf087dbe062dac3ab0ea153bbefbfc6146ce2412f92128a69"),
+    "sym3xherm2xspin4xsym1": (
+        [("sym", 3), ("herm", 2), ("spin", 4), ("sym", 1)],
+        "b1390167de74dd4970151e51348139b83111d6b741d72c6853d1876220d9f3ed",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DECOMPOSE_DIGESTS))
+def test_decompose_stdout_bytes_are_pinned(tmp_path, capsys, case):
+    # byte identity of the frame `decompose` prints: symmetric pairs, Hermitian
+    # Im signs, the zero blocks of a product and a 1x1 factor
+    factors, digest = _DECOMPOSE_DIGESTS[case]
+    rng = np.random.default_rng(14)
+    docs = [_seeded_doc(kind, n, rng) for kind, n in factors]
+    doc = docs[0] if len(docs) == 1 else {
+        "alg": {"kind": "product", "factors": [d["alg"] for d in docs]}, "data": {"factors": docs},
+    }
+    assert cli.main(["decompose", write_json(tmp_path, "x.json", doc)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def _connect_one_sample_at_a_time(x, y, q_path, steps):
     """The samples of connect's three legs, each built on its own, as connect
     did before it was one stack: orbit legs, then one compose_theta per point

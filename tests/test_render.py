@@ -20,7 +20,7 @@ from jspec.algebra import (
     matrix_of,
 )
 from jspec.errors import NumericError
-from jspec.io import _element_texts, emit_algebra, emit_element, parse_element, render_json
+from jspec.io import _element_texts, _float_rows, emit_algebra, emit_element, parse_element, render_json
 
 
 def oracle(value) -> str:
@@ -186,6 +186,14 @@ def test_float_matrix_cases(matrix):
     assert render_json(matrix) == oracle(matrix)
 
 
+@settings(max_examples=50, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+                  elements=st.one_of(finite_floats, st.sampled_from(NON_FINITE))))
+def test_float_rows_match_reference(rows):
+    # the rows a `components` representative is written with
+    assert outcome(lambda r: render_json(_float_rows(r)), rows) == outcome(oracle, rows)
+
+
 # ---------------------------------------------------------------------------
 # the element emitter
 
@@ -240,8 +248,24 @@ def element_stacks(draw, min_rows=0):
     return a, draw(hnp.arrays(np.float64, (rows, a.dim), elements=EMITTED_FLOATS))
 
 
+SYM7_HERM6_SPIN4 = ProductAlgebra((RealSymmetric(7), ComplexHermitian(6), SpinFactor(4)))
+
+
+def _signed_zeros(a, seed):
+    """Two rows of coordinates of `a` with +0.0 and -0.0 spread among them."""
+    coords = np.random.default_rng(seed).standard_normal((2, a.dim))
+    coords[0, ::5], coords[1, 1::7] = -0.0, 0.0
+    return coords
+
+
 @settings(max_examples=30, deadline=None)
 @given(element_stacks())
+# lower Im entries +0.0, -0.0, +0.0: the upper ones print -0, 0, -0
+@example((ComplexHermitian(3), np.array([[1.0, -0.0, 0.0, 2.0, 0.5, -0.0, 0.25, 0.0, -3.0]])))
+# -0.0 off the diagonal (and on it) prints 0, as `matrix_of` unpacks it
+@example((RealSymmetric(3), np.array([[1.0, -0.0, 2.0, -0.0, 0.5, -0.0], [-0.0] * 6])))
+# the strategy draws n <= 3 only
+@example((SYM7_HERM6_SPIN4, _signed_zeros(SYM7_HERM6_SPIN4, 7)))
 def test_emitter_matches_reference(stack):
     a, coords = stack
     expected = [oracle(reference_doc(a, row)) for row in coords]

@@ -87,6 +87,25 @@ def test_eigen_map_one_by_one_matches_lapack(kind):
             eigen_map(Element(kind, np.array([bad])))
 
 
+@pytest.mark.parametrize("kind", [RealSymmetric(1), ComplexHermitian(1)])
+def test_spectral_decompose_one_by_one_matches_lapack(kind, monkeypatch):
+    # a 1x1 factor's frame is [[1]] and its value its coordinate, as LAPACK
+    # returns them, sign of a zero included; LAPACK itself is not called
+    from jspec.algebra import matrix_of
+    from jspec.errors import NumericError
+
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e308, -2.5, 0.1]
+    lapack = [np.linalg.eigh(matrix_of(kind, [v])) for v in values]
+    monkeypatch.setattr(spectral, "_eigh_desc", None)
+    for v, (w, u) in zip(values, lapack):
+        frame, q = spectral_decompose(Element(kind, np.array([v])))
+        assert q.tobytes() == w.tobytes()
+        assert frame.basis.tobytes() == u.tobytes()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericError, match="non-finite entry"):
+            spectral_decompose(Element(kind, np.array([bad])))
+
+
 def test_eigen_map_product_pools_factors():
     a = ProductAlgebra((RealSymmetric(2), SpinFactor(3)))
     x = random_element(a, 3)

@@ -184,20 +184,15 @@ def coordinate_algebra(n: int) -> ProductAlgebra:
 
 
 @lru_cache(maxsize=None)
-def _factor_offsets(a: ProductAlgebra) -> tuple[int, ...]:
-    offs = [0]
-    for f in a.factors:
-        offs.append(offs[-1] + f.dim)
-    return tuple(offs)
-
-
-@lru_cache(maxsize=None)
-def _rank_offsets(a: Algebra) -> tuple[int, ...]:
-    """Bounds of each factor's block of eigenvalues; a simple kind is one block."""
-    offs = [0]
+def _blocks(a: Algebra) -> tuple[tuple[Algebra, slice, slice], ...]:
+    """The factor blocks of `a`: each factor with its slice of the
+    coordinates and its slice of the eigenvalues, in factor order; a simple
+    algebra is one block."""
+    out, dim, rank = [], 0, 0
     for f in a.factors if isinstance(a, ProductAlgebra) else (a,):
-        offs.append(offs[-1] + f.rank)
-    return tuple(offs)
+        out.append((f, slice(dim, dim + f.dim), slice(rank, rank + f.rank)))
+        dim, rank = dim + f.dim, rank + f.rank
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +201,18 @@ def _rank_offsets(a: Algebra) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Element:
-    """A point of the algebra: descriptor plus structural coordinates."""
+    """A point of the algebra: descriptor plus structural coordinates, kept
+    as a read-only float copy of the given real numbers (integers or floats;
+    complex, boolean, string or object data is refused, never coerced)."""
 
     algebra: Algebra
     coords: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.coords, dtype=float)
+        arr = np.asarray(self.coords)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"coordinates must be real numbers, got {arr.dtype} data")
+        arr = arr.astype(float)  # a copy: the caller's array stays its own
         if arr.shape != (self.algebra.dim,):
             raise ValueError(
                 f"expected {self.algebra.dim} coordinates for {self.algebra}, "
@@ -311,8 +311,7 @@ def split_product(x: Element) -> list[Element]:
     a = x.algebra
     if not isinstance(a, ProductAlgebra):
         raise AlgebraMismatchError("split_product needs a product-algebra element")
-    offs = _factor_offsets(a)
-    return [Element(f, x.coords[offs[i] : offs[i + 1]]) for i, f in enumerate(a.factors)]
+    return [Element(f, x.coords[c]) for f, c, _ in _blocks(a)]
 
 
 def join_product(a: ProductAlgebra, parts: list[Element]) -> Element:

@@ -226,14 +226,14 @@ def _plan(a: Algebra) -> _Plan:
     slot to the formatted texts followed by the flipped ones, and `gather`
     is that map as one `itemgetter`.  A product concatenates its factors."""
     if isinstance(a, ProductAlgebra):
+        blocks = alg._blocks(a)
         plans = [_plan(f) for f in a.factors]
-        offs = alg._factor_offsets(a)
         starts = np.cumsum([a.dim] + [len(p.flip) for p in plans])  # of each factor's flipped texts
         zero = np.concatenate([p.zero for p in plans])
-        flip = tuple(i + o for p, o in zip(plans, offs) for i in p.flip)
+        flip = tuple(i + c.start for p, (_, c, _) in zip(plans, blocks) for i in p.flip)
         order = np.concatenate([
-            np.where(p.order < f.dim, p.order + o, p.order - f.dim + k)
-            for p, f, o, k in zip(plans, a.factors, offs, starts)
+            np.where(p.order < f.dim, p.order + c.start, p.order - f.dim + k)
+            for p, (f, c, _), k in zip(plans, blocks, starts)
         ])
         data = {"factors": [_Json(p.template) for p in plans]}
     elif isinstance(a, SpinFactor):
@@ -334,8 +334,8 @@ def parse_qpath(doc) -> list[np.ndarray]:
 
 def parse_certificate(doc) -> DecompositionCertificate:
     parts = _need(doc, "parts", "certificate")
-    if not isinstance(parts, list):
-        raise ValueError("certificate: parts must be a list")
+    if not isinstance(parts, list) or not all(isinstance(part, list) for part in parts):
+        raise ValueError("certificate: parts must be a list, each part a list of element documents")
     return DecompositionCertificate(
         tuple(tuple(parse_element(g) for g in part) for part in parts)
     )

@@ -11,10 +11,12 @@ acting on the vector part of a spin factor with the leading coordinate fixed
 maps are deliberately excluded.
 
 Paths inside the identity component are realized by factoring the
-representation into plane rotations (plus diagonal phases in the unitary
-case) and scaling every angle by the path parameter, which avoids matrix
-logarithms entirely: any continuous path suffices for the connectivity
-witnesses built on top.
+representation into plane rotations and scaling every angle by the path
+parameter, which avoids matrix logarithms entirely: any continuous path
+suffices for the connectivity witnesses built on top.  One factorization
+serves every kind: each rotation carries a phase e = e^(i psi), -1.0 for a
+real rotation, and a unitary representation leaves diagonal phases that
+scale with the path parameter too.
 
 A path is a coordinate stack [k, dim]: an orbit leg is one `_act` over the
 stacked `GPath.matrices(ts)`, a product joins its factor legs side by side,
@@ -224,62 +226,48 @@ def frame_transport(e_frame: JordanFrame, f_frame: JordanFrame) -> Automorphism:
 # paths in the identity component
 
 
-def _factor_special_orthogonal(u: np.ndarray):
-    """Plane-rotation factorization u = G_1 ... G_k with every angle real.
+def _rotate_rows(m: np.ndarray, p: int, q: int, c, s, e) -> None:
+    """Apply the plane rotation [[c, s conj(e)], [-s e, c]] to rows p and q
+    of the matrices m [..., r, r] in place.  With e = -1.0 this is bitwise
+    the real rotation [[c, -s], [s, c]]: negation is exact."""
+    row_p = m[..., p, :].copy()
+    m[..., p, :] = c * row_p + (s * e.conjugate()) * m[..., q, :]
+    m[..., q, :] = (-s * e) * row_p + c * m[..., q, :]
 
-    Triangularizes with adjacent-row rotations; the leftover diagonal of
-    +/-1 entries has det +1, so its -1 entries pair up into half-turn plane
-    rotations appended at the end.
-    """
+
+def _factor_rotations(u: np.ndarray):
+    """Plane-rotation factorization u = G_1 ... G_k D of an orthogonal or
+    unitary u: the rotations (p, q, angle, e), triangularizing with adjacent
+    rows, and the phases of D.  A unitary u leaves unit phases on D; a real
+    u (every e = -1.0) leaves +/-1 entries with det +1, whose -1 entries
+    pair up into half-turns appended at the end, and no phases (None)."""
     m = u.copy()
     n = m.shape[0]
-    rots: list[tuple[int, int, float]] = []
+    unitary = np.iscomplexobj(m)
+    rots = []
     for j in range(n - 1):
         for i in range(n - 1, j, -1):
-            b = m[i, j]
+            b, a_piv = m[i, j], m[i - 1, j]
             if b == 0.0:
                 continue
-            phi = math.atan2(-b, m[i - 1, j])
-            c, s = math.cos(phi), math.sin(phi)
-            row_p = m[i - 1, :].copy()
-            m[i - 1, :] = c * row_p - s * m[i, :]
-            m[i, :] = s * row_p + c * m[i, :]
+            if not unitary:
+                theta, e = math.atan2(-b, a_piv), -1.0
+            elif a_piv == 0.0:
+                theta, e = math.pi / 2.0, complex(1.0, 0.0)  # psi = 0
+            else:
+                ratio = b / a_piv
+                psi = math.atan2(ratio.imag, ratio.real)
+                theta, e = math.atan(abs(ratio)), complex(math.cos(psi), math.sin(psi))
+            _rotate_rows(m, i - 1, i, math.cos(theta), math.sin(theta), e)
             m[i, j] = 0.0
-            rots.append((i - 1, i, -phi))
+            rots.append((i - 1, i, -theta, e))
+    if unitary:
+        return rots, np.angle(np.diagonal(m))
     negatives = [k for k in range(n) if m[k, k] < 0.0]
     if len(negatives) % 2 == 1:
         raise NumericError("orthogonal factorization left an odd sign count (det != +1)")
-    for k in range(0, len(negatives), 2):
-        rots.append((negatives[k], negatives[k + 1], math.pi))
-    return rots
-
-
-def _factor_unitary(u: np.ndarray):
-    """Complex plane-rotation factorization plus diagonal phases."""
-    m = u.copy()
-    n = m.shape[0]
-    rots: list[tuple[int, int, float, float]] = []
-    for j in range(n - 1):
-        for i in range(n - 1, j, -1):
-            b = m[i, j]
-            if b == 0.0:
-                continue
-            a_piv = m[i - 1, j]
-            if a_piv == 0.0:
-                theta, psi = math.pi / 2.0, 0.0
-            else:
-                ratio = b / a_piv
-                theta = math.atan(abs(ratio))
-                psi = math.atan2(ratio.imag, ratio.real)
-            c, s = math.cos(theta), math.sin(theta)
-            e_pos = complex(math.cos(psi), math.sin(psi))
-            row_p = m[i - 1, :].copy()
-            m[i - 1, :] = c * row_p + (s * e_pos.conjugate()) * m[i, :]
-            m[i, :] = (-s * e_pos) * row_p + c * m[i, :]
-            m[i, j] = 0.0
-            rots.append((i - 1, i, -theta, psi))
-    phases = np.angle(np.diagonal(m))
-    return rots, phases
+    rots += [(p, q, math.pi, -1.0) for p, q in zip(negatives[::2], negatives[1::2])]
+    return rots, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,8 +277,8 @@ class GPath:
     component by construction (angles and phases scale with t)."""
 
     algebra: Algebra
-    rotations: tuple  # (p, q, angle) or (p, q, angle, psi)
-    phases: np.ndarray | None
+    rotations: tuple  # (p, q, angle, e), e = -1.0 for a real rotation
+    phases: np.ndarray | None  # diagonal phases of a unitary target, else None
 
     def sample(self, t: float) -> Automorphism:
         return Automorphism(self.algebra, self.matrices([t])[0], True)
@@ -300,20 +288,15 @@ class GPath:
         each rotation is replayed once over the whole vector."""
         ts = np.asarray(ts, dtype=float)
         size = _rep_size(self.algebra)
-        unitary = isinstance(self.algebra, ComplexHermitian)
+        unitary = self.phases is not None
         check_float_budget(ts.size * size * size * (2 if unitary else 1), "a path's matrix stack")
         if unitary:
             m = np.zeros((ts.size, size, size), dtype=complex)
             m[:, range(size), range(size)] = np.exp((1j * ts)[:, None] * self.phases)
         else:
             m = np.tile(np.eye(size), (ts.size, 1, 1))
-        for p, q, angle, *psi in reversed(self.rotations):
-            c, s = np.cos(ts * angle)[:, None], np.sin(ts * angle)[:, None]
-            # a real plane rotation is the complex one with e^(i psi) = -1
-            e_pos = complex(math.cos(psi[0]), math.sin(psi[0])) if psi else -1.0
-            row_p = m[:, p, :].copy()
-            m[:, p, :] = c * row_p + (s * e_pos.conjugate()) * m[:, q, :]
-            m[:, q, :] = (-s * e_pos) * row_p + c * m[:, q, :]
+        for p, q, angle, e in reversed(self.rotations):
+            _rotate_rows(m, p, q, np.cos(ts * angle)[:, None], np.sin(ts * angle)[:, None], e)
         return m
 
 
@@ -323,11 +306,8 @@ def g_path(phi: Automorphism) -> GPath:
         raise NotInIdentityComponentError(
             "automorphism is outside the identity component; no path exists"
         )
-    a = phi.algebra
-    if isinstance(a, ComplexHermitian):
-        rots, phases = _factor_unitary(phi.matrix)
-        return GPath(a, tuple(rots), phases)
-    return GPath(a, tuple(_factor_special_orthogonal(phi.matrix)), None)
+    rots, phases = _factor_rotations(phi.matrix)
+    return GPath(phi.algebra, tuple(rots), phases)
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +317,19 @@ def g_path(phi: Automorphism) -> GPath:
 @dataclass(frozen=True, eq=False)
 class PathPolyline:
     """Discretized continuous path: the coordinates [k >= 2, dim] of its
-    samples in `algebra` and the membership tolerance it was audited against.
-    `samples` (the rows as elements) and `max_step` (the largest consecutive
-    step in the trace-form norm) are computed on first use."""
+    samples in `algebra`, kept as a read-only copy, and the membership
+    tolerance it was audited against.  `samples` (the rows as elements) and
+    `max_step` (the largest consecutive step in the trace-form norm) are
+    computed on first use."""
 
     algebra: Algebra
     coords: np.ndarray
     tolerance: float
 
     def __post_init__(self):
-        self.coords.setflags(write=False)
+        coords = np.array(self.coords, dtype=float)
+        coords.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
 
     @cached_property
     def samples(self) -> tuple[Element, ...]:
@@ -383,9 +366,7 @@ def _orbit_polyline(x: Element, y: Element, steps: int) -> PathPolyline:
     a = x.algebra
     product = isinstance(a, ProductAlgebra)
     qx, qy = _eigenvalue_blocks(a, np.stack([x.coords, y.coords]))
-    offs = alg._rank_offsets(a)
-    blocks = [slice(i, j) for i, j in zip(offs, offs[1:])]
-    for k, b in enumerate(blocks):  # every factor before any leg
+    for k, (_, _, b) in enumerate(alg._blocks(a)):  # every factor before any leg
         if not np.max(np.abs(qx[b] - qy[b])) <= EIG_MATCH_TOL:
             raise OrbitMismatchError(
                 f"factor {k} has mismatched eigenvalues; endpoints are in different restricted orbits"

@@ -10,13 +10,15 @@ A Jordan frame is stored as its basis (eigenvector matrix, spin axis or
 factor frames) plus a listing order; idempotent elements are built only
 when read, and `JordanFrame.from_idempotents` validates given ones.
 
-Matrix kinds are diagonalized by LAPACK through numpy (``eigvalsh`` /
-``eigh``), whose ascending output is reversed, values and eigenvector
-columns together.  Degenerate eigenvalues admit many valid frames; this
-module returns the one LAPACK computes, in that reversed order, and never
-attempts a canonical choice.  `eigen_map` and `spectral_decompose` read a
-1x1 matrix kind's eigenvalue off its coordinate, with basis [[1]], the
-values LAPACK returns for it.
+One kernel, `_simple_spectrum`, gives the eigenvalues of a simple kind and
+on request its frame basis; `eigen_map` and `spectral_decompose` run it on
+each factor block (a simple algebra is one block).  Matrix kinds are
+diagonalized by LAPACK through numpy (``eigvalsh``, or ``eigh`` with the
+frame: their values may differ in the last bits), whose ascending output
+is reversed, values and eigenvector columns together.  Degenerate eigenvalues admit many valid frames; this module
+returns the one LAPACK computes, in that reversed order, and never
+attempts a canonical choice.  A 1x1 matrix kind's eigenvalue is read off
+its coordinate, with basis [[1]], the values LAPACK returns for it.
 Spin-factor elements with vanishing vector part use the first coordinate
 axis for their idempotent pair.
 """
@@ -149,9 +151,8 @@ def _idempotent_coords(frame: JordanFrame) -> np.ndarray:
     a, u = frame.algebra, frame.basis
     if isinstance(a, ProductAlgebra):
         by_pos = np.zeros((a.rank, a.dim))
-        ranks, offs = alg._rank_offsets(a), alg._factor_offsets(a)
-        for f, r0, r1, c0, c1 in zip(u, ranks, ranks[1:], offs, offs[1:]):
-            by_pos[r0:r1, c0:c1] = _idempotent_coords(f)
+        for f, (_, c, r) in zip(u, alg._blocks(a)):
+            by_pos[r, c] = _idempotent_coords(f)
     elif isinstance(a, SpinFactor):
         by_pos = np.column_stack([np.full(2, 0.5), np.array([[0.5], [-0.5]]) * u])
     else:
@@ -191,32 +192,43 @@ def _eigh_desc(m: np.ndarray, vectors: bool):
     return values[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
-def _eigenvalue_blocks(a: Algebra, coords: np.ndarray) -> np.ndarray:
-    """Eigenvalues [..., rank] of the elements of `a` with coordinates
-    [..., dim]: non-increasing within each factor's block, blocks in factor
-    order (a simple kind is one block).
+def _simple_spectrum(a: Algebra, coords: np.ndarray, vectors: bool):
+    """Eigenvalues [..., rank], non-increasing, of the elements of the simple
+    kind `a` with coordinates [..., dim], and when `vectors` is set the basis
+    of each one's Jordan frame (else None): the eigenvector columns
+    [..., n, n] of a matrix kind, or the unit axis [..., d - 1] of a spin
+    factor, the first coordinate axis where the vector part vanishes.
 
-    A product reads its factors as slices of `coords`, without building an
-    Element per factor.  A 1x1 matrix kind is its own eigenvalue: LAPACK
-    returns that entry unchanged, so it is not called.  A spin radius is
+    A 1x1 matrix kind is its own eigenvalue with basis [[1]]: LAPACK returns
+    that entry unchanged, so it is not called.  A spin radius is
     `np.vecdot`, the BLAS dot that `np.linalg.norm` takes on one vector.
     """
-    if isinstance(a, (RealSymmetric, ComplexHermitian)):
-        if a.n == 1:
-            if not np.isfinite(coords).all():
-                raise NumericError("eigensolver input has a non-finite entry")
-            # as in matrix_of, a stored -0.0 reads as +0.0 in the real kind only
-            return coords + 0.0 if isinstance(a, RealSymmetric) else coords.copy()
-        return _eigh_desc(alg.matrix_of(a, coords), vectors=False)[0]
     if isinstance(a, SpinFactor):
         x0, xbar = coords[..., :1], coords[..., 1:]
         r = np.sqrt(np.vecdot(xbar, xbar))[..., None]
-        return np.concatenate([x0 + r, x0 - r], axis=-1)
-    offs = alg._factor_offsets(a)
-    return np.concatenate(
-        [_eigenvalue_blocks(f, coords[..., i:j]) for f, i, j in zip(a.factors, offs, offs[1:])],
-        axis=-1,
-    )
+        values = np.concatenate([x0 + r, x0 - r], axis=-1)
+        if not vectors:
+            return values, None
+        axis = np.zeros(xbar.shape)
+        axis[..., 0] = 1.0
+        return values, np.divide(xbar, r, out=axis, where=r > 0.0)
+    if a.n > 1:
+        return _eigh_desc(alg.matrix_of(a, coords), vectors)
+    if not np.isfinite(coords).all():
+        raise NumericError("eigensolver input has a non-finite entry")
+    # as in matrix_of, a stored -0.0 reads as +0.0 in the real kind only
+    values = coords + 0.0 if isinstance(a, RealSymmetric) else coords.copy()
+    return values, np.ones(coords.shape[:-1] + (1, 1)) if vectors else None
+
+
+def _eigenvalue_blocks(a: Algebra, coords: np.ndarray) -> np.ndarray:
+    """Eigenvalues [..., rank] of the elements of `a` with coordinates
+    [..., dim]: non-increasing within each factor block, blocks in factor
+    order.  Each factor is read as its slice of `coords`, without building
+    an Element per factor."""
+    blocks = alg._blocks(a)
+    values = [_simple_spectrum(f, coords[..., c], vectors=False)[0] for f, c, _ in blocks]
+    return values[0] if len(blocks) == 1 else np.concatenate(values, axis=-1)
 
 
 def _eigenvalues(a: Algebra, coords: np.ndarray) -> np.ndarray:
@@ -234,23 +246,20 @@ def eigen_map(x: Element) -> np.ndarray:
 
 
 def spectral_decompose(x: Element) -> tuple[JordanFrame, np.ndarray]:
-    """Jordan frame F and eigenvalues q (non-increasing) with x = sum(q_i * F_i)."""
+    """Jordan frame F and eigenvalues q (non-increasing) with x = sum(q_i * F_i).
+    A product lists its factor frames' idempotents in the stable sort of the
+    pooled eigenvalues."""
     a = x.algebra
-    if isinstance(a, ProductAlgebra):
-        parts = [spectral_decompose(p) for p in alg.split_product(x)]
-        values = np.concatenate([v for _, v in parts])
-        order = np.argsort(-values, kind="stable")
-        return JordanFrame(a, tuple(f for f, _ in parts), order), values[order]
-    if isinstance(a, (RealSymmetric, ComplexHermitian)) and a.n == 1:
-        values, basis = _eigenvalue_blocks(a, x.coords), np.ones((1, 1))
-    elif isinstance(a, (RealSymmetric, ComplexHermitian)):
-        values, basis = _eigh_desc(alg.matrix_of(a, x.coords), vectors=True)
-    else:
-        x0, xbar = alg.spin_parts(x)
-        r = float(np.linalg.norm(xbar))
-        basis = xbar / r if r > 0.0 else np.eye(a.d - 1)[0]
-        values = np.array([x0 + r, x0 - r])
-    return JordanFrame(a, basis, np.arange(a.rank)), values
+    frames, values = [], []
+    for f, c, _ in alg._blocks(a):
+        q, basis = _simple_spectrum(f, x.coords[c], vectors=True)
+        frames.append(JordanFrame(f, basis, np.arange(f.rank)))
+        values.append(q)
+    if a.is_simple():
+        return frames[0], values[0]
+    values = np.concatenate(values)
+    order = np.argsort(-values, kind="stable")
+    return JordanFrame(a, tuple(frames), order), values[order]
 
 
 def _compose(q: np.ndarray, frame: JordanFrame) -> np.ndarray:
@@ -267,8 +276,7 @@ def _compose(q: np.ndarray, frame: JordanFrame) -> np.ndarray:
     if isinstance(a, SpinFactor):
         x0 = 0.5 * (qb[:, 0] + qb[:, 1])
         return np.column_stack([x0, (0.5 * (qb[:, 0] - qb[:, 1]))[:, None] * u])
-    offs = alg._rank_offsets(a)
-    return np.concatenate([_compose(qb[:, i:j], f) for f, i, j in zip(u, offs, offs[1:])], axis=1)
+    return np.concatenate([_compose(qb[:, r], f) for f, (_, _, r) in zip(u, alg._blocks(a))], axis=1)
 
 
 def compose_theta(q, frame: JordanFrame) -> Element:

@@ -155,8 +155,7 @@ def factor_blocks(x: Element) -> np.ndarray:
 
 def _block_sorted(q: np.ndarray, a: alg.Algebra) -> np.ndarray:
     """Each factor block of the rows q [..., rank] sorted non-increasing."""
-    offs = alg._rank_offsets(a)
-    blocks = [np.sort(q[..., i:j], axis=-1)[..., ::-1] for i, j in zip(offs, offs[1:])]
+    blocks = [np.sort(q[..., r], axis=-1)[..., ::-1] for _, _, r in alg._blocks(a)]
     return np.concatenate(blocks, axis=-1)
 
 
@@ -296,9 +295,9 @@ def components_finite(sset: SpectralSet) -> list[SpectralComponent]:
     if points is None:
         raise ValueError("component enumeration needs a finite set")
     a, k = sset.algebra, len(points)
-    offs = alg._rank_offsets(a)
-    n, sizes = a.rank, np.diff(offs).tolist()
-    count = math.prod(math.comb(n - i, r) for i, r in zip(offs, sizes))
+    n, blocks = a.rank, alg._blocks(a)
+    sizes = [f.rank for f, _, _ in blocks]
+    count = math.prod(math.comb(n - r.start, f.rank) for f, _, r in blocks)
     check_float_budget(k * count * n, f"the {count} factor-block assignments of {k} points in R^{n}")
     # rows of positions, block by block: each block takes increasing positions
     # among those the earlier blocks left free

@@ -165,6 +165,29 @@ def test_element_coords_immutable():
         x.coords[0] = 7.0
 
 
+def test_element_keeps_its_own_copy():
+    a = RealSymmetric(2)
+    given = np.array([1.0, 0.0, 1.0])
+    x = Element(a, given)
+    given[0] = 5.0  # the caller's array stays writable
+    assert x.coords.tolist() == [1.0, 0.0, 1.0]
+    base = np.array([[1.0, 0.0, 1.0], [2.0, 0.0, 2.0]])
+    y = Element(a, base[0])
+    base[0, 0] = 5.0  # a writable base array cannot reach the element
+    assert y.coords.tolist() == [1.0, 0.0, 1.0]
+    assert not y.coords.flags.writeable
+    assert Element(a, [1, 0, 1]).coords.dtype == float
+
+
+@pytest.mark.parametrize("coords", [
+    [1 + 2j, 0, 1], np.array([1.0, 0.0, 1.0], dtype=complex), ["1", "0", "1"],
+    [True, False, True], [1.0, None, 1.0],
+], ids=["complex-list", "complex-array", "strings", "bools", "none"])
+def test_element_refuses_non_real_coordinates(coords):
+    with pytest.raises(ValueError, match="real numbers"):
+        Element(RealSymmetric(2), coords)
+
+
 @pytest.mark.parametrize("algebra", ALL_KINDS, ids=str)
 def test_commutativity(algebra):
     for seed in range(40):

@@ -795,6 +795,18 @@ def test_certify_accepts_orthant_certificates(tmp_path, run_cli, parts):
     assert json.loads(proc.stdout)["accepted"] is True
 
 
+@pytest.mark.parametrize("part", [5, "element"], ids=["number", "element"])
+def test_certify_refuses_a_part_that_is_not_a_list(tmp_path, capsys, monkeypatch, part):
+    element = emit_element(Element(coordinate_algebra(3), np.eye(3)[0]))
+    write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1})
+    write_json(tmp_path, "cert.json", {"parts": [[element], element if part == "element" else part]})
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["certify", "set.json", "cert.json", "--samples", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "each part a list of element documents" in err
+
+
 def _singular(gram, rhs):
     raise np.linalg.LinAlgError("Singular matrix")
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from jspec import (
     unit_element,
 )
 from jspec.algebra import Element, join_product, sym_matrix
+from jspec.orbits import PathPolyline
 
 from conftest import PRODUCT_KINDS, SIMPLE_KINDS, element_with_eigenvalues, random_frame
 
@@ -192,8 +195,56 @@ def test_g_path_rejects_reflection():
         g_path(refl)
 
 
+# sha256 of `matrices(linspace(0, 1, 9)).tobytes()` on factorizations that
+# take the rare branches: a zero pivot (Hermitian) and half-turn pairs of -1
+# diagonal entries (real symmetric, spin).  Recorded before the real and
+# unitary factorizations were one; the bytes follow the host's libm.
+_PATH_MATRIX_DIGESTS = {
+    "herm2-zero-pivot": (
+        ComplexHermitian(2), [[0, 1], [1, 0]],
+        "cd903707ecbf4a4dc816764890d7868edfb455253a3f3893f57ca82698da44fd",
+    ),
+    "herm3-zero-pivot": (
+        ComplexHermitian(3), [[0, 0, 1j], [1, 0, 0], [0, 1, 0]],
+        "8ece0359bc954765b7d0a96d69dda1653e6be28a8d8f4e1ad769c7564b7a8ddb",
+    ),
+    "sym3-half-turn": (
+        RealSymmetric(3), np.diag([-1.0, -1.0, 1.0]),
+        "3c8de133925dc7bcb75b16bf5dbebab27c45e33f32bb79a32d8b8a37003a1614",
+    ),
+    "sym4-two-half-turns": (
+        RealSymmetric(4), -np.eye(4),
+        "77ccc351ef679392b6d22eef9f2b8c61b09f111f78a931715d24aa5325d6287d",
+    ),
+    "spin5-half-turn": (
+        SpinFactor(5), np.diag([1.0, -1.0, -1.0, 1.0]),
+        "23cc1bac6e51ca5299839a31d5e9a6e8d7f1189d81b2617d026f78615da79486",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PATH_MATRIX_DIGESTS))
+def test_path_matrices_of_rare_branches_are_pinned(case):
+    algebra, m, digest = _PATH_MATRIX_DIGESTS[case]
+    path = g_path(automorphism_from_matrix(algebra, m))
+    # host-independent: the path ends at the factored representation
+    assert np.abs(path.matrices([1.0])[0] - np.asarray(m)).max() <= 1e-12
+    mats = path.matrices(np.linspace(0.0, 1.0, 9))
+    assert hashlib.sha256(mats.tobytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # orbit paths
+
+
+def test_path_polyline_keeps_its_own_copy():
+    a = RealSymmetric(2)
+    given = np.array([[1.0, 0.0, 1.0], [2.0, 0.0, 2.0]])
+    path = PathPolyline(a, given, 1e-8)
+    given[0, 0] = 5.0  # the caller's array stays writable and apart
+    assert path.coords.tolist() == [[1.0, 0.0, 1.0], [2.0, 0.0, 2.0]]
+    assert not path.coords.flags.writeable
+    assert path.samples[0].coords.tolist() == [1.0, 0.0, 1.0]
 
 
 def test_orbit_path_constant_for_equal_endpoints():

@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = jio.render_json(args.handler(args))
+        text = jio.render_json(args.handler(args), end="\n")
     except _INFEASIBLE_ERRORS as exc:
         clause = getattr(exc, "clause", None)
         label = f" [{clause}]" if clause else ""
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"jspec: input error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(text)
     return 0
 
 

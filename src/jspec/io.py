@@ -13,7 +13,9 @@ Im of a Hermitian pair is the lower one's text with its sign flipped.  One
 cached plan per algebra gathers those texts into the `%s` slots of the
 document's template (descriptor text and one slot per number), and the
 renderer writes that text unchanged; `emit_element` is the same text
-decoded.
+decoded.  The renderer appends a document's pieces to one list and
+`render_json` joins them once, so the CLI writes each document, trailing
+newline included, from one join and one write.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ def _plan(a: Algebra) -> _Plan:
             "re": [[_Json("%s")] * a.n] * a.n,
             "im": [[_Json("0" if i == j else "%s") for j in range(a.n)] for i in range(a.n)],
         }
-    template = _render({"alg": emit_algebra(a), "data": data})
+    template = render_json({"alg": emit_algebra(a), "data": data})
     return _Plan(template, "\x00".join(["%.17g"] * a.dim), zero, flip, order,
                  operator.itemgetter(*order.tolist()))
 
@@ -355,34 +357,49 @@ def emit_polyline(path: PathPolyline) -> dict:
 # deterministic rendering
 
 
-def _render(value) -> str:
+def _render(value, out: list) -> None:
+    """Append the JSON text of value to out; a `_Json` text goes in as is."""
     kind = type(value)
-    if kind is list or kind is tuple:
-        return "[" + ", ".join(map(_render, value)) + "]"
-    if kind is dict:
-        return "{" + ", ".join(f"{_string(str(k))}: {_render(v)}" for k, v in value.items()) + "}"
     if kind is _Json:
-        return value
-    if kind is float:
+        out.append(value)
+    elif kind is list or kind is tuple:
+        out.append("[")
+        for item in value:
+            _render(item, out)
+            out.append(", ")
+        out[-1] = "]" if value else "[]"  # over the last separator, or the "["
+    elif kind is dict:
+        out.append("{")
+        for k, v in value.items():
+            out.append(_string(str(k)) + ": ")
+            _render(v, out)
+            out.append(", ")
+        out[-1] = "}" if value else "{}"
+    elif kind is float:
         if not math.isfinite(value):
             raise NumericError(f"cannot render the non-finite number {value!r} as JSON")
-        return "%.17g" % value
-    if kind is str:
-        return _string(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (np.ndarray, np.generic)):
-        return _render(value.tolist())
-    raise TypeError(f"cannot render {kind!r}")
+        out.append("%.17g" % value)
+    elif kind is str:
+        out.append(_string(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, (np.ndarray, np.generic)):
+        _render(value.tolist(), out)
+    else:
+        raise TypeError(f"cannot render {kind!r}")
 
 
-def render_json(value) -> str:
-    """Deterministic one-line JSON with round-trip-exact float rendering;
-    a non-finite float has no JSON form and raises `NumericError`.  Python
+def render_json(value, end: str = "") -> str:
+    """Deterministic one-line JSON with round-trip-exact float rendering,
+    followed by `end`: the pieces go into one list and are joined once.  A
+    non-finite float has no JSON form and raises `NumericError`.  Python
     types only (plus numpy arrays and scalars): a subclass such as an
     `IntEnum` raises `TypeError`."""
-    return _render(value)
+    out = []
+    _render(value, out)
+    out.append(end)
+    return "".join(out)

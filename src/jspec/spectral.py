@@ -202,7 +202,12 @@ def _simple_spectrum(a: Algebra, coords: np.ndarray, vectors: bool):
     A 1x1 matrix kind is its own eigenvalue with basis [[1]]: LAPACK returns
     that entry unchanged, so it is not called.  A spin radius is
     `np.vecdot`, the BLAS dot that `np.linalg.norm` takes on one vector.
+    A non-finite coordinate raises `NumericError` in every kind.
     """
+    if not isinstance(a, SpinFactor) and a.n > 1:
+        return _eigh_desc(alg.matrix_of(a, coords), vectors)
+    if not np.isfinite(coords).all():
+        raise NumericError("eigensolver input has a non-finite entry")
     if isinstance(a, SpinFactor):
         x0, xbar = coords[..., :1], coords[..., 1:]
         r = np.sqrt(np.vecdot(xbar, xbar))[..., None]
@@ -212,10 +217,6 @@ def _simple_spectrum(a: Algebra, coords: np.ndarray, vectors: bool):
         axis = np.zeros(xbar.shape)
         axis[..., 0] = 1.0
         return values, np.divide(xbar, r, out=axis, where=r > 0.0)
-    if a.n > 1:
-        return _eigh_desc(alg.matrix_of(a, coords), vectors)
-    if not np.isfinite(coords).all():
-        raise NumericError("eigensolver input has a non-finite entry")
     # as in matrix_of, a stored -0.0 reads as +0.0 in the real kind only
     values = coords + 0.0 if isinstance(a, RealSymmetric) else coords.copy()
     return values, np.ones(coords.shape[:-1] + (1, 1)) if vectors else None

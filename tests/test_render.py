@@ -4,6 +4,7 @@ that reference."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from jspec.algebra import (
     matrix_of,
 )
 from jspec.errors import NumericError
-from jspec.io import _element_texts, _float_rows, emit_algebra, emit_element, parse_element, render_json
+from jspec.io import _Json, _element_texts, _float_rows, emit_algebra, emit_element, parse_element, render_json
 
 
 def oracle(value) -> str:
@@ -311,3 +312,18 @@ def test_emitted_element_parses_back(stack):
         if not isinstance(f, RealSymmetric):  # Hermitian and spin: zeros keep their sign too
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+
+def test_render_json_peaks_near_its_output_length():
+    # the pieces of a document are joined once: the writer holds no
+    # whole-document copy beside the text it returns
+    row = _Json("[" + ", ".join(["0.12345678901234567"] * 5000) + "]")
+    payload = {"rows": [row] * 40, "values": [0.1 * i for i in range(2000)]}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = render_json(payload)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 4_000_000
+    assert peak <= 1.5 * len(text)

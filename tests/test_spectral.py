@@ -106,6 +106,21 @@ def test_spectral_decompose_one_by_one_matches_lapack(kind, monkeypatch):
             spectral_decompose(Element(kind, np.array([bad])))
 
 
+@pytest.mark.parametrize("vector", [[0.0, np.inf, 0.0], [np.nan, 1.0, 0.0]])
+@pytest.mark.parametrize("call", [eigen_map, spectral_decompose])
+def test_spin_non_finite_coordinates_raise(call, vector):
+    # the spin radius of an infinite vector part is inf and x0 - r of it
+    # -inf, and a NaN anywhere gives NaN eigenvalues: refused, as in the
+    # matrix kinds, alone and as a factor of a product
+    from jspec.errors import NumericError
+
+    a = SpinFactor(3)
+    product = ProductAlgebra((RealSymmetric(1), a))
+    for x in (Element(a, np.array(vector)), Element(product, np.array([1.0] + vector))):
+        with pytest.raises(NumericError, match="non-finite entry"):
+            call(x)
+
+
 def test_eigen_map_product_pools_factors():
     a = ProductAlgebra((RealSymmetric(2), SpinFactor(3)))
     x = random_element(a, 3)

@@ -365,14 +365,30 @@ def inner_product(x: Element, y: Element) -> float:
     return float(np.dot(_inner_weights(x.algebra) * x.coords, y.coords))
 
 
+def _pow2_scaled(d: np.ndarray) -> tuple[np.ndarray, float]:
+    """d scaled by the exact power of two 2^-k that brings its largest
+    |entry| into [1, 2), and 2^k: a sum of squares of the scaled entries
+    neither overflows nor underflows, and its square root times 2^k is bit
+    for bit the unscaled one in the normal range, since a power-of-two
+    scale is exact.  k is clamped at -1022 for a subnormal maximum, where
+    2^-k is still a finite double."""
+    k = max(-1022, math.frexp(float(np.abs(d).max()))[1] - 1)
+    return d * math.ldexp(1.0, -k), math.ldexp(1.0, k)
+
+
+def _length(a: Algebra, d: np.ndarray) -> float:
+    """Trace-form length sqrt(<d, d>) of coordinates d [dim]."""
+    d, scale = _pow2_scaled(d)
+    return math.sqrt(max(0.0, float(np.dot(_inner_weights(a) * d, d)))) * scale
+
+
 def norm(x: Element) -> float:
-    return math.sqrt(max(0.0, inner_product(x, x)))
+    return _length(x.algebra, x.coords)
 
 
 def distance(x: Element, y: Element) -> float:
     _require_same_algebra(x, y)
-    d = x.coords - y.coords
-    return math.sqrt(max(0.0, float(np.dot(_inner_weights(x.algebra) * d, d))))
+    return _length(x.algebra, x.coords - y.coords)
 
 
 def isometric_coords(x: Element) -> np.ndarray:

@@ -10,12 +10,13 @@ emitter, from coordinates: each coordinate is a distinct number of the
 document and is formatted once per element of a coordinate stack, the
 entries (i, j) and (j, i) of a symmetric pair share its text, and the upper
 Im of a Hermitian pair is the lower one's text with its sign flipped.  One
-cached plan per algebra gathers those texts into the `%s` slots of the
-document's template (descriptor text and one slot per number), and the
-renderer writes that text unchanged; `emit_element` is the same text
-decoded.  The renderer appends a document's pieces to one list and
-`render_json` joins them once, so the CLI writes each document, trailing
-newline included, from one join and one write.
+cached plan per algebra gathers those texts and the literal pieces of the
+document's template (descriptor text and the text between the numbers)
+into document order, one join makes the element's text, and the renderer
+writes that text unchanged; `emit_element` is the same text decoded.  The
+renderer appends a document's pieces to one list and `render_json` joins
+them once, so the CLI writes each document, trailing newline included,
+from one join and one write.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ class _Json(str):
     """JSON text that `_render` writes unchanged."""
 
 
-_Plan = namedtuple("_Plan", "template row zero flip order gather")
+_Plan = namedtuple("_Plan", "template literals row zero flip order gather")
 
 
 @functools.lru_cache(maxsize=64)
@@ -224,9 +225,12 @@ def _plan(a: Algebra) -> _Plan:
     coordinates whose text is written again with its sign flipped: the
     lower Im (i, j) of a Hermitian factor, whose upper Im (j, i) is its
     negation.  `template` is the document with one `%s` slot per number
-    and the literal `0` of each Hermitian diagonal Im; `order` maps each
-    slot to the formatted texts followed by the flipped ones, and `gather`
-    is that map as one `itemgetter`.  A product concatenates its factors."""
+    and the literal `0` of each Hermitian diagonal Im, and `literals` its
+    pieces around the slots, `template.split("%s")`.  `order` maps each
+    slot to the formatted texts followed by the flipped ones; `gather` is
+    one `itemgetter` over those texts followed by the literals, which picks
+    the document's pieces in document order: literal 0, slot 0, literal 1,
+    ..., the last literal.  A product concatenates its factors' templates."""
     if isinstance(a, ProductAlgebra):
         blocks = alg._blocks(a)
         plans = [_plan(f) for f in a.factors]
@@ -260,16 +264,21 @@ def _plan(a: Algebra) -> _Plan:
             "im": [[_Json("0" if i == j else "%s") for j in range(a.n)] for i in range(a.n)],
         }
     template = render_json({"alg": emit_algebra(a), "data": data})
-    return _Plan(template, "\x00".join(["%.17g"] * a.dim), zero, flip, order,
-                 operator.itemgetter(*order.tolist()))
+    literals = template.split("%s")
+    # positions in texts + literals: literal 0, slot 0, literal 1, ...
+    pieces = np.full(2 * len(literals) - 1, len(flip) + a.dim)
+    pieces[::2] += np.arange(len(literals))
+    pieces[1::2] = order
+    return _Plan(template, literals, "\x00".join(["%.17g"] * a.dim), zero, flip, order,
+                 operator.itemgetter(*pieces.tolist()))
 
 
 def _element_texts(a: Algebra, coords) -> list[_Json]:
     """JSON text of each element of `a` with coordinates a row of coords
     [k, dim]: one finiteness check over the stack, then per row one `%`
-    that formats each distinct number once, and one `%` of the algebra's
-    template with the texts gathered into document order, so one row's
-    numbers are alive at a time."""
+    that formats each distinct number once and one join of those texts and
+    the template's literal pieces, gathered into document order, so one
+    row's numbers are alive at a time."""
     plan = _plan(a)
     numbers = np.asarray(coords, dtype=float).reshape(-1, a.dim) + plan.zero
     if not np.isfinite(numbers).all():
@@ -277,13 +286,14 @@ def _element_texts(a: Algebra, coords) -> list[_Json]:
         doc = np.hstack([numbers, flipped])[:, plan.order]
         bad = doc[~np.isfinite(doc)]  # in document order
         raise NumericError(f"cannot render the non-finite number {float(bad[0])!r} as JSON")
-    template, row_format, flip, gather = plan.template, plan.row, plan.flip, plan.gather
+    literals, row_format, flip, gather = plan.literals, plan.row, plan.flip, plan.gather
     out = []
     for row in numbers:
         texts = (row_format % tuple(row.tolist())).split("\x00")
         if flip:  # negating a finite double, 0.0 and -0.0 included, negates its text
             texts += [t[1:] if t[0] == "-" else "-" + t for t in map(texts.__getitem__, flip)]
-        out.append(_Json(template % gather(texts)))
+        texts += literals
+        out.append(_Json("".join(gather(texts))))
     return out
 
 

@@ -226,13 +226,19 @@ def frame_transport(e_frame: JordanFrame, f_frame: JordanFrame) -> Automorphism:
 # paths in the identity component
 
 
-def _rotate_rows(m: np.ndarray, p: int, q: int, c, s, e) -> None:
-    """Apply the plane rotation [[c, s conj(e)], [-s e, c]] to rows p and q
-    of the matrices m [..., r, r] in place.  With e = -1.0 this is bitwise
-    the real rotation [[c, -s], [s, c]]: negation is exact."""
-    row_p = m[..., p, :].copy()
-    m[..., p, :] = c * row_p + (s * e.conjugate()) * m[..., q, :]
-    m[..., q, :] = (-s * e) * row_p + c * m[..., q, :]
+def _rotate_rows(m: np.ndarray, p: int, q: int, c, s_conj_e, minus_s_e) -> None:
+    """Apply the plane rotation [[c, s conj(e)], [-s e, c]] in place to rows
+    m[p] and m[q], indexed along the first axis: two rows of one matrix
+    [r, r] with scalar coefficients, or row p and row q of every sample of
+    a rows-first stack [r, len(ts), r] with coefficient rows [len(ts), 1].
+    The caller passes the products s conj(e) and -s e.  With e = -1.0 this
+    is bitwise the real rotation [[c, -s], [s, c]]: negation is exact."""
+    row_p, row_q = m[p], m[q]
+    new_q = minus_s_e * row_p
+    row_p *= c
+    row_p += s_conj_e * row_q
+    row_q *= c
+    row_q += new_q
 
 
 def _factor_rotations(u: np.ndarray):
@@ -258,7 +264,8 @@ def _factor_rotations(u: np.ndarray):
                 ratio = b / a_piv
                 psi = math.atan2(ratio.imag, ratio.real)
                 theta, e = math.atan(abs(ratio)), complex(math.cos(psi), math.sin(psi))
-            _rotate_rows(m, i - 1, i, math.cos(theta), math.sin(theta), e)
+            c, s = math.cos(theta), math.sin(theta)
+            _rotate_rows(m, i - 1, i, c, s * e.conjugate(), -s * e)
             m[i, j] = 0.0
             rots.append((i - 1, i, -theta, e))
     if unitary:
@@ -284,20 +291,28 @@ class GPath:
         return Automorphism(self.algebra, self.matrices([t])[0], True)
 
     def matrices(self, ts) -> np.ndarray:
-        """Representation matrices at every t of `ts`, stacked [len(ts), r, r];
-        each rotation is replayed once over the whole vector."""
+        """Representation matrices at every t of `ts`, stacked [len(ts), r, r]:
+        a transposed view of a stack built rows first, [r, len(ts), r], so
+        that row p of every sample is one contiguous block.  The coefficient
+        rows of all k rotations, cos(angle t), sin(angle t) conj(e) and
+        -sin(angle t) e, are computed in one pass each, [k, len(ts), 1], and
+        each rotation is replayed once over the whole vector.  Row i equals
+        the replay of [ts[i]] alone, bit for bit."""
         ts = np.asarray(ts, dtype=float)
         size = _rep_size(self.algebra)
         unitary = self.phases is not None
         check_float_budget(ts.size * size * size * (2 if unitary else 1), "a path's matrix stack")
-        if unitary:
-            m = np.zeros((ts.size, size, size), dtype=complex)
-            m[:, range(size), range(size)] = np.exp((1j * ts)[:, None] * self.phases)
-        else:
-            m = np.tile(np.eye(size), (ts.size, 1, 1))
-        for p, q, angle, e in reversed(self.rotations):
-            _rotate_rows(m, p, q, np.cos(ts * angle)[:, None], np.sin(ts * angle)[:, None], e)
-        return m
+        m = np.zeros((size, ts.size, size), dtype=complex if unitary else float)
+        diag = np.arange(size)
+        m[diag, :, diag] = np.exp((1j * ts)[:, None] * self.phases).T if unitary else 1.0
+        if self.rotations:
+            ps, qs, angles, es = zip(*self.rotations)
+            e = np.array(es)[:, None, None]
+            ta = (ts * np.array(angles)[:, None])[..., None]  # [k, len(ts), 1]
+            c, s = np.cos(ta), np.sin(ta)
+            for row in reversed(list(zip(ps, qs, c, s * e.conj(), -s * e))):
+                _rotate_rows(m, *row)
+        return m.transpose(1, 0, 2)
 
 
 def g_path(phi: Automorphism) -> GPath:
@@ -337,10 +352,11 @@ class PathPolyline:
 
     @cached_property
     def max_step(self) -> float:
-        # bit for bit the largest `alg.distance`: np.vecdot is the BLAS dot
-        # that `distance` takes per pair, and sqrt is monotone
-        d = np.diff(self.coords, axis=0)
-        return math.sqrt(max(0.0, float(np.vecdot(alg._inner_weights(self.algebra) * d, d).max())))
+        # bit for bit the largest `alg.distance` in the normal range: np.vecdot
+        # is the BLAS dot that `distance` takes per pair, one power-of-two
+        # scale for every step is exact, and sqrt is monotone
+        d, scale = alg._pow2_scaled(np.diff(self.coords, axis=0))
+        return math.sqrt(max(0.0, float(np.vecdot(alg._inner_weights(self.algebra) * d, d).max()))) * scale
 
 
 def _orbit_leg(x: Element, f_x: JordanFrame, f_y: JordanFrame, steps: int) -> np.ndarray:

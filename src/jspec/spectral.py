@@ -26,7 +26,7 @@ axis for their idempotent pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -293,10 +293,13 @@ def compose_theta(q, frame: JordanFrame) -> Element:
     return Element(a, _compose(q[None], frame)[0])
 
 
+@lru_cache(maxsize=64)
 def canonical_frame(a: Algebra) -> JordanFrame:
     """Fixed reference frame: diagonal matrix units for the matrix kinds,
     the first-axis idempotent pair for spin factors, factor frames in
-    factor order for products."""
+    factor order for products.  Built and validated once per algebra: the
+    frame is immutable (its basis and order are read-only), so every call
+    returns the same one."""
     if isinstance(a, ProductAlgebra):
         basis = tuple(canonical_frame(f) for f in a.factors)
     else:

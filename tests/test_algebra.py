@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,25 @@ def test_unit_is_two_sided_identity(algebra):
     for seed in range(20):
         x = random_element(algebra, seed)
         assert distance(jordan_product(e, x), x) <= 1e-14 * max(1.0, norm(x))
+
+
+@pytest.mark.parametrize("algebra", ALL_KINDS, ids=str)
+def test_norm_and_distance_scale_exactly_by_powers_of_two(algebra):
+    # a sum of squares of 2^530-scaled coordinates overflows and one of
+    # 2^-530-scaled coordinates underflows; the power-of-two scaling keeps
+    # both exact, and the unscaled values are the plain trace-form ones
+    for seed in range(10):
+        x, y = random_element(algebra, 2 * seed), random_element(algebra, 2 * seed + 1)
+        assert norm(x) == math.sqrt(inner_product(x, x))
+        for k in (530, -530):
+            xs, ys = (Element(algebra, np.ldexp(z.coords, k)) for z in (x, y))
+            assert norm(xs) == math.ldexp(norm(x), k)
+            assert distance(xs, ys) == math.ldexp(distance(x, y), k)
+
+
+def test_norm_of_a_subnormal_element():
+    a = coordinate_algebra(2)
+    tiny = math.ldexp(1.0, -1074)  # the smallest subnormal double
+    assert norm(Element(a, np.array([tiny, 0.0]))) == tiny
+    assert norm(Element(a, np.zeros(2))) == 0.0
+    assert distance(Element(a, np.array([tiny, 0.0])), Element(a, np.array([0.0, tiny]))) > 0.0

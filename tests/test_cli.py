@@ -5,6 +5,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -391,6 +392,30 @@ def test_connect_equal_endpoints_two_samples(tmp_path, run_cli):
     payload = json.loads(proc.stdout)
     assert len(payload["samples"]) == 2
     assert payload["max_step"] == 0
+
+
+@pytest.mark.parametrize("k", [530, -565])
+def test_connect_endpoints_far_from_one(tmp_path, run_cli, k):
+    # at 2^530 the trace-form sums of squares overflow and at 2^-565 they
+    # underflow: distinct endpoints scaled by 2^530 still get a full path,
+    # and the 2-sample shortcut at 2^-565 (distance <= 1e-12 * max(1, norm))
+    # reports their true distance
+    set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1})
+    x = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
+    y = np.array([[1.0, 0.0, 0.3], [0.0, 0.8, 0.0], [0.3, 0.0, 1.5]])
+    xs, ys = (element_from_sym(RealSymmetric(3), np.ldexp(m, k)) for m in (x, y))
+    paths = [write_json(tmp_path, f"{name}.json", emit_element(z)) for name, z in (("x", xs), ("y", ys))]
+    proc = run_cli(["connect", set_path, *paths, "--steps", "6"])
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    if k > 0:
+        assert len(payload["samples"]) == 3 * 6 - 2
+        samples = [parse_element(doc) for doc in payload["samples"]]
+        assert payload["max_step"] == max(distance(p, q) for p, q in zip(samples, samples[1:]))
+        assert math.isfinite(payload["max_step"]) and payload["max_step"] > 2.0 ** 500
+    else:
+        assert len(payload["samples"]) == 2
+        assert payload["max_step"] == distance(xs, ys) > 0.0
 
 
 def test_connect_coordinate_vectors_exit_4(tmp_path, run_cli):

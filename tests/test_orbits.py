@@ -1,7 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jspec import (
     ComplexHermitian,
@@ -189,6 +192,30 @@ def test_path_matrices_equal_single_samples(algebra):
         assert np.array_equal(m, path.sample(t).matrix)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SIMPLE_KINDS + [RealSymmetric(1), SpinFactor(7)]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=1, max_size=12),
+)
+def test_path_matrices_rows_equal_one_element_replays(algebra, seed, identity, ts):
+    # the rows-first replay with its coefficients computed in one pass:
+    # row i of the stack is the replay of [ts[i]] alone, bit for bit, also
+    # for a path with no rotation and a one-element ts
+    phi = (identity_automorphism(algebra) if identity
+           else random_g_automorphism(algebra, np.random.default_rng(seed)))
+    path = g_path(phi)
+    mats = path.matrices(ts)
+    assert mats.shape == (len(ts),) + phi.matrix.shape
+    assert mats.dtype == phi.matrix.dtype
+    for t, m in zip(ts, mats):
+        assert np.array_equal(m, path.matrices([t])[0])
+    if identity:
+        assert path.rotations == ()
+        assert np.array_equal(mats, np.broadcast_to(phi.matrix, mats.shape))
+
+
 def test_g_path_rejects_reflection():
     refl = automorphism_from_matrix(RealSymmetric(2), np.diag([1.0, -1.0]))
     with pytest.raises(NotInIdentityComponentError):
@@ -245,6 +272,17 @@ def test_path_polyline_keeps_its_own_copy():
     assert path.coords.tolist() == [[1.0, 0.0, 1.0], [2.0, 0.0, 2.0]]
     assert not path.coords.flags.writeable
     assert path.samples[0].coords.tolist() == [1.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("k", [530, -530])
+def test_max_step_scales_exactly_by_powers_of_two(k):
+    # sums of squares of 2^530-scaled steps overflow and 2^-530-scaled ones
+    # underflow; the power-of-two scaling inside max_step keeps it exact
+    for algebra in (RealSymmetric(3), ComplexHermitian(2), SpinFactor(4)):
+        coords = np.random.default_rng(3).standard_normal((5, algebra.dim))
+        step = PathPolyline(algebra, coords, 0.0).max_step
+        scaled = PathPolyline(algebra, np.ldexp(coords, k), 0.0).max_step
+        assert scaled == math.ldexp(step, k)
 
 
 def test_orbit_path_constant_for_equal_endpoints():

@@ -304,6 +304,18 @@ def test_canonical_frame_reconstructs_unit():
         assert distance(e, unit_element(algebra)) == 0.0
 
 
+def test_canonical_frame_is_built_once_per_algebra():
+    for algebra in ALL_KINDS:
+        frame = canonical_frame(algebra)
+        assert canonical_frame(algebra) is frame
+        assert not frame.order.flags.writeable
+        bases = frame.basis if isinstance(algebra, ProductAlgebra) else (frame,)
+        for f in bases:
+            assert not f.basis.flags.writeable and not f.order.flags.writeable
+            with pytest.raises(ValueError):
+                f.basis[0] = 2.0
+
+
 def test_decompose_frames_are_valid():
     # JordanFrame construction re-validates, so decomposition must pass it
     for algebra in ALL_KINDS:

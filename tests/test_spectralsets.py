@@ -713,6 +713,16 @@ def test_certificate_orthant_accepted():
     assert verdict.accepted
 
 
+def test_certificate_generators_far_below_one_are_nonzero():
+    # the squares of 2^-565 underflow; the norm is scaled, so these are
+    # nonzero generators, and only an exact zero is refused
+    a = coordinate_algebra(2)
+    tiny = [Element(a, np.ldexp(np.eye(2)[i], -565)) for i in range(2)]
+    assert DecompositionCertificate(((tiny[0],), (tiny[1],))).parts[0] == (tiny[0],)
+    with pytest.raises(ValueError, match="must be nonzero"):
+        DecompositionCertificate(((Element(a, np.zeros(2)),),))
+
+
 def test_certificate_single_part_accepted():
     a = coordinate_algebra(3)
     s = SpectralSet(a, make_rearrangement_cone(3, 1))

@@ -31,7 +31,6 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -365,30 +364,26 @@ def inner_product(x: Element, y: Element) -> float:
     return float(np.dot(_inner_weights(x.algebra) * x.coords, y.coords))
 
 
-def _pow2_scaled(d: np.ndarray) -> tuple[np.ndarray, float]:
-    """d scaled by the exact power of two 2^-k that brings its largest
-    |entry| into [1, 2), and 2^k: a sum of squares of the scaled entries
-    neither overflows nor underflows, and its square root times 2^k is bit
-    for bit the unscaled one in the normal range, since a power-of-two
-    scale is exact.  k is clamped at -1022 for a subnormal maximum, where
-    2^-k is still a finite double."""
-    k = max(-1022, math.frexp(float(np.abs(d).max()))[1] - 1)
-    return d * math.ldexp(1.0, -k), math.ldexp(1.0, k)
-
-
-def _length(a: Algebra, d: np.ndarray) -> float:
-    """Trace-form length sqrt(<d, d>) of coordinates d [dim]."""
-    d, scale = _pow2_scaled(d)
-    return math.sqrt(max(0.0, float(np.dot(_inner_weights(a) * d, d)))) * scale
+def _lengths(d: np.ndarray, w=1.0) -> np.ndarray:
+    """Lengths sqrt(sum(w * d * d)) along the last axis of d [..., m], one per
+    row: the one scale-safe sum of squares.  Each row is scaled by the exact
+    power of two 2^-k that brings its largest |entry| into [1, 2), so the sum
+    neither overflows nor underflows, and the root is scaled back by 2^k; a
+    power-of-two scale is exact, so in the normal range every length is bit
+    for bit sqrt(np.vecdot(w * d, d)).  k is clamped at -1022 for a
+    subnormal maximum, where 2^-k is still a finite double."""
+    k = np.maximum(np.frexp(np.abs(d).max(axis=-1))[1] - 1, -1022)[..., None]
+    d = np.ldexp(d, -k)
+    return np.ldexp(np.sqrt(np.vecdot(w * d, d)), k[..., 0])
 
 
 def norm(x: Element) -> float:
-    return _length(x.algebra, x.coords)
+    return float(_lengths(x.coords, _inner_weights(x.algebra)))
 
 
 def distance(x: Element, y: Element) -> float:
     _require_same_algebra(x, y)
-    return _length(x.algebra, x.coords - y.coords)
+    return float(_lengths(x.coords - y.coords, _inner_weights(x.algebra)))
 
 
 def isometric_coords(x: Element) -> np.ndarray:

@@ -175,21 +175,24 @@ def random_g_automorphism(a: Algebra, rng) -> Automorphism:
 
 
 def _rotation_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotation in SO(k), k >= 2, mapping unit vector u to unit vector v."""
+    """Rotation in SO(k), k >= 2, mapping unit vector u to unit vector v: the
+    turn with cosine u.v and sine |w| in the plane of u and w = v - (u.v) u,
+    which takes u to v however close v is to +-u.  Only w exactly 0 gives
+    the identity or a half-turn in a plane containing u."""
     k = u.size
     c = float(u @ v)
-    if c >= 1.0 - 1e-14:
-        return np.eye(k)
-    if c <= -1.0 + 1e-14:
-        # half-turn in a plane containing u
+    w = v + u if c < 0.0 else v  # near -u, v + u keeps w's digits
+    w = w - float(u @ w) * u
+    s = float(alg._lengths(w))
+    if s == 0.0:
+        if c > 0.0:
+            return np.eye(k)
         p = np.zeros(k)
         p[int(np.argmin(np.abs(u)))] = 1.0
         p = p - (u @ p) * u
-        p /= np.linalg.norm(p)
+        p /= alg._lengths(p)
         return np.eye(k) - 2.0 * np.outer(u, u) - 2.0 * np.outer(p, p)
-    w = v - c * u
-    w /= np.linalg.norm(w)
-    s = math.sqrt(max(0.0, 1.0 - c * c))
+    w /= s
     rot = np.eye(k)
     rot += (c - 1.0) * (np.outer(u, u) + np.outer(w, w))
     rot += s * (np.outer(w, u) - np.outer(u, w))
@@ -352,11 +355,7 @@ class PathPolyline:
 
     @cached_property
     def max_step(self) -> float:
-        # bit for bit the largest `alg.distance` in the normal range: np.vecdot
-        # is the BLAS dot that `distance` takes per pair, one power-of-two
-        # scale for every step is exact, and sqrt is monotone
-        d, scale = alg._pow2_scaled(np.diff(self.coords, axis=0))
-        return math.sqrt(max(0.0, float(np.vecdot(alg._inner_weights(self.algebra) * d, d).max()))) * scale
+        return float(alg._lengths(np.diff(self.coords, axis=0), alg._inner_weights(self.algebra)).max())
 
 
 def _orbit_leg(x: Element, f_x: JordanFrame, f_y: JordanFrame, steps: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .algebra import _lengths
 from .errors import check_float_budget
 
 FINITE_TOL = 1e-12
@@ -114,7 +115,7 @@ def make_trace_norm_cone(n: int) -> PermSet:
     factor = np.sqrt(n / 2.0)
 
     def margin(rows: np.ndarray) -> np.ndarray:
-        return rows.sum(axis=1) - factor * np.linalg.norm(rows, axis=1)
+        return rows.sum(axis=1) - factor * _lengths(rows)
 
     return PermSet(n=n, tag=f"tracenorm({n})", margin_fn=margin, convex=True, cone=True)
 

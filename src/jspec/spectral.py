@@ -172,11 +172,9 @@ def _eigh_desc(m: np.ndarray, vectors: bool):
     which runs LAPACK on each matrix in turn: row i equals the result for
     matrix i on its own, bit for bit.
 
-    Non-finite input never reaches LAPACK; a LAPACK failure or a non-finite
-    result anywhere in the stack raises `NumericError`.
+    The caller passes finite input; a LAPACK failure or a non-finite result
+    anywhere in the stack raises `NumericError`.
     """
-    if not np.isfinite(m).all():
-        raise NumericError("eigensolver input has a non-finite entry")
     try:
         if vectors:
             values, vecs = np.linalg.eigh(m)
@@ -199,18 +197,20 @@ def _simple_spectrum(a: Algebra, coords: np.ndarray, vectors: bool):
     [..., n, n] of a matrix kind, or the unit axis [..., d - 1] of a spin
     factor, the first coordinate axis where the vector part vanishes.
 
-    A 1x1 matrix kind is its own eigenvalue with basis [[1]]: LAPACK returns
-    that entry unchanged, so it is not called.  A spin radius is
-    `np.vecdot`, the BLAS dot that `np.linalg.norm` takes on one vector.
-    A non-finite coordinate raises `NumericError` in every kind.
+    A non-finite coordinate raises `NumericError` in every kind, checked
+    once before the kind is read.  A 1x1 matrix kind is its own eigenvalue
+    with basis [[1]]: LAPACK returns that entry unchanged, so it is not
+    called.  A spin radius is `alg._lengths` of the vector part: it neither
+    overflows nor underflows, and in the normal range 2^k xbar has the
+    radius 2^k |xbar| bit for bit.
     """
-    if not isinstance(a, SpinFactor) and a.n > 1:
-        return _eigh_desc(alg.matrix_of(a, coords), vectors)
     if not np.isfinite(coords).all():
         raise NumericError("eigensolver input has a non-finite entry")
+    if not isinstance(a, SpinFactor) and a.n > 1:
+        return _eigh_desc(alg.matrix_of(a, coords), vectors)
     if isinstance(a, SpinFactor):
         x0, xbar = coords[..., :1], coords[..., 1:]
-        r = np.sqrt(np.vecdot(xbar, xbar))[..., None]
+        r = alg._lengths(xbar)[..., None]
         values = np.concatenate([x0 + r, x0 - r], axis=-1)
         if not vectors:
             return values, None

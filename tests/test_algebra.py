@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from jspec import (
     trace,
     unit_element,
 )
-from jspec.algebra import coords_of, herm_matrix, matrix_of, sym_matrix
+import jspec
+from jspec.algebra import _lengths, coords_of, herm_matrix, matrix_of, sym_matrix
 
 from conftest import ALL_KINDS
 
@@ -246,6 +249,30 @@ def test_norm_and_distance_scale_exactly_by_powers_of_two(algebra):
             xs, ys = (Element(algebra, np.ldexp(z.coords, k)) for z in (x, y))
             assert norm(xs) == math.ldexp(norm(x), k)
             assert distance(xs, ys) == math.ldexp(distance(x, y), k)
+
+
+def test_lengths_of_a_stack_are_its_rows_lengths():
+    # one call over a stack [..., m] gives each row's length, each row with
+    # its own power of two: sqrt(vecdot) itself in the normal range, and
+    # exact where the row's sum of squares overflows or underflows
+    rows = np.random.default_rng(7).standard_normal((2, 4, 5))
+    w = np.array([1.0, 2.0, 2.0, 1.0, 2.0])
+    assert np.array_equal(_lengths(rows, w), np.sqrt(np.vecdot(w * rows, rows)))
+    for k in (600, -600, 1000, -1000):
+        assert np.array_equal(_lengths(np.ldexp(rows, k), w), np.ldexp(_lengths(rows, w), k))
+    mixed = np.ldexp([[3.0, 4.0], [3.0, 4.0], [0.0, 0.0], [1.0, 0.0]], [[700], [-700], [0], [-1074]])
+    assert _lengths(mixed).tolist() == [math.ldexp(5.0, 700), math.ldexp(5.0, -700), 0.0, 5e-324]
+
+
+def test_only_algebra_sums_squares():
+    # every length goes through `algebra._lengths`; nnls keeps its own
+    # residual norms, whose rows it scales to max |entry| 1 first
+    src = pathlib.Path(jspec.__file__).parent
+    offenders = [
+        f.name for f in sorted(src.glob("*.py"))
+        if f.name not in ("algebra.py", "nnls.py") and re.search(r"linalg\.norm|vecdot", f.read_text())
+    ]
+    assert not offenders, f"{offenders} sum squares outside algebra._lengths"
 
 
 def test_norm_of_a_subnormal_element():

@@ -418,6 +418,52 @@ def test_connect_endpoints_far_from_one(tmp_path, run_cli, k):
         assert payload["max_step"] == distance(xs, ys) > 0.0
 
 
+def _spin3(xbar):
+    return {"alg": {"kind": "spin", "d": 3}, "data": {"x0": 0.0, "xbar": xbar}}
+
+
+def _sym_diag(values):
+    return {"alg": {"kind": "sym", "n": len(values)}, "data": np.diag(values).tolist()}
+
+
+@pytest.mark.parametrize(
+    "command, doc, expected",
+    [
+        (["member", {"set": "tracenorm", "n": 3}], _sym_diag([3e160, 1e160, 1e160]), {"member": True}),
+        (["member", {"set": "tracenorm", "n": 3}], _sym_diag([1e-170, -0.9e-170, 0.0]), {"member": False}),
+        (["eig"], _spin3([3e-160, 4e-160]), {"lambda": [4.9999999999999999e-160, -4.9999999999999999e-160]}),
+        (["decompose"], _spin3([3e-160, 4e-160]), None),
+        (["eig"], _spin3([1e-200, 1e-200]), {"lambda": [1.414213562373095e-200, -1.414213562373095e-200]}),
+        (["eig"], _spin3([1e200, 1e200]), {"lambda": [1.414213562373095e200, -1.414213562373095e200]}),
+    ],
+    ids=["tracenorm-member-1e160", "tracenorm-nonmember-1e-170", "spin-eig-5e-160",
+         "spin-decompose-5e-160", "spin-eig-1e-200", "spin-eig-1e200"],
+)
+def test_sums_of_squares_far_from_one(tmp_path, run_cli, command, doc, expected):
+    # sums of squares that overflow above ~1e154 and underflow below
+    # ~1e-154 gave wrong verdicts, wrong spin eigenvalues, a refused spin
+    # frame and an overflow; in process, so any numpy warning fails the test
+    argv = [write_json(tmp_path, "set.json", c) if isinstance(c, dict) else c for c in command]
+    proc = run_cli(argv, stdin=json.dumps(doc))
+    assert proc.returncode == 0, proc.stderr
+    if expected is not None:
+        assert json.loads(proc.stdout) == expected
+
+
+def test_connect_sample_leaving_a_finite_set_exits_4(tmp_path, run_cli):
+    # the segment between two points of a finite set leaves it at the
+    # first sweep sample, after leg 1's 4 samples
+    a = coordinate_algebra(3)
+    set_path = write_json(tmp_path, "set.json", {"set": "finite", "points": [[3, 2, 1], [4, 2, 0]]})
+    x_path, y_path = (write_json(tmp_path, f"{name}.json", emit_element(Element(a, np.array(v, dtype=float))))
+                      for name, v in (("x", [3, 2, 1]), ("y", [4, 2, 0])))
+    q_path = write_json(tmp_path, "q.json", {"vertices": [[3, 2, 1], [4, 2, 0]]})
+    proc = run_cli(["connect", set_path, x_path, y_path, "--qpath", q_path, "--steps", "4"])
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "path-membership-audit" in proc.stderr and "path sample 4" in proc.stderr
+
+
 def test_connect_coordinate_vectors_exit_4(tmp_path, run_cli):
     a = coordinate_algebra(3)
     set_path = write_json(tmp_path, "set.json", {"set": "finite", "points": [[1, 0, 0]]})
@@ -519,7 +565,9 @@ def _sym2_spin3(m, x0, xbar):
 # sha256 of connect's stdout, recorded before connect was built as one
 # coordinate stack (per-sample Elements, one LAPACK call per sample); the
 # bytes follow numpy's bundled OpenBLAS/LAPACK on x86-64, whose kernels are
-# picked per CPU, so the test also rebuilds each path one sample at a time
+# picked per CPU, so the test also rebuilds each path one sample at a time;
+# spin4 was re-recorded when a spin rotation took its sine as the length of
+# v - (u.v) u instead of sqrt(1 - c^2) (6 of 40 coordinates moved, <= 1.7e-16)
 _CONNECT_DIGESTS = {
     "sym3": (
         {"set": "rearr", "n": 3, "m": 1},
@@ -540,7 +588,7 @@ _CONNECT_DIGESTS = {
         {"alg": {"kind": "spin", "d": 4}, "data": {"x0": 2.0, "xbar": [0.5, 1.0, -0.3]}},
         {"alg": {"kind": "spin", "d": 4}, "data": {"x0": 1.5, "xbar": [-0.2, 0.4, 0.9]}},
         ["--steps", "4"],
-        "0c513a88ebe2046335dd2958114e72bf5d4f186d7f54182b8fbeffd702c50696",
+        "840502491f8915e4308aa14f6f67a0d005ca0dea665e2d282be54bd29f11f5f9",
     ),
     "product-qpath": (
         {"set": "rearr", "n": 4, "m": 1},

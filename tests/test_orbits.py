@@ -285,6 +285,23 @@ def test_max_step_scales_exactly_by_powers_of_two(k):
         assert scaled == math.ldexp(step, k)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("offset", [0.0, 1e-12, 1e-9, 1e-7, 1e-4])
+def test_spin_orbit_path_between_nearly_equal_or_opposite_axes(offset, sign):
+    # the rotation between spin axes u and v = +-u + O(offset) ends at v and
+    # stays on the sphere to rounding: near -u, v - (u.v) u would lose its
+    # digits to cancellation, so the turn's plane is found from v + u
+    a = SpinFactor(5)
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal(4)
+    v = sign * u + offset * rng.standard_normal(4)
+    x, y = (Element(a, np.concatenate(([2.0], 3.0 * w / np.linalg.norm(w)))) for w in (u, v))
+    coords = orbit_path(x, y, steps=7).coords
+    assert np.array_equal(coords[0], x.coords)
+    assert np.abs(coords[-1] - y.coords).max() <= 1e-14 * norm(y)
+    assert np.abs(np.linalg.norm(coords[:, 1:], axis=1) - 3.0).max() <= 1e-14 * 3.0
+
+
 def test_orbit_path_constant_for_equal_endpoints():
     x = random_element(RealSymmetric(3), 2)
     path = orbit_path(x, x, steps=5)

@@ -110,15 +110,17 @@ def test_spectral_decompose_one_by_one_matches_lapack(kind, monkeypatch):
 @pytest.mark.parametrize("call", [eigen_map, spectral_decompose])
 def test_spin_non_finite_coordinates_raise(call, vector):
     # the spin radius of an infinite vector part is inf and x0 - r of it
-    # -inf, and a NaN anywhere gives NaN eigenvalues: refused, as in the
-    # matrix kinds, alone and as a factor of a product
+    # -inf, and a NaN anywhere gives NaN eigenvalues: refused by the one
+    # check before the kind is read, as in the matrix kinds, each alone and
+    # as a factor of a product
     from jspec.errors import NumericError
 
-    a = SpinFactor(3)
-    product = ProductAlgebra((RealSymmetric(1), a))
-    for x in (Element(a, np.array(vector)), Element(product, np.array([1.0] + vector))):
-        with pytest.raises(NumericError, match="non-finite entry"):
-            call(x)
+    for a in (SpinFactor(3), RealSymmetric(3), ComplexHermitian(2)):
+        coords = np.resize(vector, a.dim)
+        product = ProductAlgebra((RealSymmetric(1), a))
+        for x in (Element(a, coords), Element(product, np.concatenate(([1.0], coords)))):
+            with pytest.raises(NumericError, match="non-finite entry"):
+                call(x)
 
 
 def test_eigen_map_product_pools_factors():

@@ -45,6 +45,7 @@ from jspec import (
     scale_element,
     sort_desc,
     split_product,
+    spectral_decompose,
     ss_member,
     sum_split,
     trace,
@@ -372,6 +373,56 @@ def test_connect_orbit_legs_meet_the_sweep(algebra):
     scale = max(1.0, norm(x), norm(y))
     assert np.abs(coords[steps - 1] - compose_theta(start_q, frame).coords).max() <= 1e-9 * scale
     assert np.abs(coords[2 * steps - 2] - compose_theta(end_q, frame).coords).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("near", ["x", "y"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("offset", [1e-9, 1e-8, 1e-7])
+def test_connect_spin_axis_near_the_canonical_axis(offset, sign, near):
+    # one endpoint's spin axis is `offset` rad from +-e1, the canonical
+    # frame's axis, so one orbit leg turns by about `offset` or pi - `offset`:
+    # the path still starts at x and ends at y
+    a = SpinFactor(4)
+    s = SpectralSet(a, make_rearrangement_cone(2, 1))
+    near_axis = np.array([sign * np.cos(offset), np.sin(offset), 0.0])
+    axes = (near_axis, np.array([0.6, 0.0, 0.8]))
+    x, y = (Element(a, np.concatenate(([3.0], 2.0 * u))) for u in (axes if near == "x" else axes[::-1]))
+    coords = connect(s, x, y, steps=5).coords
+    assert np.array_equal(coords[0], x.coords)
+    assert np.abs(coords[-1] - y.coords).max() <= 1e-12 * max(1.0, norm(y))
+
+
+_SCALE_SETS = {
+    "rearr": lambda n: make_rearrangement_cone(n, 1),
+    "tracenorm": make_trace_norm_cone,
+    "halfspace-trace": make_trace_halfspace,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    algebra=st.sampled_from(ALL_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.floats(-3.0, 3.0),
+    k=st.integers(-900, 900),
+)
+def test_verdicts_do_not_depend_on_scale(algebra, seed, shift, k):
+    # lambda(2^k x) = 2^k lambda(x) and every Q here is a cone, so the
+    # eigenvalues scale, the decomposition exists and the verdicts stay put
+    # at any valid magnitude (finite sets are left out: FINITE_TOL is
+    # absolute by contract)
+    x = add_elements(random_element(algebra, seed), scale_element(shift, unit_element(algebra)))
+    scaled = Element(algebra, np.ldexp(x.coords, k))
+    lam = eigen_map(x)
+    top = float(np.abs(lam).max())
+    assert np.abs(eigen_map(scaled) - np.ldexp(lam, k)).max() <= 1e-12 * np.ldexp(top, k)
+    spectral_decompose(scaled)
+    for name, make in _SCALE_SETS.items():
+        if name == "tracenorm" and algebra.rank < 3:
+            continue
+        sset = SpectralSet(algebra, make(algebra.rank))
+        if abs(sset.q.margin(lam)) > 1e-9 * top:  # off the boundary, beyond rounding
+            assert ss_member(sset, scaled) == ss_member(sset, x), name
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import AlgebraMismatchError
+from .errors import AlgebraMismatchError, NumericError
 
 __all__ = [
     "Algebra",
@@ -371,10 +371,15 @@ def _lengths(d: np.ndarray, w=1.0) -> np.ndarray:
     neither overflows nor underflows, and the root is scaled back by 2^k; a
     power-of-two scale is exact, so in the normal range every length is bit
     for bit sqrt(np.vecdot(w * d, d)).  k is clamped at -1022 for a
-    subnormal maximum, where 2^-k is still a finite double."""
+    subnormal maximum, where 2^-k is still a finite double.  A length past
+    the largest double raises `NumericError` before `ldexp` would overflow:
+    a root is below 2^64, so only a k above 960 can take it there."""
     k = np.maximum(np.frexp(np.abs(d).max(axis=-1))[1] - 1, -1022)[..., None]
     d = np.ldexp(d, -k)
-    return np.ldexp(np.sqrt(np.vecdot(w * d, d)), k[..., 0])
+    root, k = np.sqrt(np.vecdot(w * d, d)), k[..., 0]
+    if k.max(initial=-1022) > 960 and (np.frexp(root)[1] + k > 1024).any():
+        raise NumericError("a length is past the largest double")
+    return np.ldexp(root, k)
 
 
 def norm(x: Element) -> float:

@@ -5,14 +5,17 @@ Element payloads are redundant on purpose (full matrices, not packed
 coordinates): symmetry and antisymmetry are validated on read within
 SYMMETRY_TOL and the parse/emit round trip is value-exact.  Floats render
 with 17 significant digits (`%.17g`), which round-trips IEEE doubles.  The
-renderer dispatches on exact Python types.  Element documents have one
-emitter, from coordinates: each coordinate is a distinct number of the
-document and is formatted once per element of a coordinate stack, the
-entries (i, j) and (j, i) of a symmetric pair share its text, and the upper
-Im of a Hermitian pair is the lower one's text with its sign flipped.  One
-cached plan per algebra gathers those texts and the literal pieces of the
-document's template (descriptor text and the text between the numbers)
-into document order, one join makes the element's text, and the renderer
+renderer dispatches on exact Python types and formats a lone float with
+`%`.  A stack of floats is formatted by `_g17`, one pass of numpy kernels
+that gives the bytes of `%.17g` and leaves to `%` only the numbers whose
+rounding it cannot be sure of.  Element documents have one emitter, from
+coordinates: each coordinate is a distinct number of the document and is
+formatted once per element of a coordinate stack, the entries (i, j) and
+(j, i) of a symmetric pair share its text, and the upper Im of a
+Hermitian pair is formatted as the lower one negated.  One cached plan
+per algebra gathers those texts and the literal pieces of the document's
+template (descriptor text and the text between the numbers) into
+document order, one join makes the element's text, and the renderer
 writes that text unchanged; `emit_element` is the same text decoded.  The
 renderer appends a document's pieces to one list and `render_json` joins
 them once, so the CLI writes each document, trailing newline included,
@@ -211,53 +214,189 @@ class _Json(str):
     """JSON text that `_render` writes unchanged."""
 
 
-_Plan = namedtuple("_Plan", "template literals row zero flip order gather")
+# ---------------------------------------------------------------------------
+# %.17g for a stack of floats
+
+_G17_POW = 282  # the tables hold 10^k and 10^(16 - k) for k in [-_G17_POW, _G17_POW]
+_G17_CHUNK = 4096  # numbers per `_g17` call in `_element_texts`
+_G17_FALLBACK = 25 * 17  # the layout of a placeholder ".", for a number left to `%`
+
+
+def _g17_layout(x: int, nd: int) -> list[int]:
+    """Byte positions, in a number's source row (see `_g17`), of the text
+    `%.17g` writes for a number with decimal exponent x and nd significant
+    digits: fixed notation for -4 <= x < 17, else a mantissa and an
+    exponent of at least two digits."""
+    digits = list(range(3, 20))
+    if 0 <= x < 17:
+        return [0] + digits[: x + 1] + ([2] + digits[x + 1 : nd] if nd > x + 1 else [])
+    if -4 <= x < 0:
+        return [0, 1, 2] + [1] * (-x - 1) + digits[:nd]
+    return [0, 3] + ([2] + digits[1:nd] if nd > 1 else []) + [24, 26 if x < 0 else 25] + (
+        [21, 22, 23] if abs(x) >= 100 else [22, 23])
+
+
+@functools.cache
+def _g17_tables():
+    """The tables of `_g17`, built at its first call.  For k = j - _G17_POW,
+    `tens[:, j]` holds the least double >= 10^k, then 10^(16 - k) as hi +
+    lo, from exact integer ratios, with hi also split into 26-bit halves
+    for Dekker's product.  `quad[q]` is the four ASCII digits of q in one
+    uint32 and `zeros[q]` the count of trailing zeros among them.  Layout
+    17 f + nd - 1 of `layouts` is the text of nd significant digits in
+    notation f (fixed with decimal exponent f - 4 for f < 21, then mantissa
+    with exponent e+dd, e+ddd, e-dd or e-ddd), padded with spaces; a
+    number's layout is `form[k + _G17_POW]` = 17 f + 16 less its count of
+    trailing zeros."""
+    his, los = [], []
+    for s in range(-_G17_POW, _G17_POW + 17):
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        hi = num / den  # int / int rounds correctly
+        hn, hd = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((num * hd - hn * den) / (den * hd))
+    hi, lo = np.array(his), np.array(los)
+    ceil = np.where(lo > 0, np.nextafter(hi, np.inf), hi)[: 2 * _G17_POW + 1]
+    hi, lo = hi[:15:-1], lo[:15:-1]  # 10^(16 - k), k = -_G17_POW, ...
+    split = 134217729.0 * hi
+    high = split - (split - hi)
+    tens = np.stack([ceil, hi, high, hi - high, lo])
+    q = np.arange(10000, dtype=np.uint16)
+    digits = [q // 1000, q // 100 % 10, q // 10 % 10, q % 10]
+    quad = (np.stack(digits, axis=1) + 48).astype(np.uint8).view("<u4").ravel()
+    zeros = np.cumprod(np.stack(digits[::-1]) == 0, axis=0, dtype=np.uint8).sum(axis=0, dtype=np.uint8)
+    xs = np.arange(-_G17_POW, _G17_POW + 1)
+    form = np.where((xs >= -4) & (xs < 17), xs + 4, 21 + 2 * (xs < 0) + (np.abs(xs) >= 100)) * 17 + 16
+    layouts = np.full((_G17_FALLBACK + 1, 25), 27, dtype=np.intp)
+    for f, x in enumerate([*range(-4, 17), 17, 100, -5, -100]):
+        for nd in range(1, 18):
+            idx = _g17_layout(x, nd)
+            layouts[f * 17 + nd - 1, : len(idx)] = idx
+    layouts[_G17_FALLBACK, 0] = 2
+    return tens, quad, zeros, form, layouts
+
+
+def _g17_digits(v: np.ndarray):
+    """The 17 correctly rounded digits D of each |v| as an integer in
+    [1e16, 1e17), with k + _G17_POW for its decimal exponent k, and the
+    positions of the numbers whose digits are in doubt.
+
+    With k = floor(log10 |v|) (from `log10`, lowered once by an exact
+    comparison with 10^k), D = round(|v| 10^(16 - k)) is taken from
+    Dekker's exact product of |v| and the hi part of 10^(16 - k), plus |v|
+    times its lo part: the error is below ~5e-15, so D is correct unless
+    the product is within 1e-12 of a tie.  Those numbers, |v| outside
+    [1e-280, 1e280), and a D outside [1e16, 1e17) (a log10 below k) are in
+    doubt.  A zero has D = 0 and k = 0."""
+    tens = _g17_tables()[0]
+    a = np.abs(v)
+    nonzero = a != 0
+    inrange = (a >= 1e-280) & (a < 1e280)  # k and 16 - k in the tables
+    a = np.where(inrange, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp) + _G17_POW
+    k -= a < tens[0].take(k)
+    _, hi, high, low, lo = tens.take(k, axis=1)
+    split = 134217729.0 * a
+    ahigh = split - (split - a)
+    alow = a - ahigh
+    p = a * hi  # an integer: D = p + round(t)
+    t = (((ahigh * high - p) + ahigh * low + alow * high) + alow * low) + a * lo
+    r = np.rint(t)
+    d = p.astype(np.int64) + r.astype(np.int64)
+    sure = inrange & (np.abs(t - r) < 0.5 - 1e-12) & (d >= 10**16) & (d < 10**17)
+    d *= nonzero
+    return d, k, np.flatnonzero(~sure & nonzero)
+
+
+def _divmod(x: np.ndarray, m: int):
+    """np.divmod(x, m) for int64 x >= 0, by one floor division, which
+    numpy does fast for a constant m, where its `%` is slow."""
+    q = x // m
+    return q, x - q * m
+
+
+def _g17(values) -> list[str]:
+    """`'%.17g' % v` for each float of values, from one pass of numpy
+    kernels over the stack (see `_g17_digits`); the numbers whose digits
+    are in doubt, non-finite ones included, go to `%` itself, and a zero
+    is written as "0" or "-0".
+
+    Each number's source row of 28 bytes holds its sign (" " or "-"), "0",
+    ".", its 17 digits, the four digits of |k|, "e", "+", "-" and " "; one
+    gather picks its text by a layout keyed by the notation and exponent
+    width and by the count of significant digits, and the texts, padded
+    with spaces, are decoded and split at once."""
+    v = np.asarray(values, dtype=float).ravel()
+    _, quad, zeros, form, layouts = _g17_tables()
+    d, k, fallback = _g17_digits(v)
+    upper, lower = _divmod(d, 10**8)
+    first, upper = _divmod(upper, 10**8)
+    q1, q2 = _divmod(upper, 10**4)
+    q3, q4 = _divmod(lower, 10**4)
+    rows = np.empty((v.size, 7), dtype="<u4")
+    rows[:, 0] = 0x302E3020 + (first << 24) + 13 * np.signbit(v)  # " 0." and D's first digit
+    rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4] = quad[q1], quad[q2], quad[q3], quad[q4]
+    rows[:, 5] = quad[np.abs(k - _G17_POW)]
+    rows[:, 6] = 0x202D2B65  # "e+- "
+    trailing = zeros[q4] + (q4 == 0) * (zeros[q3] + (q3 == 0) * (zeros[q2] + (q2 == 0) * zeros[q1]))
+    key = form[k] - trailing
+    key[fallback] = _G17_FALLBACK
+    index = layouts.take(key, axis=0)
+    index += np.arange(0, 28 * v.size, 28)[:, None]
+    text = rows.view(np.uint8).take(index).tobytes()
+    del index  # the largest array of a call: gone before the texts are made
+    texts = text.decode("ascii").split()
+    for i in fallback.tolist():
+        texts[i] = "%.17g" % v[i]
+    return texts
+
+
+_Plan = namedtuple("_Plan", "template literals zero flip order gather")
 
 
 @functools.lru_cache(maxsize=64)
 def _plan(a: Algebra) -> _Plan:
     """How the element documents of `a` are written from coordinates.
 
-    Every coordinate is a distinct number of the document: `row` formats
-    the dim numbers `coords + zero` with `%.17g`, where `zero` holds +0.0 on
-    a real symmetric coordinate (a stored -0.0 unpacks as +0.0, as in
-    `matrix_of`) and -0.0 elsewhere (the sign is kept).  `flip` lists the
-    coordinates whose text is written again with its sign flipped: the
-    lower Im (i, j) of a Hermitian factor, whose upper Im (j, i) is its
-    negation.  `template` is the document with one `%s` slot per number
-    and the literal `0` of each Hermitian diagonal Im, and `literals` its
-    pieces around the slots, `template.split("%s")`.  `order` maps each
-    slot to the formatted texts followed by the flipped ones; `gather` is
-    one `itemgetter` over those texts followed by the literals, which picks
-    the document's pieces in document order: literal 0, slot 0, literal 1,
-    ..., the last literal.  A product concatenates its factors' templates."""
+    Every coordinate is a distinct number of the document, and the numbers
+    of an element are `coords + zero`, where `zero` holds +0.0 on a real
+    symmetric coordinate (a stored -0.0 unpacks as +0.0, as in `matrix_of`)
+    and -0.0 elsewhere (the sign is kept), followed by their negations at
+    `flip`: the lower Im (i, j) of a Hermitian factor, whose negation is
+    its upper Im (j, i).  `template` is the document with one `%s` slot per
+    number and the literal `0` of each Hermitian diagonal Im, and
+    `literals` its pieces around the slots, `template.split("%s")`.
+    `order` maps each slot to its number; `gather` is one `itemgetter` over
+    the numbers' texts followed by the literals, which picks the document's
+    pieces in document order: literal 0, slot 0, literal 1, ..., the last
+    literal.  A product concatenates its factors' templates."""
     if isinstance(a, ProductAlgebra):
         blocks = alg._blocks(a)
         plans = [_plan(f) for f in a.factors]
-        starts = np.cumsum([a.dim] + [len(p.flip) for p in plans])  # of each factor's flipped texts
+        starts = np.cumsum([a.dim] + [p.flip.size for p in plans])  # of each factor's negations
         zero = np.concatenate([p.zero for p in plans])
-        flip = tuple(i + c.start for p, (_, c, _) in zip(plans, blocks) for i in p.flip)
+        flip = np.concatenate([p.flip + c.start for p, (_, c, _) in zip(plans, blocks)])
         order = np.concatenate([
             np.where(p.order < f.dim, p.order + c.start, p.order - f.dim + k)
             for p, (f, c, _), k in zip(plans, blocks, starts)
         ])
         data = {"factors": [_Json(p.template) for p in plans]}
     elif isinstance(a, SpinFactor):
-        zero, flip, order = np.full(a.dim, -0.0), (), np.arange(a.dim)
+        zero, flip, order = np.full(a.dim, -0.0), np.zeros(0, np.intp), np.arange(a.dim)
         data = {"x0": _Json("%s"), "xbar": [_Json("%s")] * (a.d - 1)}
     elif isinstance(a, RealSymmetric):
-        zero, flip, order = np.zeros(a.dim), (), a._layout.full.ravel()
+        zero, flip, order = np.zeros(a.dim), np.zeros(0, np.intp), a._layout.full.ravel()
         data = [[_Json("%s")] * a.n] * a.n
     else:
         # Re (i, j) and Re (j, i) are one coordinate; the lower Im (i, j) is
         # the next one, and the upper Im (j, i), in its Im slot in `full`,
-        # takes the flipped text of that coordinate
+        # takes the negation of that coordinate
         lay, d = a._layout, np.arange(a.n)
         upper, diag = d[:, None] < d, d[:, None] == d
-        flip = tuple((lay.low + 1).tolist())
-        flipped = np.zeros(a.dim, dtype=np.intp)
-        flipped[lay.low + 1] = a.dim + np.arange(lay.low.size)
-        im = np.where(upper, flipped[lay.full], lay.full + 1)
+        flip = lay.low + 1
+        negated = np.zeros(a.dim, dtype=np.intp)
+        negated[flip] = a.dim + np.arange(flip.size)
+        im = np.where(upper, negated[lay.full], lay.full + 1)
         zero, order = np.full(a.dim, -0.0), np.concatenate([(lay.full - upper).ravel(), im[~diag]])
         data = {
             "re": [[_Json("%s")] * a.n] * a.n,
@@ -266,46 +405,47 @@ def _plan(a: Algebra) -> _Plan:
     template = render_json({"alg": emit_algebra(a), "data": data})
     literals = template.split("%s")
     # positions in texts + literals: literal 0, slot 0, literal 1, ...
-    pieces = np.full(2 * len(literals) - 1, len(flip) + a.dim)
+    pieces = np.full(2 * len(literals) - 1, flip.size + a.dim)
     pieces[::2] += np.arange(len(literals))
     pieces[1::2] = order
-    return _Plan(template, literals, "\x00".join(["%.17g"] * a.dim), zero, flip, order,
-                 operator.itemgetter(*pieces.tolist()))
+    return _Plan(template, literals, zero, flip, order, operator.itemgetter(*pieces.tolist()))
 
 
 def _element_texts(a: Algebra, coords) -> list[_Json]:
     """JSON text of each element of `a` with coordinates a row of coords
-    [k, dim]: one finiteness check over the stack, then per row one `%`
-    that formats each distinct number once and one join of those texts and
-    the template's literal pieces, gathered into document order, so one
-    row's numbers are alive at a time."""
+    [k, dim]: one finiteness check over the numbers of the stack, then
+    `_g17` over a chunk of rows at a time, and per row one join of its
+    numbers' texts and the template's literal pieces, gathered into
+    document order."""
     plan = _plan(a)
     numbers = np.asarray(coords, dtype=float).reshape(-1, a.dim) + plan.zero
+    if plan.flip.size:
+        numbers = np.hstack([numbers, -numbers[:, plan.flip]])
     if not np.isfinite(numbers).all():
-        flipped = -numbers[:, np.array(plan.flip, dtype=np.intp)]
-        doc = np.hstack([numbers, flipped])[:, plan.order]
+        doc = numbers[:, plan.order]
         bad = doc[~np.isfinite(doc)]  # in document order
         raise NumericError(f"cannot render the non-finite number {float(bad[0])!r} as JSON")
-    literals, row_format, flip, gather = plan.literals, plan.row, plan.flip, plan.gather
+    literals, gather, width = plan.literals, plan.gather, numbers.shape[1]
+    step = max(1, _G17_CHUNK // width)
     out = []
-    for row in numbers:
-        texts = (row_format % tuple(row.tolist())).split("\x00")
-        if flip:  # negating a finite double, 0.0 and -0.0 included, negates its text
-            texts += [t[1:] if t[0] == "-" else "-" + t for t in map(texts.__getitem__, flip)]
-        texts += literals
-        out.append(_Json("".join(gather(texts))))
+    for start in range(0, len(numbers), step):
+        texts = _g17(numbers[start : start + step])
+        for end in range(width, len(texts) + 1, width):
+            row = texts[end - width : end]
+            row += literals
+            out.append(_Json("".join(gather(row))))
     return out
 
 
 def _float_rows(rows) -> list[_Json]:
     """JSON text of each row of floats [k, n], the text `_render` writes for
-    it: one finiteness check over the stack, then one `%.17g` row template."""
+    it: one finiteness check over the stack, then `_g17` over it."""
     rows = np.asarray(rows, dtype=float)
     bad = rows[~np.isfinite(rows)]
     if bad.size:
         raise NumericError(f"cannot render the non-finite number {float(bad[0])!r} as JSON")
-    template = "[" + ", ".join(["%.17g"] * rows.shape[1]) + "]"
-    return [_Json(template % tuple(row.tolist())) for row in rows]
+    texts, n = _g17(rows), rows.shape[1]
+    return [_Json("[" + ", ".join(texts[i * n : i * n + n]) + "]") for i in range(len(rows))]
 
 
 def emit_element(x: Element) -> dict:

@@ -25,6 +25,7 @@ from jspec import (
 )
 import jspec
 from jspec.algebra import _lengths, coords_of, herm_matrix, matrix_of, sym_matrix
+from jspec.errors import NumericError
 
 from conftest import ALL_KINDS
 
@@ -262,6 +263,11 @@ def test_lengths_of_a_stack_are_its_rows_lengths():
         assert np.array_equal(_lengths(np.ldexp(rows, k), w), np.ldexp(_lengths(rows, w), k))
     mixed = np.ldexp([[3.0, 4.0], [3.0, 4.0], [0.0, 0.0], [1.0, 0.0]], [[700], [-700], [0], [-1074]])
     assert _lengths(mixed).tolist() == [math.ldexp(5.0, 700), math.ldexp(5.0, -700), 0.0, 5e-324]
+    # up to the largest double a length is exact; past it, a NumericError
+    top = np.array([[1.7976931348623157e308, 0.0], [1.2e308, 1.2e308]])
+    assert _lengths(top).tolist() == [1.7976931348623157e308, math.hypot(1.2e308, 1.2e308)]
+    with pytest.raises(NumericError, match="past the largest double"):
+        _lengths(np.vstack([top, [1.3e308, 1.3e308]]))
 
 
 def test_only_algebra_sums_squares():

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -448,6 +449,18 @@ def test_sums_of_squares_far_from_one(tmp_path, run_cli, command, doc, expected)
     assert proc.returncode == 0, proc.stderr
     if expected is not None:
         assert json.loads(proc.stdout) == expected
+
+
+def test_spin_radius_past_the_largest_double_exits_3(run_cli):
+    # |xbar| = 2.4e308 is no double: a numeric failure, in process, with
+    # nothing on stdout and no numpy overflow warning on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        proc = run_cli(["eig"], stdin=json.dumps(_spin3([1.7e308, 1.7e308])))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "past the largest double" in proc.stderr
+    assert [str(w.message) for w in caught] == []
 
 
 def test_connect_sample_leaving_a_finite_set_exits_4(tmp_path, run_cli):

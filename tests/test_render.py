@@ -21,7 +21,17 @@ from jspec.algebra import (
     matrix_of,
 )
 from jspec.errors import NumericError
-from jspec.io import _Json, _element_texts, _float_rows, emit_algebra, emit_element, parse_element, render_json
+from jspec.io import (
+    _g17,
+    _g17_digits,
+    _Json,
+    _element_texts,
+    _float_rows,
+    emit_algebra,
+    emit_element,
+    parse_element,
+    render_json,
+)
 
 
 def oracle(value) -> str:
@@ -196,9 +206,62 @@ def test_float_rows_match_reference(rows):
 
 
 # ---------------------------------------------------------------------------
-# the element emitter
+# the stacked %.17g kernel
+
+# every finite double, from its bits, or from hypothesis's float strategy
+# (subnormals, -0.0 and the edges of the range included)
+any_double = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+finite_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    any_double.filter(math.isfinite),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 40), elements=finite_doubles))
+def test_g17_is_percent_17g(values):
+    assert _g17(values) == ["%.17g" % v for v in values.tolist()]
+
 
 MAX = 1.7976931348623157e308
+# doubles exactly halfway between two 17-digit decimals, which `%` rounds
+# to even: 16 integer digits and .25 or .75, 15 and .125, .375, .625 or .875
+TIES = [1e15 + j + f for j in range(50) for f in (0.25, 0.75)] + [
+    1e14 + j + f for j in range(50) for f in (0.125, 0.375, 0.625, 0.875)]
+
+
+def _g17_battery() -> np.ndarray:
+    """Powers of ten 1e-323 to 1e308 with their 3 neighbours on each side,
+    the %g switch points, exact decimal ties, k/4, 5e-324 and +-MAX."""
+    tens = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    steps = [tens]
+    for direction in (np.inf, -np.inf):
+        near = tens
+        for _ in range(3):
+            near = np.nextafter(near, direction)
+            steps.append(near)
+    switches = [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999991e-5, 9.9999999999999995e-6, 9.9999999999999984e15]
+    edges = [0.0, 5e-324, MAX, 2.2250738585072014e-308]
+    battery = np.concatenate(steps + [switches, TIES, edges])
+    return np.concatenate([battery, -battery, np.arange(-99999, 100000) / 4])
+
+
+def test_g17_battery_is_percent_17g():
+    battery = _g17_battery()
+    assert _g17(battery) == ["%.17g" % v for v in battery.tolist()]
+
+
+def test_g17_battery_reaches_the_fallback():
+    # ties, subnormals and numbers past 1e280 are left to `%`; the rest is not
+    battery = _g17_battery()
+    _, _, fallback = _g17_digits(battery)
+    assert set(TIES + [5e-324, MAX]) <= set(battery[fallback].tolist())
+    assert fallback.size < battery.size // 10
+
+
+# ---------------------------------------------------------------------------
+# the element emitter
+
 EMITTED_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS + [MAX, -MAX]), finite_floats)
 simple_algebras = st.one_of(
     st.integers(1, 3).map(RealSymmetric),

@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("set")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--steps", type=int, default=32, help="samples per leg (default 32)")
+    p.add_argument("--steps", type=int, default=32, help="sweep samples; the orbit leg takes "
+                   "2*steps - 1, a witness 3*steps - 2 (default 32)")
     p.add_argument("--qpath", default=None, help="coefficient polyline file")
     p.add_argument("--tolerance", type=float, default=ss.PATH_TOL)
     p.set_defaults(handler=_cmd_connect)

@@ -1,8 +1,8 @@
 """Spectral sets: inverse images of permutation-invariant sets under the
 eigenvalue map.
 
-Provides membership, constructive connectivity witnesses (three-leg paths:
-orbit leg, frame-composition leg, orbit leg), component enumeration for
+Provides membership, constructive connectivity witnesses (two legs: an orbit
+leg onto y's frame, then a coefficient sweep in it), component enumeration for
 finite sets, additive splitting, the exact range of a linear functional over
 an eigenvalue orbit, and verification of direct-sum decomposition
 certificates for cones.  Paths, component representatives and certificate
@@ -199,20 +199,20 @@ def connect(
 ) -> PathPolyline:
     """Constructive path witness from x to y inside the spectral set.
 
-    Three legs, the orbit legs restricted to the factor blocks (a simple
-    algebra is one block): an orbit leg from x to the canonical-frame
-    composition of its eigenvalue blocks, a sweep of that frame along a path
-    of coefficient vectors, and an orbit leg from the composition of y's
-    blocks to y.  Without `q_path` the sweep takes the segment between the
-    blocks when they agree within `tolerance` or Q is flagged convex (Q is
-    permutation invariant, so the segment stays in Q); a finite Q then has
-    no path, and any other Q needs `q_path`, whose vertices are sorted per
-    block, must lie in Q, and must start and end at the blocks of x and y.
-    Every sample is audited for membership at `tolerance` (finite and
-    nonnegative).  The path is one coordinate stack: x and y are
-    diagonalized once, their frames are transported onto the canonical
-    frame, the sweep is one stacked composition and the audit one
-    eigenvalue pass.
+    Two legs, restricted to the factor blocks (a simple algebra is one
+    block), as in the paper's proof: an orbit leg of 2 * steps - 1 samples
+    from x to its eigenvalue blocks composed in y's frame, then a sweep of
+    `steps` samples of that frame along a path of coefficient vectors to
+    y's blocks, which is y; the legs share one joint.  Without `q_path` the
+    sweep takes the segment between the blocks when they agree within
+    `tolerance` or Q is flagged convex (Q is permutation invariant, so the
+    segment stays in Q); a finite Q then has no path, and any other Q needs
+    `q_path`, whose vertices are sorted per block, must lie in Q, and must
+    start and end at the blocks of x and y.  Every sample is audited for
+    membership at `tolerance` (finite and nonnegative).  The path is one
+    coordinate stack: x and y are diagonalized once, the sweep is one
+    stacked composition and the audit one eigenvalue pass.  Only x == y,
+    coordinate for coordinate, gives the two-sample path [x, y].
     """
     if x.algebra != sset.algebra or y.algebra != sset.algebra:
         raise AlgebraMismatchError("endpoints must live in the set's algebra")
@@ -229,8 +229,7 @@ def connect(
                 f"endpoint {name} is not a member of the spectral set",
                 clause="endpoint-membership",
             )
-    scale = max(1.0, alg.norm(x))
-    if alg.distance(x, y) <= 1e-12 * scale:
+    if np.array_equal(x.coords, y.coords):
         return PathPolyline(a, np.stack([x.coords, y.coords]), tolerance)
 
     if q_path is None:
@@ -264,15 +263,15 @@ def connect(
                 "q_path endpoints do not match the endpoint eigenvalues",
                 clause="qpath-endpoints",
             )
+        # the blocks themselves: the sweep starts at the leg's end and ends at y
+        vertices[0], vertices[-1] = start_q, end_q
 
     # the coordinates, plus the audit's matrices (at most 2 * dim reals each)
-    check_float_budget(3 * steps * 3 * a.dim, f"a connect path of {steps} steps per leg")
-    # one composition: y's reference endpoint, then the sweep after its start
-    frame = canonical_frame(a)
-    composed = _compose(np.vstack([end_q, _interpolate_vertices(vertices, steps)[1:]]), frame)
-    leg1 = _orbit_leg(x, spectral_decompose(x)[0], frame, steps)
-    leg3 = _orbit_leg(Element(a, composed[0]), frame, spectral_decompose(y)[0], steps)
-    coords = np.concatenate([leg1, composed[1:], leg3[1:]])
+    check_float_budget(3 * steps * 3 * a.dim, f"a connect path of {steps} sweep steps")
+    # the sweep lists y's idempotents block by block, as the orbit leg ends on them
+    f_y = spectral_decompose(y)[0]
+    sweep = _compose(_interpolate_vertices(vertices, steps)[1:, f_y.order], f_y)
+    coords = np.concatenate([_orbit_leg(x, spectral_decompose(x)[0], f_y, 2 * steps - 1), sweep])
     _audit_membership(sset, coords, tolerance)
     return PathPolyline(a, coords, tolerance)
 

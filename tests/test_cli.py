@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -28,7 +29,7 @@ from jspec import (
 )
 from jspec import cli, errors, orbits, permsets, spectral
 from jspec import spectralsets as ss
-from jspec.algebra import distance
+from jspec.algebra import distance, join_product, split_product
 from jspec.io import (
     _element_texts,
     emit_algebra,
@@ -288,7 +289,7 @@ _Y2 = {"alg": {"kind": "sym", "n": 2}, "data": [[2.5, 1.5], [1.5, 2.5]]}
         (["orbit-sample", "x.json", "--count", "100"], 100 * 2 * 2),
         # 100 samples of a Gaussian and a sort key in R^2
         (["pointed-check", "set.json", "--samples", "100"], 2 * 100 * 2),
-        # 3 legs of 100 samples of sym(2), dim 3, plus the audit's matrices
+        # a path of 3 * 100 - 2 samples of sym(2), dim 3, plus the audit's matrices
         (["connect", "set.json", "x.json", "y.json", "--steps", "100"], 3 * 100 * 3 * 3),
         # 50 candidates per sample in R^2, plus the eigenvalue pass's matrices
         (["certify", "set.json", "cert.json", "--samples", "100"], 3 * 50 * 100 * 2),
@@ -398,9 +399,8 @@ def test_connect_equal_endpoints_two_samples(tmp_path, run_cli):
 @pytest.mark.parametrize("k", [530, -565])
 def test_connect_endpoints_far_from_one(tmp_path, run_cli, k):
     # at 2^530 the trace-form sums of squares overflow and at 2^-565 they
-    # underflow: distinct endpoints scaled by 2^530 still get a full path,
-    # and the 2-sample shortcut at 2^-565 (distance <= 1e-12 * max(1, norm))
-    # reports their true distance
+    # underflow: distinct endpoints at either scale get the full path, and
+    # its max_step is their true largest step
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1})
     x = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
     y = np.array([[1.0, 0.0, 0.3], [0.0, 0.8, 0.0], [0.3, 0.0, 1.5]])
@@ -409,14 +409,10 @@ def test_connect_endpoints_far_from_one(tmp_path, run_cli, k):
     proc = run_cli(["connect", set_path, *paths, "--steps", "6"])
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
-    if k > 0:
-        assert len(payload["samples"]) == 3 * 6 - 2
-        samples = [parse_element(doc) for doc in payload["samples"]]
-        assert payload["max_step"] == max(distance(p, q) for p, q in zip(samples, samples[1:]))
-        assert math.isfinite(payload["max_step"]) and payload["max_step"] > 2.0 ** 500
-    else:
-        assert len(payload["samples"]) == 2
-        assert payload["max_step"] == distance(xs, ys) > 0.0
+    assert len(payload["samples"]) == 3 * 6 - 2
+    samples = [parse_element(doc) for doc in payload["samples"]]
+    assert payload["max_step"] == max(distance(p, q) for p, q in zip(samples, samples[1:]))
+    assert 2.0 ** (k - 30) < payload["max_step"] < 2.0 ** (k + 30)
 
 
 def _spin3(xbar):
@@ -465,7 +461,7 @@ def test_spin_radius_past_the_largest_double_exits_3(run_cli):
 
 def test_connect_sample_leaving_a_finite_set_exits_4(tmp_path, run_cli):
     # the segment between two points of a finite set leaves it at the
-    # first sweep sample, after leg 1's 4 samples
+    # first sweep sample, after the orbit leg's 2 * 4 - 1 samples
     a = coordinate_algebra(3)
     set_path = write_json(tmp_path, "set.json", {"set": "finite", "points": [[3, 2, 1], [4, 2, 0]]})
     x_path, y_path = (write_json(tmp_path, f"{name}.json", emit_element(Element(a, np.array(v, dtype=float))))
@@ -474,7 +470,7 @@ def test_connect_sample_leaving_a_finite_set_exits_4(tmp_path, run_cli):
     proc = run_cli(["connect", set_path, x_path, y_path, "--qpath", q_path, "--steps", "4"])
     assert proc.returncode == 4
     assert proc.stdout == ""
-    assert "path-membership-audit" in proc.stderr and "path sample 4" in proc.stderr
+    assert "path-membership-audit" in proc.stderr and "path sample 7" in proc.stderr
 
 
 def test_connect_coordinate_vectors_exit_4(tmp_path, run_cli):
@@ -575,51 +571,61 @@ def _sym2_spin3(m, x0, xbar):
     }
 
 
-# sha256 of connect's stdout, recorded before connect was built as one
-# coordinate stack (per-sample Elements, one LAPACK call per sample); the
-# bytes follow numpy's bundled OpenBLAS/LAPACK on x86-64, whose kernels are
-# picked per CPU, so the test also rebuilds each path one sample at a time;
-# spin4 was re-recorded when a spin rotation took its sine as the length of
-# v - (u.v) u instead of sqrt(1 - c^2) (6 of 40 coordinates moved, <= 1.7e-16)
+# sha256 of connect's stdout, recorded when the witness became two legs (an
+# orbit leg onto y's frame, then the sweep in that frame); the bytes follow
+# numpy's bundled OpenBLAS/LAPACK on x86-64, whose kernels are picked per
+# CPU, so the test also rebuilds each path one sample at a time
 _CONNECT_DIGESTS = {
     "sym3": (
         {"set": "rearr", "n": 3, "m": 1},
         _sym([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]]),
         _sym([[1.0, 0.0, 0.3], [0.0, 0.8, 0.0], [0.3, 0.0, 1.5]]),
         ["--steps", "6"],
-        "b86547940a1b85826371db001ed4a5b20f507aadee83818a7f9946ea416c960d",
+        "70cecbba443ff3901240f6746b760521bafe265740a12c91d58c2e9595189bba",
     ),
     "herm2": (
         {"set": "halfspace-trace", "n": 2},
         {"alg": {"kind": "herm", "n": 2}, "data": {"re": [[1.5, 0.2], [0.2, 0.5]], "im": [[0.0, 0.3], [-0.3, 0.0]]}},
         {"alg": {"kind": "herm", "n": 2}, "data": {"re": [[0.7, -0.1], [-0.1, 1.2]], "im": [[0.0, -0.4], [0.4, 0.0]]}},
         ["--steps", "5"],
-        "7c16588acf381d256610df29d5a6f30fa08f2f95075dad3d57585c572948d9ad",
+        "0803e273444bd3981efffe318df3cac3f60d1bb93a1bd6c91be488aea5298fe0",
     ),
     "spin4": (
         {"set": "rearr", "n": 2, "m": 1},
         {"alg": {"kind": "spin", "d": 4}, "data": {"x0": 2.0, "xbar": [0.5, 1.0, -0.3]}},
         {"alg": {"kind": "spin", "d": 4}, "data": {"x0": 1.5, "xbar": [-0.2, 0.4, 0.9]}},
         ["--steps", "4"],
-        "840502491f8915e4308aa14f6f67a0d005ca0dea665e2d282be54bd29f11f5f9",
+        "744f6d69df26f80bef123e44dbf5b039a4deba878a222dea75809c7639bfd731",
     ),
     "product-qpath": (
         {"set": "rearr", "n": 4, "m": 1},
         _sym2_spin3([[1.5, 0.5], [0.5, 1.5]], 1.5, [0.3, 0.4]),
         _sym2_spin3([[1.0, 0.2], [0.2, 1.0]], 1.0, [0.0, 0.6]),
         ["--steps", "4", "--qpath", {"vertices": [[2.0, 1.0, 2.0, 1.0], [2.5, 1.5, 2.5, 1.5], [1.2, 0.8, 1.6, 0.4]]}],
-        "30b16dd925bdd25f6a04672fe1da67f4ffbc7167a2198026e33db579a6232ed8",
+        "068b3c7c2be6e762f5b0f421d13d369f806059c304e5304f221426fb82ee72e5",
     ),
 }
+
+
+# a finite Q over sym(2) whose two points differ only next to 1e12: the
+# segment's midpoint diag(1e12, 0) is not in Q, so there is no path
+_FAR_FINITE = (
+    {"set": "finite", "points": [[1e12, 0.5], [1e12, -0.5]]},
+    _sym([[1e12, 0.0], [0.0, 0.5]]),
+    _sym([[1e12, 0.0], [0.0, -0.5]]),
+)
+
+
+def _connect_argv(tmp_path, set_doc, x_doc, y_doc, flags=()):
+    argv = ["connect"] + [write_json(tmp_path, f"{name}.json", doc) for name, doc in
+                          (("set", set_doc), ("x", x_doc), ("y", y_doc))]
+    return argv + [write_json(tmp_path, "q.json", f) if isinstance(f, dict) else f for f in flags]
 
 
 @pytest.mark.parametrize("case", sorted(_CONNECT_DIGESTS))
 def test_connect_stdout_bytes_are_pinned(tmp_path, capsys, case):
     set_doc, x_doc, y_doc, flags, digest = _CONNECT_DIGESTS[case]
-    argv = ["connect"] + [write_json(tmp_path, f"{name}.json", doc) for name, doc in
-                          (("set", set_doc), ("x", x_doc), ("y", y_doc))]
-    argv += [write_json(tmp_path, "q.json", f) if isinstance(f, dict) else f for f in flags]
-    assert cli.main(argv) == 0
+    assert cli.main(_connect_argv(tmp_path, set_doc, x_doc, y_doc, flags)) == 0
     out = capsys.readouterr().out
     # host-independent: the same bytes from the path built sample by sample
     x, y = parse_element(x_doc), parse_element(y_doc)
@@ -635,6 +641,42 @@ def test_connect_stdout_bytes_are_pinned(tmp_path, capsys, case):
     }
     assert out == render_json(expected) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_connect_distinct_points_of_a_finite_set_near_1e12_exit_4(tmp_path, run_cli):
+    # distinct endpoints are never joined by a 2-sample shortcut, however
+    # close they are relative to their norm
+    proc = run_cli(_connect_argv(tmp_path, *_FAR_FINITE))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "no-path-in-finite-set" in proc.stderr
+
+
+def _bench_oracle(monkeypatch):
+    """bench/oracle.py (numpy only), loaded from its file without writing
+    bytecode next to it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "oracle.py")
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("case", [*sorted(_CONNECT_DIGESTS), "far-finite"])
+def test_connect_meets_the_bench_oracle(tmp_path, capsys, monkeypatch, case):
+    # the benchmark's own checks of a witness (sample count, endpoints,
+    # membership, max_step) and of an infeasible connect, in process
+    oracle = _bench_oracle(monkeypatch)
+    if case == "far-finite":
+        argv, check = _connect_argv(tmp_path, *_FAR_FINITE), oracle.check_infeasible("no-path-in-finite-set")
+    else:
+        set_doc, x_doc, y_doc, flags, _ = _CONNECT_DIGESTS[case]
+        argv = _connect_argv(tmp_path, set_doc, x_doc, y_doc, flags)
+        blocks = [oracle.blocks_from_doc(doc) for doc in (x_doc, y_doc)]
+        check = oracle.check_connect(set_doc, *blocks, steps=int(flags[1]))
+    rc = cli.main(argv)
+    check(rc, *capsys.readouterr())
 
 
 _COMPONENTS_DIGESTS = {
@@ -722,30 +764,37 @@ def test_decompose_stdout_bytes_are_pinned(tmp_path, capsys, case):
 
 
 def _connect_one_sample_at_a_time(x, y, q_path, steps):
-    """The samples of connect's three legs, each built on its own, as connect
-    did before it was one stack: orbit legs, then one compose_theta per point
-    of the coefficient sweep (endpoint membership and the audit left out)."""
+    """The samples of connect's two legs, each built on its own: per factor,
+    the automorphism of the transport of x's frame onto y's at each of
+    2 * steps - 1 parameters, applied to x's factor, then one compose_theta
+    per point of the coefficient sweep in y's frame, listed block by block
+    (endpoint membership and the audit left out)."""
     a = x.algebra
-    frame = spectral.canonical_frame(a)
+    f_x, f_y = spectral.spectral_decompose(x)[0], spectral.spectral_decompose(y)[0]
     if a.is_simple():
-        start_q, end_q, leg = spectral.eigen_map(x), spectral.eigen_map(y), orbits.orbit_path
+        parts, pairs = [x], [(f_x, f_y)]
     else:
-        start_q, end_q, leg = ss.factor_blocks(x), ss.factor_blocks(y), orbits.restricted_orbit_path
+        parts, pairs = split_product(x), zip(f_x.basis, f_y.basis)
+    paths = [orbits.g_path(orbits.frame_transport(e, f)) for e, f in pairs]
+    leg = []
+    for t in np.linspace(0.0, 1.0, 2 * steps - 1):
+        images = [orbits.apply_automorphism(p.sample(t), xi) for p, xi in zip(paths, parts)]
+        leg.append(images[0] if a.is_simple() else join_product(a, images))
+    start_q, end_q = (spectral._eigenvalue_blocks(a, z.coords) for z in (x, y))
     vertices = [start_q, end_q]
     if q_path is not None:
+        # each inner vertex sorted per block; the ends are the blocks themselves
         ranks = np.cumsum([0] + [f.rank for f in a.factors])
-        vertices = [
+        vertices[1:1] = [
             np.concatenate([np.sort(v[i:j])[::-1] for i, j in zip(ranks, ranks[1:])])
-            for v in q_path
+            for v in q_path[1:-1]
         ]
     sweep = []
     for u in np.linspace(0.0, float(len(vertices) - 1), steps):
         k = min(int(u), len(vertices) - 2)
         q = (1.0 - (u - k)) * vertices[k] + (u - k) * vertices[k + 1]
-        sweep.append(spectral.compose_theta(q, frame))
-    leg1 = leg(x, spectral.compose_theta(start_q, frame), steps).samples
-    leg3 = leg(spectral.compose_theta(end_q, frame), y, steps).samples
-    return list(leg1) + sweep[1:] + list(leg3[1:])
+        sweep.append(spectral.compose_theta(q[f_y.order], f_y))
+    return leg + sweep[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from jspec import (
     unit_element,
 )
 from jspec import canonical_frame, compose_theta, custom_permset
-from jspec import spectral, spectralsets
+from jspec import orbits, spectral, spectralsets
 from jspec.algebra import matrix_of
 from jspec.spectral import _eigenvalue_blocks
 from jspec.nnls import _nnls_rows, nnls
@@ -215,6 +215,20 @@ def test_connect_explicit_qpath():
         assert eigen_map(smp)[-1] >= -1e-8
 
 
+def test_connect_qpath_ends_within_tolerance_are_the_blocks():
+    # q_path ends that miss the endpoint blocks by less than `tolerance` are
+    # replaced by the blocks: the sweep starts where the orbit leg ends, and
+    # the last sample is y
+    a = RealSymmetric(2)
+    s = psd_set(2)
+    x = element_from_sym(a, np.diag([2.0, 1.0]))
+    y = element_from_sym(a, np.diag([4.0, 0.5]))
+    exact = connect(s, x, y, q_path=[[2.0, 1.0], [3.0, 3.0], [4.0, 0.5]], steps=6)
+    off = connect(s, x, y, q_path=[[2.0 + 5e-9, 1.0], [3.0, 3.0], [4.0, 0.5 - 5e-9]], steps=6)
+    assert np.array_equal(off.coords, exact.coords)
+    assert np.abs(off.coords[-1] - y.coords).max() <= 1e-12 * norm(y)
+
+
 def test_connect_qpath_vertex_outside_sorted_slice():
     # an unsorted vertex is sorted, as on a product; a vertex outside Q and a
     # wrong far endpoint are refused
@@ -362,31 +376,58 @@ def test_connect_diagonalizes_only_its_endpoints(algebra, monkeypatch):
 
 @pytest.mark.parametrize("algebra", ALL_KINDS, ids=str)
 def test_connect_orbit_legs_meet_the_sweep(algebra):
-    # leg 1 ends at the canonical-frame composition of x's eigenvalue blocks,
-    # and the sweep at that of y's, where leg 3 starts
+    # the orbit leg ends at x's eigenvalue blocks composed in y's frame,
+    # listed block by block, where the sweep starts: row 2 * steps - 2 is
+    # the one joint, on products too, and each later row composes the next
+    # point of the segment of blocks in that frame
     s = SpectralSet(algebra, make_rearrangement_cone(algebra.rank, 1))
     x, y = _two_members(algebra)
     steps = 9
     coords = connect(s, x, y, steps=steps).coords
-    frame = canonical_frame(algebra)
+    f_y = spectral_decompose(y)[0]
     start_q, end_q = _eigenvalue_blocks(algebra, np.stack([x.coords, y.coords]))
     scale = max(1.0, norm(x), norm(y))
-    assert np.abs(coords[steps - 1] - compose_theta(start_q, frame).coords).max() <= 1e-9 * scale
-    assert np.abs(coords[2 * steps - 2] - compose_theta(end_q, frame).coords).max() <= 1e-9 * scale
+    for row, u in zip(coords[2 * steps - 2:], np.linspace(0.0, 1.0, steps), strict=True):
+        q = (1.0 - u) * start_q + u * end_q
+        assert np.abs(row - compose_theta(q[f_y.order], f_y).coords).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("algebra", ALL_KINDS, ids=str)
+def test_connect_makes_one_orbit_leg_without_the_canonical_frame(algebra, monkeypatch):
+    # one g_path per factor block, onto y's frame, and no canonical frame
+    calls = []
+    real = orbits.g_path
+
+    def spy(phi):
+        calls.append(phi.algebra)
+        return real(phi)
+
+    def no_frame(a):
+        raise AssertionError("connect built a canonical frame")
+
+    monkeypatch.setattr(orbits, "g_path", spy)
+    monkeypatch.setattr(spectralsets, "canonical_frame", no_frame)
+    s = SpectralSet(algebra, make_rearrangement_cone(algebra.rank, 1))
+    x, y = _two_members(algebra)
+    path = connect(s, x, y, steps=6)
+    factors = algebra.factors if isinstance(algebra, ProductAlgebra) else (algebra,)
+    assert calls == list(factors)
+    assert len(path.samples) == 3 * 6 - 2
 
 
 @pytest.mark.parametrize("near", ["x", "y"])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("offset", [1e-9, 1e-8, 1e-7])
 def test_connect_spin_axis_near_the_canonical_axis(offset, sign, near):
-    # one endpoint's spin axis is `offset` rad from +-e1, the canonical
-    # frame's axis, so one orbit leg turns by about `offset` or pi - `offset`:
-    # the path still starts at x and ends at y
+    # the orbit leg turns x's spin axis onto y's; here one endpoint's axis
+    # is `offset` rad from +-the other's, so the leg turns by about `offset`
+    # or pi - `offset`: the path still starts at x and ends at y
     a = SpinFactor(4)
     s = SpectralSet(a, make_rearrangement_cone(2, 1))
-    near_axis = np.array([sign * np.cos(offset), np.sin(offset), 0.0])
-    axes = (near_axis, np.array([0.6, 0.0, 0.8]))
-    x, y = (Element(a, np.concatenate(([3.0], 2.0 * u))) for u in (axes if near == "x" else axes[::-1]))
+    u = np.array([0.6, 0.0, 0.8])
+    near_axis = sign * (np.cos(offset) * u + np.sin(offset) * np.array([0.0, 1.0, 0.0]))
+    axes = (near_axis, u)
+    x, y = (Element(a, np.concatenate(([3.0], 2.0 * v))) for v in (axes if near == "x" else axes[::-1]))
     coords = connect(s, x, y, steps=5).coords
     assert np.array_equal(coords[0], x.coords)
     assert np.abs(coords[-1] - y.coords).max() <= 1e-12 * max(1.0, norm(y))

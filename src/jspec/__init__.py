@@ -32,7 +32,6 @@ from .algebra import (
     sym_matrix,
     trace,
     unit_element,
-    zero_element,
 )
 from .errors import (
     AlgebraMismatchError,
@@ -40,7 +39,6 @@ from .errors import (
     InvalidFrameError,
     JspecError,
     MembershipError,
-    NotInIdentityComponentError,
     NumericError,
     OrbitMismatchError,
     UnsupportedAlgebraError,
@@ -50,19 +48,14 @@ from .orbits import (
     GPath,
     PathPolyline,
     apply_automorphism,
-    automorphism_from_matrix,
     frame_transport,
     g_path,
-    identity_automorphism,
     orbit_path,
     orbit_sample,
     random_g_automorphism,
-    restricted_orbit_path,
 )
 from .permsets import (
     PermSet,
-    custom_permset,
-    down_member,
     make_finite_orbit,
     make_rearrangement_cone,
     make_trace_halfspace,
@@ -74,7 +67,6 @@ from .spectral import (
     canonical_frame,
     compose_theta,
     eigen_map,
-    sort_asc,
     sort_desc,
     spectral_decompose,
 )
@@ -90,7 +82,6 @@ from .spectralsets import (
     factor_blocks,
     fan_interval,
     fan_sample,
-    propose_sum_split,
     ss_member,
     sum_split,
 )

@@ -53,7 +53,6 @@ __all__ = [
     "distance",
     "trace",
     "unit_element",
-    "zero_element",
     "random_element",
     "matrix_of",
     "coords_of",
@@ -415,10 +414,6 @@ def unit_element(a: Algebra) -> Element:
     if isinstance(a, SpinFactor):
         return element_from_spin(a, 1.0, np.zeros(a.d - 1))
     return join_product(a, [unit_element(f) for f in a.factors])
-
-
-def zero_element(a: Algebra) -> Element:
-    return Element(a, np.zeros(a.dim))
 
 
 def scale_element(t: float, x: Element) -> Element:

@@ -21,7 +21,6 @@ from .errors import (
     InfeasiblePathError,
     InvalidFrameError,
     MembershipError,
-    NotInIdentityComponentError,
     NumericError,
     OrbitMismatchError,
     UnsupportedAlgebraError,
@@ -46,7 +45,6 @@ _INFEASIBLE_ERRORS = (
     InfeasiblePathError,
     OrbitMismatchError,
     MembershipError,
-    NotInIdentityComponentError,
 )
 
 

@@ -41,10 +41,6 @@ class NumericError(JspecError):
     """A numerical kernel failed to converge.  Never swallowed silently."""
 
 
-class NotInIdentityComponentError(JspecError):
-    """The automorphism lies outside the identity component, so no path to it exists."""
-
-
 class OrbitMismatchError(JspecError):
     """Endpoints do not share (factor-wise) eigenvalues, so no orbit path exists."""
 

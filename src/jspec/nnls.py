@@ -8,9 +8,11 @@ __all__ = ["nnls"]
 
 
 def _nnls_rows(gmat, rhs):
-    """(w[k, p], residuals[k]) for rhs[k, m] over gmat[m, p] by Lawson-Hanson (1974, ch. 23) in
-    Bro-De Jong normal-equations form (1997), columns and rows scaled to max |entry| 1.  A row ends
-    at KKT: w >= 0, gradient >= -tol off the support, |gradient|, Newton decrement <= tol on it."""
+    """(w[k, p], residuals[k], scale[k, 1], cols[p]) for rhs[k, m] over gmat[m, p] by Lawson-Hanson
+    (1974, ch. 23) in Bro-De Jong normal-equations form (1997), columns and rows scaled to max
+    |entry| 1 (`cols`, `scale`): w solves the scaled problem, and w * scale / cols, which may pass
+    the largest double, is in input units.  A row ends at KKT: w >= 0, gradient >= -tol off the
+    support, |gradient|, Newton decrement <= tol on it."""
     (m, p), k, cols = gmat.shape, len(rhs), abs(gmat).max(axis=0, initial=np.finfo(float).tiny)
     check_float_budget(k * p * p, f"NNLS of {k} rows over {p} generators")  # the Gram stack
     g, scale = gmat / cols, abs(rhs).max(axis=1, keepdims=True, initial=np.finfo(float).tiny)
@@ -29,7 +31,7 @@ def _nnls_rows(gmat, rhs):
         kkt = (np.where(passive, abs(grad), grad) <= tol).all(axis=1, keepdims=True)
         done = (alpha == 1.0) & kkt & ((step * grad).sum(axis=1, keepdims=True) <= tol**2)
         if done.all():
-            return w * scale / cols, scale[:, 0] * np.linalg.norm(w @ g.T - rhs / scale, axis=1)
+            return w, scale[:, 0] * np.linalg.norm(w @ g.T - rhs / scale, axis=1), scale, cols
         cut = passive & (w + step < 0.0) & ~done  # stop where the first coefficient reaches 0
         alpha = np.where(cut, w / np.where(cut, -step, 1.0), 1.0).min(axis=1, keepdims=True)
         passive &= (alpha == 1.0) | (w + alpha * step > tol)
@@ -38,5 +40,11 @@ def _nnls_rows(gmat, rhs):
 
 
 def nnls(gmat, b):
-    """(w, residual) for one right-hand side b: the one-row `_nnls_rows`."""
-    return tuple(rows[0] for rows in _nnls_rows(np.asarray(gmat, dtype=float), np.atleast_2d(b)))
+    """(w, residual) for one right-hand side b: the one-row `_nnls_rows`, w in input units.  A
+    coefficient past the largest double raises NumericError."""
+    w, residuals, scale, cols = _nnls_rows(np.asarray(gmat, dtype=float), np.atleast_2d(b))
+    with np.errstate(over="ignore"):
+        w = w[0] * scale[0] / cols
+    if not np.isfinite(w).all():
+        raise NumericError("an NNLS coefficient is past the largest double")
+    return w, residuals[0]

@@ -1,14 +1,15 @@
 """Automorphism representations, frame transport, one-parameter paths in the
-identity component, orbit sampling, and restricted orbit paths for products.
+identity component, orbit paths and orbit sampling.
 
 Representations per kind: an orthogonal matrix U acting as X -> U X U^T on
 real symmetric matrices (identity component: det U = +1), a unitary U acting
 as X -> U X U^* on Hermitian matrices (the automorphism group is connected,
 so everything is in the identity component), and an orthogonal matrix R
 acting on the vector part of a spin factor with the leading coordinate fixed
-(identity component: det R = +1).  A product has no representation here:
-`restricted_orbit_path` moves it factor by factor, and factor-permuting
-maps are deliberately excluded.
+(identity component: det R = +1).  Every automorphism built here lies in
+the identity component by construction.  A product has no representation
+here: `orbit_path` moves it factor by factor, inside its restricted orbit,
+and factor-permuting maps are deliberately excluded.
 
 Paths inside the identity component are realized by factoring the
 representation into plane rotations and scaling every angle by the path
@@ -42,7 +43,6 @@ from .algebra import (
 )
 from .errors import (
     AlgebraMismatchError,
-    NotInIdentityComponentError,
     NumericError,
     OrbitMismatchError,
     UnsupportedAlgebraError,
@@ -50,23 +50,18 @@ from .errors import (
 )
 from .spectral import JordanFrame, _eigenvalue_blocks, spectral_decompose
 
-ORTHO_TOL = 1e-10
 EIG_MATCH_TOL = 1e-8
 
 __all__ = [
-    "ORTHO_TOL",
     "EIG_MATCH_TOL",
     "Automorphism",
     "GPath",
     "PathPolyline",
-    "automorphism_from_matrix",
-    "identity_automorphism",
     "apply_automorphism",
     "random_g_automorphism",
     "frame_transport",
     "g_path",
     "orbit_path",
-    "restricted_orbit_path",
     "orbit_sample",
 ]
 
@@ -79,13 +74,12 @@ __all__ = [
 class Automorphism:
     """Automorphism of a simple algebra with its per-kind representation.
 
-    `matrix` holds the orthogonal/unitary representation.  `in_g` records
-    membership in the identity component of the automorphism group.
+    `matrix` holds the orthogonal/unitary representation, in the identity
+    component of the automorphism group.
     """
 
     algebra: Algebra
     matrix: np.ndarray
-    in_g: bool
 
 
 def _rep_size(a: Algebra) -> int:
@@ -95,37 +89,8 @@ def _rep_size(a: Algebra) -> int:
         return a.d - 1
     raise UnsupportedAlgebraError(
         "automorphisms are represented on simple algebras; "
-        "restricted_orbit_path moves a product factor by factor"
+        "orbit_path moves a product factor by factor"
     )
-
-
-def automorphism_from_matrix(a: Algebra, mat) -> Automorphism:
-    """Validate and wrap a representation matrix.
-
-    Real symmetric with odd n: U and -U induce the same map, so the sign is
-    canonicalized to det +1, making the identity-component flag exact.
-    """
-    size = _rep_size(a)
-    want_complex = isinstance(a, ComplexHermitian)
-    mat = np.array(mat, dtype=complex if want_complex else float)
-    if mat.shape != (size, size):
-        raise ValueError(f"representation must be {size}x{size}, got {mat.shape}")
-    gram_err = float(np.abs(mat.conj().T @ mat - np.eye(size)).max())
-    if gram_err > ORTHO_TOL:
-        raise ValueError(f"representation is not orthogonal/unitary (error {gram_err:.2e})")
-    if want_complex:
-        return Automorphism(a, mat, True)
-    det = float(np.linalg.det(mat))
-    if isinstance(a, RealSymmetric) and a.n % 2 == 1 and det < 0.0:
-        mat = -mat
-        det = -det
-    return Automorphism(a, mat, det > 0.0)
-
-
-def identity_automorphism(a: Algebra) -> Automorphism:
-    size = _rep_size(a)
-    eye = np.eye(size, dtype=complex if isinstance(a, ComplexHermitian) else float)
-    return Automorphism(a, eye, True)
 
 
 def _act(a: Algebra, mats: np.ndarray, x: Element) -> np.ndarray:
@@ -167,7 +132,7 @@ def random_g_automorphism(a: Algebra, rng) -> Automorphism:
     """Random element of the identity component of a simple algebra: one
     Haar draw, taken from `rng`."""
     haar = _haar(_rep_size(a), rng, 1, isinstance(a, ComplexHermitian))
-    return Automorphism(a, haar[0], True)
+    return Automorphism(a, haar[0])
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +183,11 @@ def frame_transport(e_frame: JordanFrame, f_frame: JordanFrame) -> Automorphism:
         u_f = f_frame.basis[:, f_frame.order]
         if isinstance(a, RealSymmetric) and np.linalg.det(u_e) * np.linalg.det(u_f) < 0.0:
             u_f[:, 0] = -u_f[:, 0]
-        return Automorphism(a, u_f @ u_e.conj().T, True)
+        return Automorphism(a, u_f @ u_e.conj().T)
     # the first listed spin idempotent is (1/2, u/2) at basis position 0
     u = e_frame.basis if e_frame.order[0] == 0 else -e_frame.basis
     v = f_frame.basis if f_frame.order[0] == 0 else -f_frame.basis
-    return Automorphism(a, _rotation_between(u, v), True)
+    return Automorphism(a, _rotation_between(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +256,7 @@ class GPath:
     phases: np.ndarray | None  # diagonal phases of a unitary target, else None
 
     def sample(self, t: float) -> Automorphism:
-        return Automorphism(self.algebra, self.matrices([t])[0], True)
+        return Automorphism(self.algebra, self.matrices([t])[0])
 
     def matrices(self, ts) -> np.ndarray:
         """Representation matrices at every t of `ts`, stacked [len(ts), r, r]:
@@ -320,10 +285,6 @@ class GPath:
 
 def g_path(phi: Automorphism) -> GPath:
     """Factor an identity-component automorphism into a scalable path."""
-    if not phi.in_g:
-        raise NotInIdentityComponentError(
-            "automorphism is outside the identity component; no path exists"
-        )
     rots, phases = _factor_rotations(phi.matrix)
     return GPath(phi.algebra, tuple(rots), phases)
 
@@ -373,7 +334,11 @@ def _orbit_leg(x: Element, f_x: JordanFrame, f_y: JordanFrame, steps: int) -> np
     return _act(a, path.matrices(np.linspace(0.0, 1.0, steps)), x)
 
 
-def _orbit_polyline(x: Element, y: Element, steps: int) -> PathPolyline:
+def orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:
+    """Path from x to y inside the eigenvalue orbit of x, `steps` samples of
+    the frame transport's identity-component path.  A product moves factor
+    by factor, so the path stays inside the restricted orbit (every factor
+    keeps its own eigenvalues)."""
     if x.algebra != y.algebra:
         raise AlgebraMismatchError("endpoints live in different algebras")
     if steps < 2:
@@ -389,22 +354,6 @@ def _orbit_polyline(x: Element, y: Element, steps: int) -> PathPolyline:
             )
     leg = _orbit_leg(x, spectral_decompose(x)[0], spectral_decompose(y)[0], steps)
     return PathPolyline(a, leg, EIG_MATCH_TOL)
-
-
-def orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:
-    """Path inside the eigenvalue orbit of x from x to y (simple algebras),
-    `steps` samples of the frame transport's identity-component path."""
-    if isinstance(x.algebra, ProductAlgebra):
-        raise UnsupportedAlgebraError("use restricted_orbit_path on product algebras")
-    return _orbit_polyline(x, y, steps)
-
-
-def restricted_orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:
-    """Factor-wise orbit path in a product algebra; stays inside the
-    restricted orbit (every factor keeps its own eigenvalues)."""
-    if not isinstance(x.algebra, ProductAlgebra):
-        raise UnsupportedAlgebraError("restricted_orbit_path needs a product algebra")
-    return _orbit_polyline(x, y, steps)
 
 
 def _orbit_coords(x: Element, count: int, seed: int) -> np.ndarray:

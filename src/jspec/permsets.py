@@ -1,13 +1,13 @@
-"""Permutation-invariant subsets of R^n: predicates, built-in cones,
-finite orbits, and a randomized pointedness probe.
+"""Permutation-invariant subsets of R^n: built-in cones, finite orbits, and
+a randomized pointedness probe.
 
 Every set is a vectorized margin function m with membership ``m(q) >= 0``,
 asked one stack of rows at a time; margins let path audits shrink strict
-inequalities by a tolerance.  A custom predicate is a black box wrapped as
-the margin 0 (member) or -inf (not), which no slack relaxes: the library
-audits its permutation invariance only by random sampling, and flag honesty
-(convex, cone) is the caller's contract.  A finite set is stored as its
-sorted points, one per permutation orbit.
+inequalities by a tolerance.  A caller's own set is a `PermSet` with its
+own `margin_fn`; a margin of -inf is out at any slack, so a 0/-inf margin
+is a membership test that no slack relaxes.  Its permutation invariance
+and flag honesty (convex, cone) are the caller's contract.  A finite set
+is stored as its sorted points, one per permutation orbit.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ FINITE_TOL = 1e-12
 __all__ = [
     "FINITE_TOL",
     "PermSet",
-    "custom_permset",
     "make_rearrangement_cone",
     "make_trace_norm_cone",
     "make_trace_halfspace",
     "make_finite_orbit",
-    "down_member",
     "pointed_sample_check",
 ]
 
@@ -75,21 +73,6 @@ def _lex_unique(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of a stack [k, n], in lexicographic order."""
     rows = rows[np.lexsort(rows.T[::-1])]
     return rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
-
-
-def custom_permset(
-    n: int,
-    predicate: Callable[[np.ndarray], bool],
-    convex: bool = False,
-    cone: bool = False,
-) -> PermSet:
-    """Wrap a caller-supplied membership predicate (assumed permutation
-    invariant) as the margin 0 or -inf, asked once per row in row order."""
-
-    def margin(rows: np.ndarray) -> np.ndarray:
-        return np.array([0.0 if predicate(r) else -np.inf for r in rows], dtype=float)
-
-    return PermSet(n=n, tag="custom", margin_fn=margin, convex=convex, cone=cone)
 
 
 def make_rearrangement_cone(n: int, m: int) -> PermSet:
@@ -167,15 +150,6 @@ def make_finite_orbit(points) -> PermSet:
         cone=not down.any(),
         points=down,
     )
-
-
-def down_member(q_set: PermSet, q) -> bool:
-    """True iff q is sorted non-increasing and belongs to the set; because the
-    set is permutation invariant this tests membership in its sorted slice."""
-    q = np.asarray(q, dtype=float)
-    if np.any(np.diff(q) > 0.0):
-        return False
-    return q_set.member(q)
 
 
 def pointed_sample_check(q_set: PermSet, samples: int, seed: int):

@@ -8,7 +8,7 @@ eigenvalue through that sort.
 
 A Jordan frame is stored as its basis (eigenvector matrix, spin axis or
 factor frames) plus a listing order; idempotent elements are built only
-when read, and `JordanFrame.from_idempotents` validates given ones.
+when read.
 
 One kernel, `_simple_spectrum`, gives the eigenvalues of a simple kind and
 on request its frame basis; `eigen_map` and `spectral_decompose` run it on
@@ -39,7 +39,7 @@ from .algebra import (
     RealSymmetric,
     SpinFactor,
 )
-from .errors import AlgebraMismatchError, InvalidFrameError, NumericError
+from .errors import InvalidFrameError, NumericError
 
 FRAME_TOL = 1e-9
 
@@ -47,7 +47,6 @@ __all__ = [
     "FRAME_TOL",
     "JordanFrame",
     "sort_desc",
-    "sort_asc",
     "eigen_map",
     "spectral_decompose",
     "compose_theta",
@@ -58,11 +57,6 @@ __all__ = [
 def sort_desc(q) -> np.ndarray:
     """Decreasing rearrangement of a real vector."""
     return np.sort(np.asarray(q, dtype=float))[::-1].copy()
-
-
-def sort_asc(q) -> np.ndarray:
-    """Increasing rearrangement; the reversal of `sort_desc`."""
-    return np.sort(np.asarray(q, dtype=float)).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,36 +101,6 @@ class JordanFrame:
         order.setflags(write=False)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "order", order)
-
-    @classmethod
-    def from_idempotents(cls, algebra: Algebra, idempotents) -> "JordanFrame":
-        """Frame listing the given idempotents, which must square to themselves
-        with unit trace, multiply pairwise to zero and sum to the unit, all
-        within FRAME_TOL.  The basis comes from decomposing
-        sum((rank - i) * e_i), whose distinct coefficients keep the listing."""
-        a = algebra
-        es = tuple(idempotents)
-        tol = FRAME_TOL
-        if len(es) != a.rank:
-            raise InvalidFrameError(f"frame needs {a.rank} idempotents, got {len(es)}")
-        for i, e in enumerate(es):
-            if e.algebra != a:
-                raise AlgebraMismatchError(f"idempotent {i} belongs to {e.algebra}, not {a}")
-            sq = alg.jordan_product(e, e)
-            if float(np.max(np.abs(sq.coords - e.coords))) > tol:
-                raise InvalidFrameError(f"element {i} is not idempotent within {tol}")
-            if abs(alg.trace(e) - 1.0) > tol:
-                raise InvalidFrameError(f"idempotent {i} is not primitive (trace != 1)")
-        for i in range(len(es)):
-            for j in range(i + 1, len(es)):
-                prod = alg.jordan_product(es[i], es[j])
-                if float(np.max(np.abs(prod.coords))) > tol:
-                    raise InvalidFrameError(f"idempotents {i},{j} are not orthogonal")
-        total = np.sum([e.coords for e in es], axis=0)
-        if float(np.max(np.abs(total - alg.unit_element(a).coords))) > tol:
-            raise InvalidFrameError("idempotents do not sum to the unit")
-        weighted = np.sum([(a.rank - i) * e.coords for i, e in enumerate(es)], axis=0)
-        return spectral_decompose(Element(a, weighted))[0]
 
     @cached_property
     def idempotents(self) -> tuple[Element, ...]:

@@ -59,7 +59,6 @@ __all__ = [
     "connect",
     "components_finite",
     "sum_split",
-    "propose_sum_split",
     "fan_interval",
     "fan_sample",
     "certificate_check",
@@ -138,8 +137,7 @@ def ss_member(sset: SpectralSet, x: Element, slack: float = 0.0) -> bool:
     """x belongs to the spectral set iff its eigenvalue vector belongs to Q.
 
     Positive `slack` relaxes the margin by that amount (used for path
-    audits); black-box predicates, whose margin is 0 or -inf, are evaluated
-    exactly.
+    audits); a margin of -inf stays out at any slack.
     """
     if x.algebra != sset.algebra:
         raise AlgebraMismatchError(f"element of {x.algebra} tested against {sset.algebra}")
@@ -355,26 +353,6 @@ def sum_split(
     return compose_theta(q1, frame), compose_theta(q2, frame)
 
 
-def propose_sum_split(lam, q1_set: PermSet, q2_set: PermSet, seed: int = 0):
-    """Search a scalar decomposition lam = q1 + q2 with q1 in Q1, q2 in Q2.
-
-    Tries the halving and one-sided splits, then seeded coordinate-wise
-    convex combinations.  Intended for convex-cone built-ins; raises
-    MembershipError when nothing is found.
-    """
-    lam = np.asarray(lam, dtype=float)
-    zero = np.zeros_like(lam)
-    candidates = [(lam / 2.0, lam / 2.0), (lam, zero), (zero, lam)]
-    rng = np.random.default_rng(seed)
-    for _ in range(32):
-        u = rng.uniform(0.0, 1.0, size=lam.size)
-        candidates.append((u * lam, (1.0 - u) * lam))
-    for q1, q2 in candidates:
-        if q1_set.member(q1) and q2_set.member(q2):
-            return q1, q2
-    raise MembershipError("no admissible split found for the given sets")
-
-
 # ---------------------------------------------------------------------------
 # range of a linear functional over an orbit
 
@@ -482,7 +460,7 @@ def certificate_check(
         drawn += len(chunk)
         members = np.vstack([members, chunk[sset.q.margin_many(_eigenvalues(a, chunk)) >= 0.0]])
     # the first `samples` members' isometric coordinates, as `alg.isometric_coords` gives each
-    _, residuals = _nnls_rows(stacked.T, np.sqrt(alg._inner_weights(a)) * members[:samples])
+    residuals = _nnls_rows(stacked.T, np.sqrt(alg._inner_weights(a)) * members[:samples])[1]
     over = np.flatnonzero(residuals > NNLS_RESIDUAL)
     if over.size:
         k = over[0]

@@ -8,21 +8,19 @@ from hypothesis import strategies as st
 
 from jspec import (
     ComplexHermitian,
-    NotInIdentityComponentError,
+    NumericError,
     OrbitMismatchError,
     ProductAlgebra,
     RealSymmetric,
     SpinFactor,
     UnsupportedAlgebraError,
     apply_automorphism,
-    automorphism_from_matrix,
     coordinate_algebra,
     distance,
     eigen_map,
     element_from_sym,
     frame_transport,
     g_path,
-    identity_automorphism,
     inner_product,
     jordan_product,
     norm,
@@ -30,13 +28,12 @@ from jspec import (
     orbit_sample,
     random_element,
     random_g_automorphism,
-    restricted_orbit_path,
     spectral_decompose,
     split_product,
     unit_element,
 )
 from jspec.algebra import Element, join_product, sym_matrix
-from jspec.orbits import PathPolyline
+from jspec.orbits import Automorphism, PathPolyline
 
 from conftest import PRODUCT_KINDS, SIMPLE_KINDS, element_with_eigenvalues, random_frame
 
@@ -63,23 +60,15 @@ def test_action_preserves_products_and_eigenvalues(algebra):
         assert np.abs(eigen_map(apply_automorphism(phi, x)) - eigen_map(x)).max() <= 1e-8
 
 
-def test_representation_validation():
-    with pytest.raises(ValueError):
-        automorphism_from_matrix(RealSymmetric(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
-    phi = automorphism_from_matrix(RealSymmetric(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
-    assert phi.in_g
-    refl = automorphism_from_matrix(RealSymmetric(2), np.diag([1.0, -1.0]))
-    assert not refl.in_g  # even rank: reflection is outside the identity component
-    refl_odd = automorphism_from_matrix(RealSymmetric(3), np.diag([1.0, 1.0, -1.0]))
-    assert refl_odd.in_g  # odd rank: -U gives the same map with det +1
-
-
 def test_unitary_always_in_identity_component():
+    # the unitary group is connected: g_path reaches every unitary, also
+    # diag(1, -1), whose real counterpart is a reflection
     rng = np.random.default_rng(0)
-    phi = random_g_automorphism(ComplexHermitian(3), rng)
-    assert phi.in_g
-    diag = automorphism_from_matrix(ComplexHermitian(2), np.diag([1.0, -1.0]).astype(complex))
-    assert diag.in_g
+    for phi in (
+        random_g_automorphism(ComplexHermitian(3), rng),
+        Automorphism(ComplexHermitian(2), np.diag([1.0, -1.0]).astype(complex)),
+    ):
+        assert np.abs(g_path(phi).matrices([1.0])[0] - phi.matrix).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +103,8 @@ def test_transport_maps_frames(algebra):
         e_frame = random_frame(algebra, seed)
         f_frame = random_frame(algebra, seed + 5_000)
         phi = frame_transport(e_frame, f_frame)
-        assert phi.in_g
+        # the transport is reached along its own identity-component path
+        assert np.abs(g_path(phi).matrices([1.0])[0] - phi.matrix).max() <= 1e-12
         for e, f in zip(e_frame.idempotents, f_frame.idempotents):
             assert distance(apply_automorphism(phi, e), f) <= 1e-8
 
@@ -136,13 +126,9 @@ def test_transport_rejects_products():
 
 @pytest.mark.parametrize("algebra", PRODUCT_KINDS, ids=str)
 def test_automorphisms_of_products_are_not_represented(algebra):
-    # a product moves factor by factor along restricted_orbit_path instead
-    with pytest.raises(UnsupportedAlgebraError, match="restricted_orbit_path"):
-        identity_automorphism(algebra)
-    with pytest.raises(UnsupportedAlgebraError, match="restricted_orbit_path"):
+    # a product moves factor by factor along orbit_path instead
+    with pytest.raises(UnsupportedAlgebraError, match="orbit_path moves a product"):
         random_g_automorphism(algebra, np.random.default_rng(0))
-    with pytest.raises(UnsupportedAlgebraError, match="restricted_orbit_path"):
-        automorphism_from_matrix(algebra, np.eye(algebra.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +136,7 @@ def test_automorphisms_of_products_are_not_represented(algebra):
 
 
 def test_g_path_identity_is_constant():
-    path = g_path(identity_automorphism(RealSymmetric(3)))
+    path = g_path(Automorphism(RealSymmetric(3), np.eye(3)))
     for t in (0.0, 0.3, 1.0):
         assert np.abs(path.sample(t).matrix - np.eye(3)).max() < 1e-15
 
@@ -158,7 +144,7 @@ def test_g_path_identity_is_constant():
 def test_g_path_single_rotation_scales_angle():
     theta = np.pi / 4
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    path = g_path(automorphism_from_matrix(RealSymmetric(2), rot))
+    path = g_path(Automorphism(RealSymmetric(2), rot))
     half = path.sample(0.5).matrix
     expect = np.array([[np.cos(theta / 2), -np.sin(theta / 2)], [np.sin(theta / 2), np.cos(theta / 2)]])
     assert np.abs(half - expect).max() < 1e-12
@@ -203,8 +189,9 @@ def test_path_matrices_rows_equal_one_element_replays(algebra, seed, identity, t
     # the rows-first replay with its coefficients computed in one pass:
     # row i of the stack is the replay of [ts[i]] alone, bit for bit, also
     # for a path with no rotation and a one-element ts
-    phi = (identity_automorphism(algebra) if identity
-           else random_g_automorphism(algebra, np.random.default_rng(seed)))
+    phi = random_g_automorphism(algebra, np.random.default_rng(seed))
+    if identity:
+        phi = Automorphism(algebra, np.eye(len(phi.matrix), dtype=phi.matrix.dtype))
     path = g_path(phi)
     mats = path.matrices(ts)
     assert mats.shape == (len(ts),) + phi.matrix.shape
@@ -217,8 +204,9 @@ def test_path_matrices_rows_equal_one_element_replays(algebra, seed, identity, t
 
 
 def test_g_path_rejects_reflection():
-    refl = automorphism_from_matrix(RealSymmetric(2), np.diag([1.0, -1.0]))
-    with pytest.raises(NotInIdentityComponentError):
+    # det -1 leaves an odd count of -1 entries after the plane rotations
+    refl = Automorphism(RealSymmetric(2), np.diag([1.0, -1.0]))
+    with pytest.raises(NumericError, match="odd sign count"):
         g_path(refl)
 
 
@@ -253,7 +241,8 @@ _PATH_MATRIX_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(_PATH_MATRIX_DIGESTS))
 def test_path_matrices_of_rare_branches_are_pinned(case):
     algebra, m, digest = _PATH_MATRIX_DIGESTS[case]
-    path = g_path(automorphism_from_matrix(algebra, m))
+    dtype = complex if isinstance(algebra, ComplexHermitian) else float
+    path = g_path(Automorphism(algebra, np.asarray(m, dtype=dtype)))
     # host-independent: the path ends at the factored representation
     assert np.abs(path.matrices([1.0])[0] - np.asarray(m)).max() <= 1e-12
     mats = path.matrices(np.linspace(0.0, 1.0, 9))
@@ -382,9 +371,12 @@ def test_orbit_path_idempotent_circle():
 def test_orbit_path_rejects_mismatch_and_products():
     with pytest.raises(OrbitMismatchError):
         orbit_path(random_element(RealSymmetric(3), 0), random_element(RealSymmetric(3), 1), 10)
-    a = coordinate_algebra(2)
-    with pytest.raises(UnsupportedAlgebraError):
-        orbit_path(random_element(a, 0), random_element(a, 0), 10)
+    # a product names the factor whose eigenvalues differ
+    a = ProductAlgebra((RealSymmetric(2), RealSymmetric(2)))
+    x = random_element(a, 0)
+    y = join_product(a, [split_product(x)[0], random_element(RealSymmetric(2), 5)])
+    with pytest.raises(OrbitMismatchError, match="factor 1 has mismatched"):
+        orbit_path(x, y, 10)
     with pytest.raises(ValueError):
         orbit_path(random_element(RealSymmetric(2), 0), random_element(RealSymmetric(2), 0), 1)
 
@@ -396,7 +388,7 @@ def test_orbit_path_rejects_mismatch_and_products():
 def test_restricted_orbit_singleton_in_coordinate_space():
     a = coordinate_algebra(3)
     c1 = Element(a, np.array([1.0, 0.0, 0.0]))
-    path = restricted_orbit_path(c1, c1, steps=4)
+    path = orbit_path(c1, c1, steps=4)
     assert all(distance(s, c1) == 0.0 for s in path.samples)
 
 
@@ -407,7 +399,7 @@ def test_restricted_orbit_rejects_coordinate_swap():
     c2 = Element(a, np.array([0.0, 1.0, 0.0]))
     assert np.array_equal(eigen_map(c1), eigen_map(c2))
     with pytest.raises(OrbitMismatchError):
-        restricted_orbit_path(c1, c2, steps=4)
+        orbit_path(c1, c2, steps=4)
 
 
 def test_restricted_orbit_factorwise_preservation():
@@ -415,7 +407,7 @@ def test_restricted_orbit_factorwise_preservation():
     x = random_element(a, 4)
     ys = [orbit_sample(p, 1, seed=11)[0] for p in split_product(x)]
     y = join_product(a, ys)
-    path = restricted_orbit_path(x, y, steps=25)
+    path = orbit_path(x, y, steps=25)
     assert distance(path.samples[-1], y) <= 1e-10
     for s in path.samples:
         for xi, si in zip(split_product(x), split_product(s)):

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jspec import (
+    PermSet,
     SpectralSet,
     components_finite,
     coordinate_algebra,
-    custom_permset,
-    down_member,
     make_finite_orbit,
     make_rearrangement_cone,
     make_trace_halfspace,
@@ -150,15 +149,6 @@ def test_finite_orbit_rejects_non_finite_points():
             make_finite_orbit([[1.0, 0.0, 0.0], [bad, 0.0, 0.0]])
 
 
-def test_down_member():
-    q31 = make_rearrangement_cone(3, 1)
-    assert down_member(q31, [2.0, 1.0, 0.0])
-    assert not down_member(q31, [0.0, 1.0, 2.0])
-    orbit = make_finite_orbit([[1.0, 0.0, 0.0]])
-    assert down_member(orbit, [1.0, 0.0, 0.0])
-    assert not down_member(orbit, [0.0, 1.0, 0.0])
-
-
 # ---------------------------------------------------------------------------
 # invariance and structure probes
 
@@ -256,27 +246,38 @@ def test_pointed_check_witness_independent_of_sample_count():
     assert np.array_equal(w, pointed_sample_check(h, 2000, seed=0))
 
 
+def _zero_or_minus_inf(inside):
+    """The margin 0 where `inside` holds and -inf where it does not."""
+    return np.where(inside, 0.0, -np.inf)
+
+
 def test_custom_predicate_support():
-    ball = custom_permset(3, lambda q: float(np.linalg.norm(q)) <= 1.0, convex=True)
+    ball = PermSet(
+        3, "ball", lambda rows: _zero_or_minus_inf((rows**2).sum(axis=1) <= 1.0), convex=True
+    )
     assert ball.member([0.1, 0.2, 0.0])
     assert not ball.member([2.0, 0.0, 0.0])
-    # a black box is the margin 0 inside and -inf outside, which no slack relaxes
+    # the margin 0 inside and -inf outside is a test that no slack relaxes
     assert ball.margin([0.0, 0.0, 0.0]) == 0.0
     assert ball.margin([2.0, 0.0, 0.0]) == -np.inf
     assert not ball.member([2.0, 0.0, 0.0], slack=1e9)
 
 
 def test_custom_margin_asks_each_row_once_in_order():
+    # margin_many hands the whole stack to margin_fn in one call; margin
+    # hands it the one row
     seen = []
 
-    def predicate(q):
-        seen.append(q.tolist())
-        return bool(q[0] >= 0.0)
+    def margin_fn(rows):
+        seen.append(rows.tolist())
+        return _zero_or_minus_inf(rows[:, 0] >= 0.0)
 
     rows = np.array([[1.0, 0.0], [-1.0, 2.0], [0.0, -3.0]])
-    s = custom_permset(2, predicate)
+    s = PermSet(2, "custom", margin_fn)
     assert s.margin_many(rows).tolist() == [0.0, -np.inf, 0.0]
-    assert seen == rows.tolist()
+    assert seen == [rows.tolist()]
+    assert s.margin([-1.0, 2.0]) == -np.inf
+    assert seen[-1] == [[-1.0, 2.0]]
     assert s.margin_many(np.empty((0, 2))).shape == (0,)
 
 
@@ -284,10 +285,14 @@ def test_custom_margin_asks_each_row_once_in_order():
 def test_pointed_check_on_custom_cones_matches_builtins(seed):
     # the same draws, asked through 0/-inf margins, give the same witness
     for n in (2, 3, 5):
-        halfspace = custom_permset(n, lambda q: q.sum() >= 0, convex=True, cone=True)
+        halfspace = PermSet(
+            n, "custom", lambda rows: _zero_or_minus_inf(rows.sum(axis=1) >= 0), convex=True, cone=True
+        )
         w = pointed_sample_check(halfspace, 300, seed)
         ref = pointed_sample_check(make_trace_halfspace(n), 300, seed)
         assert w is not None and w.tobytes() == ref.tobytes()
-        orthant = custom_permset(n, lambda q: min(q) >= 0, convex=True, cone=True)
+        orthant = PermSet(
+            n, "custom", lambda rows: _zero_or_minus_inf(rows.min(axis=1) >= 0), convex=True, cone=True
+        )
         assert pointed_sample_check(orthant, 300, seed) is None
         assert pointed_sample_check(make_rearrangement_cone(n, 1), 300, seed) is None

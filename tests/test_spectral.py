@@ -21,12 +21,13 @@ from jspec import (
     element_from_herm,
     element_from_spin,
     element_from_sym,
+    jordan_product,
     norm,
     random_element,
-    sort_asc,
     sort_desc,
     spectral_decompose,
     spectral,
+    trace,
     unit_element,
 )
 
@@ -40,13 +41,6 @@ from conftest import ALL_KINDS, element_with_eigenvalues, random_frame
 def test_sort_desc_examples():
     assert np.array_equal(sort_desc([1, 3, 2]), [3, 2, 1])
     assert np.array_equal(sort_desc([5.0, 5.0, 5.0]), [5.0, 5.0, 5.0])
-
-
-def test_sort_asc_is_reversal():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        q = rng.standard_normal(6)
-        assert np.array_equal(sort_asc(q), sort_desc(q)[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +279,6 @@ def test_eigenvalue_map_is_short():
 
 def test_frame_validation_rejects_garbage():
     a = RealSymmetric(2)
-    not_idem = element_from_sym(a, np.array([[0.5, 0.0], [0.0, 0.5]]))
-    with pytest.raises(InvalidFrameError):
-        JordanFrame.from_idempotents(a, (not_idem, not_idem))
-    e1 = element_from_sym(a, np.diag([1.0, 0.0]))
-    with pytest.raises(InvalidFrameError):
-        JordanFrame.from_idempotents(a, (e1, e1))  # not orthogonal, wrong sum
-    with pytest.raises(InvalidFrameError):
-        JordanFrame.from_idempotents(a, (e1,))  # wrong count
     with pytest.raises(InvalidFrameError):
         JordanFrame(a, np.array([[1.0, 0.0], [1.0, 1.0]]), [0, 1])  # not orthonormal
     with pytest.raises(InvalidFrameError):
@@ -319,10 +305,20 @@ def test_canonical_frame_is_built_once_per_algebra():
 
 
 def test_decompose_frames_are_valid():
-    # JordanFrame construction re-validates, so decomposition must pass it
+    # the listed idempotents form a Jordan frame: each squares to itself with
+    # unit trace, they multiply pairwise to zero and sum to the unit
+    tol = spectral.FRAME_TOL
     for algebra in ALL_KINDS:
         frame, _ = spectral_decompose(random_element(algebra, 123))
-        JordanFrame.from_idempotents(algebra, frame.idempotents)
+        es = frame.idempotents
+        assert len(es) == algebra.rank
+        for i, e in enumerate(es):
+            assert np.abs(jordan_product(e, e).coords - e.coords).max() <= tol
+            assert abs(trace(e) - 1.0) <= tol
+            for f in es[i + 1:]:
+                assert np.abs(jordan_product(e, f).coords).max() <= tol
+        total = np.sum([e.coords for e in es], axis=0)
+        assert np.abs(total - unit_element(algebra).coords).max() <= tol
 
 
 # ---------------------------------------------------------------------------

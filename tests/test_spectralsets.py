@@ -13,6 +13,8 @@ from jspec import (
     Element,
     InfeasiblePathError,
     MembershipError,
+    NumericError,
+    PermSet,
     ProductAlgebra,
     RealSymmetric,
     SpectralSet,
@@ -25,7 +27,6 @@ from jspec import (
     connect,
     coordinate_algebra,
     distance,
-    down_member,
     eigen_map,
     element_from_sym,
     factor_blocks,
@@ -39,7 +40,6 @@ from jspec import (
     make_trace_norm_cone,
     norm,
     orbit_sample,
-    propose_sum_split,
     random_element,
     random_g_automorphism,
     scale_element,
@@ -51,7 +51,7 @@ from jspec import (
     trace,
     unit_element,
 )
-from jspec import canonical_frame, compose_theta, custom_permset
+from jspec import canonical_frame, compose_theta
 from jspec import orbits, spectral, spectralsets
 from jspec.algebra import matrix_of
 from jspec.spectral import _eigenvalue_blocks
@@ -63,6 +63,12 @@ from conftest import ALL_KINDS, SIMPLE_KINDS, element_with_eigenvalues
 
 def psd_set(n):
     return SpectralSet(RealSymmetric(n), make_rearrangement_cone(n, 1))
+
+
+def _max_at_least_half():
+    """{q in R^3 : max(q) >= 1/2}, neither convex nor finite: a caller's set
+    with the margin 0 inside and -inf outside."""
+    return PermSet(3, "custom", lambda rows: np.where(rows.max(axis=1) >= 0.5, 0.0, -np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +93,13 @@ def test_member_rank_mismatch_rejected():
 
 
 def test_membership_is_sorted_slice_membership():
-    # testing the eigenvalues against Q or against its sorted slice is the
-    # same thing; exact agreement on random elements
+    # Q is permutation invariant, so testing the eigenvalues in either order
+    # is the same thing; exact agreement on random elements
     s = psd_set(3)
     for seed in range(60):
         x = random_element(RealSymmetric(3), seed)
         lam = eigen_map(x)
-        assert ss_member(s, x) == down_member(s.q, sort_desc(lam))
+        assert ss_member(s, x) == s.q.member(lam[::-1])
 
 
 @pytest.mark.parametrize(
@@ -161,15 +167,15 @@ def test_connect_path_is_a_coordinate_stack():
 
 @pytest.mark.parametrize("algebra", [RealSymmetric(3), ComplexHermitian(2), SpinFactor(4)], ids=str)
 def test_connect_audit_matches_per_sample_membership(algebra):
-    # a black-box predicate sees each sample's eigenvalues, row by row, as
+    # a caller's margin sees each sample's eigenvalues, in sample order, as
     # eigen_map gives them
     seen = []
 
-    def predicate(q):
-        seen.append(np.array(q))
-        return bool(np.sum(q) >= 0.0)
+    def margin_fn(rows):
+        seen.extend(np.array(rows))
+        return np.where(rows.sum(axis=1) >= 0.0, 0.0, -np.inf)
 
-    s = SpectralSet(algebra, custom_permset(algebra.rank, predicate, convex=True))
+    s = SpectralSet(algebra, PermSet(algebra.rank, "custom", margin_fn, convex=True))
     x = element_with_eigenvalues(algebra, np.linspace(2.0, 1.0, algebra.rank), seed=3)
     y = element_with_eigenvalues(algebra, np.linspace(2.0, 1.0, algebra.rank), seed=4)
     path = connect(s, x, y, steps=5)
@@ -257,7 +263,7 @@ def test_connect_requires_qpath_for_nonconvex():
     with pytest.raises(InfeasiblePathError) as info:
         connect(s, x, y)
     assert info.value.clause == "no-path-in-finite-set"
-    s = SpectralSet(a, custom_permset(3, lambda q: q.max() >= 0.5))
+    s = SpectralSet(a, _max_at_least_half())
     with pytest.raises(ValueError, match="q_path is required"):
         connect(s, x, y)
     path = connect(s, x, y, q_path=[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], steps=5)
@@ -298,7 +304,7 @@ def test_connect_product_mode_requires_qpath():
     segment = connect(s, x, y, q_path=[factor_blocks(x), factor_blocks(y)], steps=8)
     assert np.array_equal(path.coords, segment.coords)
     assert distance(path.samples[-1], y) <= 1e-9
-    s = SpectralSet(a, custom_permset(3, lambda q: q.max() >= 0.5))
+    s = SpectralSet(a, _max_at_least_half())
     with pytest.raises(ValueError, match="q_path is required"):
         connect(s, x, y)
 
@@ -636,15 +642,6 @@ def test_sum_split_rejects_bad_decomposition():
         sum_split(z, r, r, [4.0, 2.0], [-1.0, -1.0])  # second part not a member
 
 
-def test_propose_sum_split():
-    r = make_rearrangement_cone(3, 1)
-    q1, q2 = propose_sum_split([3.0, 2.0, 1.0], r, r)
-    assert r.member(q1) and r.member(q2)
-    assert np.allclose(q1 + q2, [3.0, 2.0, 1.0])
-    with pytest.raises(MembershipError):
-        propose_sum_split([-5.0, -5.0, -5.0], r, r)
-
-
 # ---------------------------------------------------------------------------
 # fan intervals
 
@@ -783,7 +780,8 @@ def nnls_problems(draw):
 )
 def test_nnls_matches_reference_and_its_rows(problem):
     gmat, rhs = problem
-    w, residuals = _nnls_rows(gmat, rhs)
+    w, residuals, scale, cols = _nnls_rows(gmat, rhs)
+    w = w * scale / cols
     assert np.all(w >= 0.0)
     for row, b in enumerate(rhs):
         w_row, res_row = nnls(gmat, b)
@@ -796,6 +794,12 @@ def test_nnls_matches_reference_and_its_rows(problem):
         assert abs(residuals[row] - res_ref) <= 1e-9
 
 
+def test_nnls_coefficient_past_the_largest_double_raises():
+    # the coefficients 4e308 solve the problem exactly but are no doubles
+    with pytest.raises(NumericError, match="past the largest double"):
+        nnls(1e-308 * np.eye(3), [4.0, 4.0, 4.0])
+
+
 def test_certificate_orthant_accepted():
     a = coordinate_algebra(3)
     s = SpectralSet(a, make_rearrangement_cone(3, 1))
@@ -803,6 +807,17 @@ def test_certificate_orthant_accepted():
     cert = DecompositionCertificate(tuple((r,) for r in rays))
     verdict = certificate_check(s, cert, samples=30, seed=0)
     assert verdict.accepted
+
+
+@pytest.mark.parametrize("size", [1e-308, 1e-310])
+def test_certificate_of_tiny_orthant_rays_accepted(size):
+    # the audit reads only residuals, so it never forms the coefficients of
+    # tiny generators, which pass the largest double
+    a = coordinate_algebra(3)
+    s = SpectralSet(a, make_rearrangement_cone(3, 1))
+    rays = [Element(a, size * np.eye(3)[i]) for i in range(3)]
+    cert = DecompositionCertificate(tuple((r,) for r in rays))
+    assert certificate_check(s, cert, samples=30, seed=0).accepted
 
 
 def test_certificate_generators_far_below_one_are_nonzero():

@@ -7,15 +7,21 @@ from .errors import NumericError, check_float_budget
 __all__ = ["nnls"]
 
 
+def _power_of_two(top):
+    """2^(e - 1) for top = f 2^e, f in [1/2, 1): finite from 2^-1074 to 2^1023 (0.5 at 0)."""
+    return np.ldexp(1.0, np.frexp(top)[1] - 1)
+
+
 def _nnls_rows(gmat, rhs):
     """(w[k, p], residuals[k], scale[k, 1], cols[p]) for rhs[k, m] over gmat[m, p] by Lawson-Hanson
-    (1974, ch. 23) in Bro-De Jong normal-equations form (1997), columns and rows scaled to max
-    |entry| 1 (`cols`, `scale`): w solves the scaled problem, and w * scale / cols, which may pass
-    the largest double, is in input units.  A row ends at KKT: w >= 0, gradient >= -tol off the
-    support, |gradient|, Newton decrement <= tol on it."""
-    (m, p), k, cols = gmat.shape, len(rhs), abs(gmat).max(axis=0, initial=np.finfo(float).tiny)
+    (1974, ch. 23) in Bro-De Jong normal-equations form (1997), columns and rows divided by the
+    exact power of two that brings their max |entry| into [1, 2) (`cols`, `scale`), subnormal
+    ones too: w solves the scaled problem, and w * scale / cols, which may pass the largest
+    double, is in input units.  A row ends at KKT: w >= 0, gradient >= -tol off the support,
+    |gradient|, Newton decrement <= tol on it."""
+    (m, p), k, cols = gmat.shape, len(rhs), _power_of_two(abs(gmat).max(axis=0, initial=0.0))
     check_float_budget(k * p * p, f"NNLS of {k} rows over {p} generators")  # the Gram stack
-    g, scale = gmat / cols, abs(rhs).max(axis=1, keepdims=True, initial=np.finfo(float).tiny)
+    g, scale = gmat / cols, _power_of_two(abs(rhs).max(axis=1, keepdims=True, initial=0.0))
     gtg, w, passive, alpha = g.T @ g, np.zeros((k, p)), np.zeros((k, p), dtype=bool), 1.0
     for _ in range(4 * p + 16):  # finite in exact arithmetic; the cap ends a roundoff cycle
         grad = np.einsum("km,mp->kp", rhs / scale - np.einsum("kp,mp->km", w, g), g)  # -gradient

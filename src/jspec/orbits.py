@@ -110,21 +110,34 @@ def apply_automorphism(phi: Automorphism, x: Element) -> Element:
 
 
 def _haar(n: int, rng, k: int, unitary: bool) -> np.ndarray:
-    """k Haar draws on U(n) or SO(n), stacked (k, n, n): QR of Gaussians with
-    the phases of diag(R) moved into Q (Mezzadri 2007), and column 0 flipped
-    where det < 0 on SO(n).  Draw i reads one contiguous chunk of the stream,
-    so k draws equal k sequential single draws."""
+    """k Haar draws on U(n) or SO(n), stacked (k, n, n): the Q factor of
+    Gaussians M with diag(R) > 0 (Mezzadri 2007), by classical Gram-Schmidt
+    run twice per column ("twice is enough", Giraud, Langou and Rozloznik
+    2005) over all k draws at once.  Each norm divided out is positive, so Q
+    is the same function of M as the phase-fixed QR, up to rounding.  As
+    det R > 0, sign det Q = sign det M, and column 0 is flipped where it is
+    negative on SO(n).  The sign is read off Q, whose det is +-1 (a triple
+    product for n = 3), not off M: the triple product of a nearly singular M
+    can lose its sign.  The columns are standard Gaussians, so their sums of
+    squares cannot overflow or underflow and skip `algebra._lengths`, whose
+    scaling would cost more than the rest of the kernel.  Draw i reads one
+    contiguous chunk of the stream, so k draws equal k sequential single
+    draws."""
     check_float_budget(k * n * n * (2 if unitary else 1), f"{k} Haar draws")
     if unitary:
         g = rng.standard_normal((k, 2, n, n))
         m = g[:, 0] + 1j * g[:, 1]
     else:
         m = rng.standard_normal((k, n, n))
-    q, r = np.linalg.qr(m)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    q = q * (d / np.abs(d))[:, None, :]
+    qt = m.transpose(2, 0, 1).copy()  # qt[j]: column j of every draw, [k, n]
+    for j, v in enumerate(qt):
+        for _ in range(2 if j else 0):
+            v -= np.einsum("jk,jki->ki", np.einsum("jki,ki->jk", qt[:j].conj(), v), qt[:j])
+        v /= np.sqrt(np.einsum("ki,ki->k", v.conj(), v).real)[:, None]
+    q = qt.transpose(1, 2, 0)
     if not unitary:
-        q[np.linalg.det(q) < 0.0, :, 0] *= -1.0
+        det = np.einsum("ki,ki->k", qt[0], np.cross(qt[1], qt[2])) if n == 3 else np.linalg.det(q)
+        qt[0, det < 0.0] *= -1.0
     return q
 
 

@@ -33,7 +33,7 @@ from jspec import (
     unit_element,
 )
 from jspec.algebra import Element, join_product, sym_matrix
-from jspec.orbits import Automorphism, PathPolyline
+from jspec.orbits import Automorphism, PathPolyline, _haar
 
 from conftest import PRODUCT_KINDS, SIMPLE_KINDS, element_with_eigenvalues, random_frame
 
@@ -465,6 +465,73 @@ def test_orbit_sample_is_sequential_haar_draws(algebra):
     for s in orbit_sample(x, 7, seed=11):
         t = apply_automorphism(random_g_automorphism(algebra, rng), x)
         assert np.array_equal(s.coords, t.coords)
+
+
+@pytest.mark.parametrize("n, k, unitary", [(3, 2000, False), (4, 200, True)])
+def test_stacked_haar_draws_are_sequential_at_bench_sizes(n, k, unitary):
+    # the einsum loops of a large stack give the bits of a single draw
+    stacked = _haar(n, np.random.default_rng(7), k, unitary)
+    rng = np.random.default_rng(7)
+    single = [_haar(n, rng, 1, unitary)[0] for _ in range(k)]
+    for i in (0, 1, k // 2, k - 1):
+        assert np.array_equal(stacked[i], single[i])
+
+
+class _IllConditionedNormals:
+    """A generator stub whose Gaussian matrices have cond >= 10^spread: unit
+    columns scaled over 10^-spread, or pulled to within 10^-spread of
+    column 0.  `drawn` keeps the last draw."""
+
+    def __init__(self, seed, spread, parallel):
+        self.rng, self.spread, self.parallel = np.random.default_rng(seed), spread, parallel
+
+    def standard_normal(self, shape):
+        g = self.rng.standard_normal(shape)
+        g /= np.linalg.norm(g, axis=-2, keepdims=True)
+        if self.parallel:
+            self.drawn = g[..., :1] + 10.0**-self.spread * g * (np.arange(shape[-1]) > 0)
+        else:
+            self.drawn = g * 10.0 ** -np.linspace(0.0, self.spread, shape[-1])
+        return self.drawn
+
+
+def _reference_haar(n, rng, k, unitary):
+    """Mezzadri's draw: LAPACK QR, the phases of diag(R) moved into Q, and
+    column 0 flipped where det Q < 0 on SO(n)."""
+    if unitary:
+        g = rng.standard_normal((k, 2, n, n))
+        m = g[:, 0] + 1j * g[:, 1]
+    else:
+        m = rng.standard_normal((k, n, n))
+    q, r = np.linalg.qr(m)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (d / np.abs(d))[:, None, :]
+    if not unitary:
+        q[np.linalg.det(q) < 0.0, :, 0] *= -1.0
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.booleans(),
+    st.integers(1, 20),
+    st.integers(0, 2**32 - 1),
+    st.floats(9.0, 12.0),
+    st.booleans(),
+)
+def test_haar_draws_of_ill_conditioned_gaussians(n, unitary, k, seed, spread, parallel):
+    stub = _IllConditionedNormals(seed, spread, parallel)
+    q = _haar(n, stub, k, unitary)
+    m = stub.drawn[:, 0] + 1j * stub.drawn[:, 1] if unitary else stub.drawn
+    assert n == 1 or (np.linalg.cond(m) >= 1e8).all()
+    gram = q.conj().swapaxes(1, 2) @ q
+    assert abs(gram - np.eye(n)).max() <= 1e-14
+    if not unitary:
+        assert abs(np.linalg.det(q) - 1.0).max() <= 1e-14
+    # on plain Gaussians, the draws of the phase-fixed LAPACK QR
+    q = _haar(n, np.random.default_rng(seed), k, unitary)
+    assert abs(q - _reference_haar(n, np.random.default_rng(seed), k, unitary)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("algebra", SIMPLE_KINDS, ids=str)

@@ -809,10 +809,21 @@ def test_certificate_orthant_accepted():
     assert verdict.accepted
 
 
-@pytest.mark.parametrize("size", [1e-308, 1e-310])
+@pytest.mark.parametrize("size", [1e-308, 1e-310, 1e-320, 1.5e-323])
 def test_certificate_of_tiny_orthant_rays_accepted(size):
     # the audit reads only residuals, so it never forms the coefficients of
     # tiny generators, which pass the largest double
+    a = coordinate_algebra(3)
+    s = SpectralSet(a, make_rearrangement_cone(3, 1))
+    rays = [Element(a, size * np.eye(3)[i]) for i in range(3)]
+    cert = DecompositionCertificate(tuple((r,) for r in rays))
+    assert certificate_check(s, cert, samples=30, seed=0).accepted
+
+
+@pytest.mark.parametrize("size", [1e308, 1.7976931348623157e308])
+def test_certificate_of_huge_orthant_rays_accepted(size):
+    # NNLS scales a column whose max |entry| is at least 2^1023 by 2^1023,
+    # not by 2^1024, which is past the largest double
     a = coordinate_algebra(3)
     s = SpectralSet(a, make_rearrangement_cone(3, 1))
     rays = [Element(a, size * np.eye(3)[i]) for i in range(3)]

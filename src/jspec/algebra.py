@@ -363,17 +363,25 @@ def inner_product(x: Element, y: Element) -> float:
     return float(np.dot(_inner_weights(x.algebra) * x.coords, y.coords))
 
 
+def _exponents(d: np.ndarray) -> np.ndarray:
+    """The k of each row of d [..., m] whose largest |entry| lies in [2^k,
+    2^(k + 1)): scaled by the exact power of two 2^-k, the row's entries lie
+    below 2 in magnitude.  k is clamped at -1022 for a subnormal or zero
+    maximum, where 2^-k is still a finite double."""
+    return np.maximum(np.frexp(np.abs(d).max(axis=-1))[1] - 1, -1022)
+
+
 def _lengths(d: np.ndarray, w=1.0) -> np.ndarray:
     """Lengths sqrt(sum(w * d * d)) along the last axis of d [..., m], one per
     row: the one scale-safe sum of squares.  Each row is scaled by the exact
-    power of two 2^-k that brings its largest |entry| into [1, 2), so the sum
-    neither overflows nor underflows, and the root is scaled back by 2^k; a
-    power-of-two scale is exact, so in the normal range every length is bit
-    for bit sqrt(np.vecdot(w * d, d)).  k is clamped at -1022 for a
-    subnormal maximum, where 2^-k is still a finite double.  A length past
-    the largest double raises `NumericError` before `ldexp` would overflow:
-    a root is below 2^64, so only a k above 960 can take it there."""
-    k = np.maximum(np.frexp(np.abs(d).max(axis=-1))[1] - 1, -1022)[..., None]
+    power of two 2^-k of `_exponents`, which brings its largest |entry| into
+    [1, 2), so the sum neither overflows nor underflows, and the root is
+    scaled back by 2^k; a power-of-two scale is exact, so in the normal
+    range every length is bit for bit sqrt(np.vecdot(w * d, d)).  A length
+    past the largest double raises `NumericError` before `ldexp` would
+    overflow: a root is below 2^64, so only a k above 960 can take it
+    there."""
+    k = _exponents(d)[..., None]
     d = np.ldexp(d, -k)
     root, k = np.sqrt(np.vecdot(w * d, d)), k[..., 0]
     if k.max(initial=-1022) > 960 and (np.frexp(root)[1] + k > 1024).any():

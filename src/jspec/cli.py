@@ -15,7 +15,6 @@ import sys
 
 from . import io as jio
 from . import spectralsets as ss
-from .algebra import norm
 from .errors import (
     AlgebraMismatchError,
     InfeasiblePathError,
@@ -84,7 +83,7 @@ def _cmd_decompose(args):
     frame, values = spectral_decompose(x)
     return {
         "lambda": values,
-        "frame": jio._element_texts(x.algebra, _idempotent_coords(frame)),
+        "frame": jio._element_array(x.algebra, _idempotent_coords(frame)),
     }
 
 
@@ -111,23 +110,16 @@ def _cmd_fan(args):
     c = jio.parse_element(_load(args.c))
     a = jio.parse_element(_load(args.a))
     interval = ss.fan_interval(c, a)
-    values = ss.fan_sample(c, a, args.samples, args.seed)
-    # |<c, phi(a)>| <= |c| |a|, so rounding error scales with that product
-    tol = 1e-9 * max(1.0, norm(c) * norm(a))
-    inside = bool(
-        values.size == 0
-        or (values.min() >= interval.delta - tol and values.max() <= interval.Delta + tol)
-    )
     return {
         "delta": interval.delta,
         "Delta": interval.Delta,
-        "samples_in_interval": inside,
+        "samples_in_interval": ss._samples_in_interval(c, a, interval, args.samples, args.seed),
     }
 
 
 def _cmd_orbit_sample(args):
     x = jio.parse_element(_load(args.element))
-    return {"samples": jio._element_texts(x.algebra, _orbit_coords(x, args.count, args.seed))}
+    return {"samples": jio._element_array(x.algebra, _orbit_coords(x, args.count, args.seed))}
 
 
 def _cmd_components(args):

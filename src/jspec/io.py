@@ -7,19 +7,22 @@ SYMMETRY_TOL and the parse/emit round trip is value-exact.  Floats render
 with 17 significant digits (`%.17g`), which round-trips IEEE doubles.  The
 renderer dispatches on exact Python types and formats a lone float with
 `%`.  A stack of floats is formatted by `_g17`, one pass of numpy kernels
-that gives the bytes of `%.17g` and leaves to `%` only the numbers whose
-rounding it cannot be sure of.  Element documents have one emitter, from
-coordinates: each coordinate is a distinct number of the document and is
-formatted once per element of a coordinate stack, the entries (i, j) and
-(j, i) of a symmetric pair share its text, and the upper Im of a
-Hermitian pair is formatted as the lower one negated.  One cached plan
-per algebra gathers those texts and the literal pieces of the document's
-template (descriptor text and the text between the numbers) into
-document order, one join makes the element's text, and the renderer
-writes that text unchanged; `emit_element` is the same text decoded.  The
-renderer appends a document's pieces to one list and `render_json` joins
-them once, so the CLI writes each document, trailing newline included,
-from one join and one write.
+that gives the bytes of `%.17g`, one 24-byte NUL-padded row per number,
+and leaves to `%` only the numbers whose rounding it cannot be sure of.
+Element documents have one emitter, from coordinates: each coordinate is
+a distinct number of the document and is formatted once per element of a
+coordinate stack, the entries (i, j) and (j, i) of a symmetric pair share
+its text, and the upper Im of a Hermitian pair is the lower one's row
+with the sign byte flipped.  One cached plan per algebra holds the
+literal pieces of the document's template (descriptor text and the text
+between the numbers), padded with NUL to 4-byte words, and one word index
+over them and a chunk's number rows in document order; per chunk one
+gather, one deletion of the NUL bytes and one decode make the text of
+its elements, with no Python string per number.  A stack printed as a
+JSON array is one text; `emit_element` is one element's text decoded.
+The renderer appends a document's pieces to one list and `render_json`
+joins them once, so the CLI writes each document, trailing newline
+included, from one join and one write.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _string
 
@@ -218,8 +220,8 @@ class _Json(str):
 # %.17g for a stack of floats
 
 _G17_POW = 282  # the tables hold 10^k and 10^(16 - k) for k in [-_G17_POW, _G17_POW]
-_G17_CHUNK = 4096  # numbers per `_g17` call in `_element_texts`
-_G17_FALLBACK = 25 * 17  # the layout of a placeholder ".", for a number left to `%`
+_G17_FALLBACK = 25 * 17  # the layout of a sign byte alone, for a number left to `%`
+_CHUNK = 4096  # coordinates per chunk of `_element_chunks`
 
 
 def _g17_layout(x: int, nd: int) -> list[int]:
@@ -245,9 +247,9 @@ def _g17_tables():
     uint32 and `zeros[q]` the count of trailing zeros among them.  Layout
     17 f + nd - 1 of `layouts` is the text of nd significant digits in
     notation f (fixed with decimal exponent f - 4 for f < 21, then mantissa
-    with exponent e+dd, e+ddd, e-dd or e-ddd), padded with spaces; a
-    number's layout is `form[k + _G17_POW]` = 17 f + 16 less its count of
-    trailing zeros."""
+    with exponent e+dd, e+ddd, e-dd or e-ddd), padded with NUL; a number's
+    layout is `form[k + _G17_POW]` = 17 f + 16 less its count of trailing
+    zeros."""
     his, los = [], []
     for s in range(-_G17_POW, _G17_POW + 17):
         num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
@@ -267,12 +269,12 @@ def _g17_tables():
     zeros = np.cumprod(np.stack(digits[::-1]) == 0, axis=0, dtype=np.uint8).sum(axis=0, dtype=np.uint8)
     xs = np.arange(-_G17_POW, _G17_POW + 1)
     form = np.where((xs >= -4) & (xs < 17), xs + 4, 21 + 2 * (xs < 0) + (np.abs(xs) >= 100)) * 17 + 16
-    layouts = np.full((_G17_FALLBACK + 1, 25), 27, dtype=np.intp)
+    layouts = np.full((_G17_FALLBACK + 1, 24), 27, dtype=np.intp)
     for f, x in enumerate([*range(-4, 17), 17, 100, -5, -100]):
         for nd in range(1, 18):
             idx = _g17_layout(x, nd)
             layouts[f * 17 + nd - 1, : len(idx)] = idx
-    layouts[_G17_FALLBACK, 0] = 2
+    layouts[_G17_FALLBACK, 0] = 0
     return tens, quad, zeros, form, layouts
 
 
@@ -315,17 +317,20 @@ def _divmod(x: np.ndarray, m: int):
     return q, x - q * m
 
 
-def _g17(values) -> list[str]:
-    """`'%.17g' % v` for each float of values, from one pass of numpy
-    kernels over the stack (see `_g17_digits`); the numbers whose digits
-    are in doubt, non-finite ones included, go to `%` itself, and a zero
-    is written as "0" or "-0".
+def _g17(values) -> np.ndarray:
+    """The text `'%.17g' % v` of each float of values, as the rows of a
+    uint8 array [n, 24]: byte 0 holds "-" or NUL for the sign, and the text
+    of |v| follows, padded with NUL.  The `%.17g` text of -v is that of v
+    with the other sign, so XOR-ing byte 0 with 0x2D writes -v.  One pass
+    of numpy kernels makes the digits (see `_g17_digits`); the numbers
+    whose digits are in doubt are written by `%` itself into the same rows
+    (its callers pass finite numbers only), and a zero is written as "0"
+    or "-0".
 
-    Each number's source row of 28 bytes holds its sign (" " or "-"), "0",
-    ".", its 17 digits, the four digits of |k|, "e", "+", "-" and " "; one
+    Each number's source row of 28 bytes holds its sign (NUL or "-"), "0",
+    ".", its 17 digits, the four digits of |k|, "e", "+", "-" and NUL; one
     gather picks its text by a layout keyed by the notation and exponent
-    width and by the count of significant digits, and the texts, padded
-    with spaces, are decoded and split at once."""
+    width and by the count of significant digits."""
     v = np.asarray(values, dtype=float).ravel()
     _, quad, zeros, form, layouts = _g17_tables()
     d, k, fallback = _g17_digits(v)
@@ -334,53 +339,53 @@ def _g17(values) -> list[str]:
     q1, q2 = _divmod(upper, 10**4)
     q3, q4 = _divmod(lower, 10**4)
     rows = np.empty((v.size, 7), dtype="<u4")
-    rows[:, 0] = 0x302E3020 + (first << 24) + 13 * np.signbit(v)  # " 0." and D's first digit
+    rows[:, 0] = 0x302E3000 + (first << 24) + 0x2D * np.signbit(v)  # "0." and D's first digit
     rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4] = quad[q1], quad[q2], quad[q3], quad[q4]
     rows[:, 5] = quad[np.abs(k - _G17_POW)]
-    rows[:, 6] = 0x202D2B65  # "e+- "
+    rows[:, 6] = 0x002D2B65  # "e+-" and NUL
     trailing = zeros[q4] + (q4 == 0) * (zeros[q3] + (q3 == 0) * (zeros[q2] + (q2 == 0) * zeros[q1]))
     key = form[k] - trailing
     key[fallback] = _G17_FALLBACK
     index = layouts.take(key, axis=0)
     index += np.arange(0, 28 * v.size, 28)[:, None]
-    text = rows.view(np.uint8).take(index).tobytes()
-    del index  # the largest array of a call: gone before the texts are made
-    texts = text.decode("ascii").split()
-    for i in fallback.tolist():
-        texts[i] = "%.17g" % v[i]
-    return texts
+    out = rows.view(np.uint8).take(index)
+    if fallback.size:
+        text = "".join([("%.17g" % x).ljust(23, "\0") for x in np.abs(v[fallback]).tolist()])
+        out[fallback, 1:] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 23)
+    return out
 
 
-_Plan = namedtuple("_Plan", "template literals zero flip order gather")
+_Template = namedtuple("_Template", "text zero flip order")
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(a: Algebra) -> _Plan:
-    """How the element documents of `a` are written from coordinates.
+def _template(a: Algebra | int) -> _Template:
+    """The element documents of `a` as a template over their numbers; for
+    an int n, a JSON row of n floats.
 
     Every coordinate is a distinct number of the document, and the numbers
     of an element are `coords + zero`, where `zero` holds +0.0 on a real
     symmetric coordinate (a stored -0.0 unpacks as +0.0, as in `matrix_of`)
     and -0.0 elsewhere (the sign is kept), followed by their negations at
     `flip`: the lower Im (i, j) of a Hermitian factor, whose negation is
-    its upper Im (j, i).  `template` is the document with one `%s` slot per
-    number and the literal `0` of each Hermitian diagonal Im, and
-    `literals` its pieces around the slots, `template.split("%s")`.
-    `order` maps each slot to its number; `gather` is one `itemgetter` over
-    the numbers' texts followed by the literals, which picks the document's
-    pieces in document order: literal 0, slot 0, literal 1, ..., the last
-    literal.  A product concatenates its factors' templates."""
+    its upper Im (j, i).  `text` is the document with one `%s` slot per
+    number and the literal `0` of each Hermitian diagonal Im, and `order`
+    maps each slot to its number.  A product concatenates its factors'
+    templates."""
+    if isinstance(a, int):
+        zero, flip, order = np.full(a, -0.0), np.zeros(0, np.intp), np.arange(a)
+        return _Template(render_json([_Json("%s")] * a), zero, flip, order)
     if isinstance(a, ProductAlgebra):
         blocks = alg._blocks(a)
-        plans = [_plan(f) for f in a.factors]
-        starts = np.cumsum([a.dim] + [p.flip.size for p in plans])  # of each factor's negations
-        zero = np.concatenate([p.zero for p in plans])
-        flip = np.concatenate([p.flip + c.start for p, (_, c, _) in zip(plans, blocks)])
+        parts = [_template(f) for f in a.factors]
+        starts = np.cumsum([a.dim] + [p.flip.size for p in parts])  # of each factor's negations
+        zero = np.concatenate([p.zero for p in parts])
+        flip = np.concatenate([p.flip + c.start for p, (_, c, _) in zip(parts, blocks)])
         order = np.concatenate([
             np.where(p.order < f.dim, p.order + c.start, p.order - f.dim + k)
-            for p, (f, c, _), k in zip(plans, blocks, starts)
+            for p, (f, c, _), k in zip(parts, blocks, starts)
         ])
-        data = {"factors": [_Json(p.template) for p in plans]}
+        data = {"factors": [_Json(p.text) for p in parts]}
     elif isinstance(a, SpinFactor):
         zero, flip, order = np.full(a.dim, -0.0), np.zeros(0, np.intp), np.arange(a.dim)
         data = {"x0": _Json("%s"), "xbar": [_Json("%s")] * (a.d - 1)}
@@ -402,50 +407,102 @@ def _plan(a: Algebra) -> _Plan:
             "re": [[_Json("%s")] * a.n] * a.n,
             "im": [[_Json("0" if i == j else "%s") for j in range(a.n)] for i in range(a.n)],
         }
-    template = render_json({"alg": emit_algebra(a), "data": data})
-    literals = template.split("%s")
-    # positions in texts + literals: literal 0, slot 0, literal 1, ...
-    pieces = np.full(2 * len(literals) - 1, flip.size + a.dim)
-    pieces[::2] += np.arange(len(literals))
-    pieces[1::2] = order
-    return _Plan(template, literals, zero, flip, order, operator.itemgetter(*pieces.tolist()))
+    return _Template(render_json({"alg": emit_algebra(a), "data": data}), zero, flip, order)
 
 
-def _element_texts(a: Algebra, coords) -> list[_Json]:
-    """JSON text of each element of `a` with coordinates a row of coords
-    [k, dim]: one finiteness check over the numbers of the stack, then
-    `_g17` over a chunk of rows at a time, and per row one join of its
-    numbers' texts and the template's literal pieces, gathered into
-    document order."""
+_Plan = namedtuple("_Plan", "zero flip order words index")
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(a: Algebra | int) -> _Plan:
+    """How the element documents of `a` (see `_template`) are assembled.
+
+    `words` holds the template's distinct literal pieces (the text around
+    the slots, the last one ending in a newline), each padded with NUL to
+    whole 4-byte words.  A chunk's text is gathered in words from `words`
+    followed by the 24-byte rows of its numbers (see `_g17`), by the
+    uint32 `index`: its first row picks literal 0, slot 0, literal 1, ...,
+    the last literal of the first element, and each next row the same
+    pieces of the next element's numbers.  `index` covers the rows of a
+    full chunk, `_CHUNK // dim`; a shorter chunk takes a prefix of it."""
+    text, zero, flip, order = _template(a)
+    literals = text.split("%s")
+    literals[-1] += "\n"
+    distinct = {piece: i for i, piece in enumerate(dict.fromkeys(literals))}
+    pieces = [piece.encode("ascii") for piece in distinct]
+    sizes = np.array([(len(piece) + 3) // 4 for piece in pieces])
+    words = np.frombuffer(b"".join(p.ljust(4 * n, b"\0") for p, n in zip(pieces, sizes)), "<u4")
+    # the pieces of one element in document order, as (first word, words)
+    which = np.fromiter(map(distinct.__getitem__, literals), np.intp, len(literals))
+    first = np.empty(2 * len(literals) - 1, dtype=np.intp)
+    count = np.full(first.size, 6)
+    first[::2], count[::2] = (np.cumsum(sizes) - sizes)[which], sizes[which]
+    first[1::2] = words.size + 6 * order
+    row = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    numbers = np.repeat(np.arange(first.size) % 2, count)  # 1 on the words of a number
+    stride = 6 * (zero.size + flip.size)  # words of one element's number rows
+    offsets = np.arange(0, max(1, _CHUNK // zero.size) * stride, stride)
+    index = (row + offsets[:, None] * numbers).astype(np.uint32).ravel()
+    return _Plan(zero, flip, order, words, index)
+
+
+def _element_chunks(a: Algebra | int, coords):
+    """The JSON text of the elements of `a` (see `_plan`) with coordinates
+    the rows of coords [k, dim], as ASCII bytes, each element ending in a
+    newline, one bytes object per chunk of rows.
+
+    One finiteness check goes over the numbers of the stack.  Then per
+    chunk: one `_g17` over its coordinates, the rows of its Hermitian upper
+    Im copied from the lower ones with the sign byte flipped, one gather
+    of words by the plan's index and one deletion of the NUL padding."""
     plan = _plan(a)
-    numbers = np.asarray(coords, dtype=float).reshape(-1, a.dim) + plan.zero
-    if plan.flip.size:
-        numbers = np.hstack([numbers, -numbers[:, plan.flip]])
+    dim, flip = plan.zero.size, plan.flip
+    numbers = np.asarray(coords, dtype=float).reshape(-1, dim) + plan.zero
     if not np.isfinite(numbers).all():
-        doc = numbers[:, plan.order]
+        doc = np.hstack([numbers, -numbers[:, flip]])[:, plan.order]
         bad = doc[~np.isfinite(doc)]  # in document order
         raise NumericError(f"cannot render the non-finite number {float(bad[0])!r} as JSON")
-    literals, gather, width = plan.literals, plan.gather, numbers.shape[1]
-    step = max(1, _G17_CHUNK // width)
-    out = []
+    literals, width = plan.words.view(np.uint8), dim + flip.size
+    step = max(1, _CHUNK // dim)
+    per_row = plan.index.size // step
     for start in range(0, len(numbers), step):
-        texts = _g17(numbers[start : start + step])
-        for end in range(width, len(texts) + 1, width):
-            row = texts[end - width : end]
-            row += literals
-            out.append(_Json("".join(gather(row))))
-    return out
+        chunk = numbers[start : start + step]
+        buffer = np.empty(literals.size + 24 * width * len(chunk), dtype=np.uint8)
+        buffer[: literals.size] = literals
+        rows = buffer[literals.size :].reshape(len(chunk), width, 24)
+        rows[:, :dim] = _g17(chunk).reshape(len(chunk), dim, 24)
+        if flip.size:
+            rows[:, dim:] = rows[:, flip]
+            rows[:, dim:, 0] ^= 0x2D
+        yield buffer.view("<u4").take(plan.index[: per_row * len(chunk)]).tobytes().translate(None, b"\0")
+
+
+def _element_texts(a: Algebra | int, coords) -> list[_Json]:
+    """The JSON text of each element of `a` with coordinates a row of
+    coords, one `_Json` each: per chunk one decode and one split."""
+    out = []
+    for text in _element_chunks(a, coords):
+        out += text.decode("ascii").split("\n")
+        out.pop()  # after the last newline
+    return list(map(_Json, out))
+
+
+def _element_array(a: Algebra, coords) -> _Json:
+    """The JSON array of the elements of `a` with coordinates the rows of
+    coords, one `_Json` for a whole stack, the text `render_json` writes
+    for `_element_texts(a, coords)`: each chunk's newlines become the
+    separators, and one decode makes the text."""
+    pieces = [text.replace(b"\n", b", ") for text in _element_chunks(a, coords)]
+    if pieces:
+        pieces[-1] = pieces[-1][:-2]  # the separator after the last element
+    return _Json(b"".join([b"[", *pieces, b"]"]).decode("ascii"))
 
 
 def _float_rows(rows) -> list[_Json]:
     """JSON text of each row of floats [k, n], the text `_render` writes for
-    it: one finiteness check over the stack, then `_g17` over it."""
+    it, from the element assembler with the plan of an n-float row."""
     rows = np.asarray(rows, dtype=float)
-    bad = rows[~np.isfinite(rows)]
-    if bad.size:
-        raise NumericError(f"cannot render the non-finite number {float(bad[0])!r} as JSON")
-    texts, n = _g17(rows), rows.shape[1]
-    return [_Json("[" + ", ".join(texts[i * n : i * n + n]) + "]") for i in range(len(rows))]
+    return _element_texts(rows.shape[1], rows)
 
 
 def emit_element(x: Element) -> dict:
@@ -497,7 +554,7 @@ def emit_polyline(path: PathPolyline) -> dict:
     """The `connect` document of a path for the CLI, the only caller: its
     `samples` are element text that only `render_json` writes."""
     return {
-        "samples": _element_texts(path.algebra, path.coords),
+        "samples": _element_array(path.algebra, path.coords),
         "max_step": path.max_step,
         "tolerance": path.tolerance,
     }

@@ -24,6 +24,7 @@ from .errors import (
     AlgebraMismatchError,
     InfeasiblePathError,
     MembershipError,
+    NumericError,
     UnsupportedAlgebraError,
     check_float_budget,
 )
@@ -357,6 +358,24 @@ def sum_split(
 # range of a linear functional over an orbit
 
 
+def _unit_scaled(x: Element) -> tuple[np.ndarray, int]:
+    """The coordinates of x divided by the exact power of two 2^k that
+    brings their largest |entry| into [1, 2) (`algebra._exponents`), and k.
+    The fan is computed from c and a scaled so, where no product of their
+    entries overflows, in units of 2^(kc + ka); in the normal range every
+    value is bit for bit the unscaled one."""
+    k = int(alg._exponents(x.coords))
+    return np.ldexp(x.coords, -k), k
+
+
+def _scaled_back(values: np.ndarray, k: int, what: str) -> np.ndarray:
+    """values 2^k, or `NumericError` if one of them is past the largest double."""
+    mantissas, exponents = np.frexp(values)
+    if ((exponents + k > 1024) & (mantissas != 0)).any():
+        raise NumericError(f"{what} is past the largest double")
+    return np.ldexp(values, k)
+
+
 def fan_interval(c: Element, a_el: Element) -> FanInterval:
     """Exact range endpoints of <c, .> over the eigenvalue orbit of a.
 
@@ -371,22 +390,50 @@ def fan_interval(c: Element, a_el: Element) -> FanInterval:
         )
     lam_c = eigen_map(c)
     lam_a = eigen_map(a_el)
-    big = float(lam_c @ lam_a)
-    small = float(lam_c[::-1] @ lam_a)
+    (_, kc), (_, ka) = _unit_scaled(c), _unit_scaled(a_el)
+    scaled_c, scaled_a = np.ldexp(lam_c, -kc), np.ldexp(lam_a, -ka)
+    # both ends are sums of rounded products, as `fan_sample` values are: a
+    # BLAS dot fuses multiply-adds, which would leave one product's rounding
+    # error in one end only (c = diag(x, -x), a = y I would give [0, -9e-17])
+    small, big = _scaled_back(
+        (np.stack([scaled_c[::-1], scaled_c]) * scaled_a).sum(axis=1), kc + ka, "an end of the fan range"
+    ).tolist()
     frame_c, _ = spectral_decompose(c)
     ends = _compose(np.stack([lam_a, lam_a[::-1]]), frame_c)
     maximizer, minimizer = (Element(c.algebra, v) for v in ends)
     return FanInterval(delta=small, Delta=big, minimizer=minimizer, maximizer=maximizer)
 
 
-def fan_sample(c: Element, a_el: Element, count: int, seed: int) -> np.ndarray:
-    """Values of <c, phi(a)> over random identity-component automorphisms."""
+def _fan_values(c: Element, a_el: Element, count: int, seed: int) -> tuple[np.ndarray, int]:
+    """The values of `fan_sample` in units of 2^k, and k."""
     if c.algebra != a_el.algebra:
         raise AlgebraMismatchError("both elements must share one algebra")
+    (scaled_c, kc), (scaled_a, ka) = _unit_scaled(c), _unit_scaled(a_el)
     # <c, s> = sum(w * c * s) as in `inner_product`, summed row by row so
     # each value is independent of `count`
-    weighted_c = alg._inner_weights(c.algebra) * c.coords
-    return (_orbit_coords(a_el, count, seed) * weighted_c).sum(axis=1)
+    weighted_c = alg._inner_weights(c.algebra) * scaled_c
+    samples = _orbit_coords(Element(a_el.algebra, scaled_a), count, seed)
+    return (samples * weighted_c).sum(axis=1), kc + ka
+
+
+def fan_sample(c: Element, a_el: Element, count: int, seed: int) -> np.ndarray:
+    """Values of <c, phi(a)> over random identity-component automorphisms."""
+    return _scaled_back(*_fan_values(c, a_el, count, seed), "a fan value")
+
+
+def _samples_in_interval(c: Element, a_el: Element, interval: FanInterval, count: int, seed: int) -> bool:
+    """Whether the `fan_sample` values lie in the interval up to 1e-9
+    max(1, |c| |a|), the size of their rounding error (|<c, phi(a)>| <=
+    |c| |a|), compared in units of 2^k, where that slack cannot overflow;
+    its floor 2^-k is clamped at 2^1023, far above any scaled value."""
+    values, k = _fan_values(c, a_el, count, seed)
+    if values.size == 0:
+        return True
+    w = alg._inner_weights(c.algebra)
+    lengths = [float(alg._lengths(_unit_scaled(x)[0], w)) for x in (c, a_el)]
+    tol = 1e-9 * max(math.ldexp(1.0, min(-k, 1023)), lengths[0] * lengths[1])
+    delta, big = np.ldexp([interval.delta, interval.Delta], -k)
+    return bool(values.min() >= delta - tol and values.max() <= big + tol)
 
 
 # ---------------------------------------------------------------------------

@@ -652,15 +652,23 @@ def test_connect_distinct_points_of_a_finite_set_near_1e12_exit_4(tmp_path, run_
     assert "no-path-in-finite-set" in proc.stderr
 
 
-def _bench_oracle(monkeypatch):
-    """bench/oracle.py (numpy only), loaded from its file without writing
-    bytecode next to it."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "oracle.py")
-    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+
+
+def _bench_module(monkeypatch, name):
+    """bench/<name>.py (numpy only), loaded from its file without writing
+    bytecode next to it, under its own name for the test's duration, as
+    `workloads` imports `oracle` by name."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(BENCH_DIR, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_oracle(monkeypatch):
+    return _bench_module(monkeypatch, "oracle")
 
 
 @pytest.mark.parametrize("case", [*sorted(_CONNECT_DIGESTS), "far-finite"])
@@ -677,6 +685,20 @@ def test_connect_meets_the_bench_oracle(tmp_path, capsys, monkeypatch, case):
         check = oracle.check_connect(set_doc, *blocks, steps=int(flags[1]))
     rc = cli.main(argv)
     check(rc, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("workload", ["paths", "sampling", "spectra"])
+def test_every_bench_op_meets_its_oracle(tmp_path, capsys, monkeypatch, workload):
+    # each op class of the benchmark at seed 1, the weight-0 probes too,
+    # run once in process and judged by the benchmark's own check; the
+    # documents go to tmp_path and nothing is written under bench/
+    before = sorted(os.listdir(BENCH_DIR))
+    _bench_oracle(monkeypatch)
+    workloads = _bench_module(monkeypatch, "workloads")
+    for op in workloads.build(workload, 1, str(tmp_path)):
+        rc = cli.main(list(op.argv))
+        op.check(rc, *capsys.readouterr())
+    assert sorted(os.listdir(BENCH_DIR)) == before
 
 
 _COMPONENTS_DIGESTS = {
@@ -822,6 +844,47 @@ def test_fan_large_scale_samples_in_interval(tmp_path, capsys):
     for seed in ("0", "1", "2"):
         assert cli.main(["fan", c_path, a_path, "--samples", "200", "--seed", seed]) == 0
         assert json.loads(capsys.readouterr().out)["samples_in_interval"] is True
+
+
+@pytest.mark.parametrize(
+    "c, a, rc, expected",
+    [
+        # every product of their entries overflows, but <c, phi(a)> = 0 on
+        # the whole orbit of a multiple of the unit
+        ([1e200, -1e200], [1e120, 1e120], 0, {"delta": 0, "Delta": 0, "samples_in_interval": True}),
+        # the same elements divided by 2^664 and 2^398: both ends are summed
+        # alike, so neither comes out as the rounding error of one product
+        ([1.3064201766302603, -1.3064201766302603], [1.5490367659397273, 1.5490367659397273], 0,
+         {"delta": 0, "Delta": 0, "samples_in_interval": True}),
+        # the range [2e320, 2e320] is past the largest double
+        ([1e160, 1e160], [1e160, 1e160], 3, None),
+    ],
+    ids=["cancelling-past-max", "cancelling-near-one", "past-max"],
+)
+def test_fan_range_keeps_the_exit_contract_at_any_scale(tmp_path, run_cli, c, a, rc, expected):
+    # in process, so a numpy overflow warning would fail the test
+    paths = [write_json(tmp_path, f"{name}.json", emit_element(element_from_sym(RealSymmetric(2), np.diag(v))))
+             for name, v in (("c", c), ("a", a))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        proc = run_cli(["fan", *paths, "--samples", "200", "--seed", "3"])
+    assert [str(w.message) for w in caught] == []
+    assert proc.returncode == rc, proc.stderr
+    if expected is None:
+        assert proc.stdout == ""
+        assert "past the largest double" in proc.stderr
+    else:
+        assert json.loads(proc.stdout) == expected
+
+
+@pytest.mark.parametrize("j, m", [(0, 0), (-700, 300), (600, -1000), (500, 400), (-1000, -60)])
+def test_fan_values_scale_exactly_with_the_inputs(j, m):
+    # c and a are divided by exact powers of two before any product is
+    # taken, so scaling them by 2^j and 2^m scales every sample by 2^(j + m)
+    c = element_from_sym(RealSymmetric(3), np.array([[3.0, 1.0, 0.5], [1.0, -2.0, 0.25], [0.5, 0.25, -1.0]]))
+    a = element_from_sym(RealSymmetric(3), np.diag([1.5, -0.5, 0.75]))
+    scaled = [Element(x.algebra, np.ldexp(x.coords, e)) for x, e in ((c, j), (a, m))]
+    assert np.array_equal(np.ldexp(ss.fan_sample(c, a, 50, 4), j + m), ss.fan_sample(*scaled, 50, 4))
 
 
 def test_fan_mismatched_algebras_exit_2(tmp_path, run_cli):

@@ -4,6 +4,7 @@ that reference."""
 
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -19,19 +20,24 @@ from jspec.algebra import (
     RealSymmetric,
     SpinFactor,
     matrix_of,
+    random_element,
 )
 from jspec.errors import NumericError
 from jspec.io import (
+    _CHUNK,
     _g17,
     _g17_digits,
     _Json,
+    _element_array,
     _element_texts,
     _float_rows,
+    _plan,
     emit_algebra,
     emit_element,
     parse_element,
     render_json,
 )
+from jspec.spectral import _idempotent_coords, spectral_decompose
 
 
 def oracle(value) -> str:
@@ -217,10 +223,15 @@ finite_doubles = st.one_of(
 )
 
 
+def g17_texts(values) -> list[str]:
+    """The rows of `_g17`, decoded: the text of each number."""
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in _g17(values)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(hnp.arrays(np.float64, st.integers(0, 40), elements=finite_doubles))
 def test_g17_is_percent_17g(values):
-    assert _g17(values) == ["%.17g" % v for v in values.tolist()]
+    assert g17_texts(values) == ["%.17g" % v for v in values.tolist()]
 
 
 MAX = 1.7976931348623157e308
@@ -248,7 +259,7 @@ def _g17_battery() -> np.ndarray:
 
 def test_g17_battery_is_percent_17g():
     battery = _g17_battery()
-    assert _g17(battery) == ["%.17g" % v for v in battery.tolist()]
+    assert g17_texts(battery) == ["%.17g" % v for v in battery.tolist()]
 
 
 def test_g17_battery_reaches_the_fallback():
@@ -374,6 +385,68 @@ def test_emitted_element_parses_back(stack):
     for f, (got, want) in factors:
         if not isinstance(f, RealSymmetric):  # Hermitian and spin: zeros keep their sign too
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+SYM16_HERM8_SPIN6 = ProductAlgebra((RealSymmetric(16), ComplexHermitian(8), SpinFactor(6)))
+# numbers left to `%`, and signed zeros
+CHUNK_EDGE_FLOATS = [1000000000000000.25, 5e-324, MAX, -MAX, 1e281, -0.0, 0.0]
+
+
+def _chunk_edge_stack(a, rows, seed):
+    """Rows of coordinates of `a` with the floats of CHUNK_EDGE_FLOATS in
+    the first and last row of every chunk, once among all coordinates and
+    as many as fit among the lower Im coordinates of the Hermitian factors,
+    whose upper Im is written with its sign flipped."""
+    rng = np.random.default_rng(seed)
+    coords = rng.standard_normal((rows, a.dim)) * 10.0 ** rng.integers(-6, 7, (rows, a.dim))
+    step = max(1, _CHUNK // a.dim)
+    assert rows > 2 * step  # three chunks or more
+    flip = _plan(a).flip
+    for r in sorted({*range(0, rows, step), *range(step - 1, rows, step), rows - 1}):
+        coords[r, rng.choice(a.dim, len(CHUNK_EDGE_FLOATS), replace=False)] = CHUNK_EDGE_FLOATS
+        lower = rng.permutation(flip)[: len(CHUNK_EDGE_FLOATS)]
+        coords[r, lower] = rng.permutation(CHUNK_EDGE_FLOATS)[: lower.size]
+    return coords
+
+
+def assert_same_text(got, want):
+    """got == want for long texts, or lists of them compared joined: a
+    failure shows the first difference in context, where pytest's own diff
+    of a long one-line text takes minutes."""
+    if not isinstance(got, str):
+        got, want = "\n".join(got), "\n".join(want)
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        assert got[max(0, i - 60) : i + 60] == want[max(0, i - 60) : i + 60], f"the texts differ at {i}"
+
+
+@pytest.mark.parametrize("a, rows", [(RealSymmetric(40), 12), (ComplexHermitian(4), 600), (SYM16_HERM8_SPIN6, 60)],
+                         ids=["sym40", "herm4", "sym16xherm8xspin6"])
+def test_emitter_matches_reference_across_chunks(a, rows):
+    coords = _chunk_edge_stack(a, rows, rows)
+    assert_same_text(_element_texts(a, coords), [oracle(reference_doc(a, row)) for row in coords])
+    for k in (0, 1, rows):
+        assert_same_text(_element_array(a, coords[:k]), render_json(_element_texts(a, coords[:k])))
+
+
+@pytest.mark.parametrize("a, coords", [
+    (RealSymmetric(40), lambda: _idempotent_coords(spectral_decompose(random_element(RealSymmetric(40), 3))[0])),
+    (ComplexHermitian(4), lambda: np.random.default_rng(4).standard_normal((2000, 16))),
+], ids=["sym40-frame", "herm4x2000"])
+def test_element_texts_peak_near_their_output_length(a, coords):
+    # numbers, number rows and gathered words live one chunk at a time:
+    # the peak is the stack's texts and one chunk's arrays, where a
+    # whole-stack gather peaks at ~8x the texts
+    coords = coords()
+    _element_texts(a, coords[:1])  # the plan, built once per algebra
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        texts = _element_texts(a, coords)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * sum(map(len, texts))
 
 
 def test_render_json_peaks_near_its_output_length():

@@ -74,7 +74,7 @@ from .spectralsets import (
     CertificateVerdict,
     DecompositionCertificate,
     FanInterval,
-    SpectralComponent,
+    SpectralComponents,
     SpectralSet,
     certificate_check,
     components_finite,

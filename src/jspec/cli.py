@@ -126,12 +126,13 @@ def _cmd_components(args):
     q_set = jio.parse_permset(_load(args.set))
     algebra = jio.parse_algebra(_load(args.algebra))
     comps = ss.components_finite(SpectralSet(algebra, q_set))
-    texts = jio._element_texts(algebra, [c.element.coords for c in comps])
-    reps = jio._float_rows([c.representative for c in comps])
+    reps = jio._float_rows(comps.representatives)
+    texts = jio._element_texts(algebra, comps.coords)
+    row = '{"representative": %s, "description": %s, "element": %s}'
     return {
         "components": [
-            {"representative": rep, "description": c.description, "element": text}
-            for c, rep, text in zip(comps, reps, texts)
+            jio._Json(row % (rep, jio._string(d), text))
+            for rep, d, text in zip(reps, comps.descriptions, texts)
         ]
     }
 

@@ -2,29 +2,25 @@
 
 import numpy as np
 
+from .algebra import _exponents, _scaled_back
 from .errors import NumericError, check_float_budget
 
 __all__ = ["nnls"]
 
 
-def _power_of_two(top):
-    """2^(e - 1) for top = f 2^e, f in [1/2, 1): finite from 2^-1074 to 2^1023 (0.5 at 0)."""
-    return np.ldexp(1.0, np.frexp(top)[1] - 1)
-
-
 def _nnls_rows(gmat, rhs):
-    """(w[k, p], residuals[k], scale[k, 1], cols[p]) for rhs[k, m] over gmat[m, p] by Lawson-Hanson
-    (1974, ch. 23) in Bro-De Jong normal-equations form (1997), columns and rows divided by the
-    exact power of two that brings their max |entry| into [1, 2) (`cols`, `scale`), subnormal
-    ones too: w solves the scaled problem, and w * scale / cols, which may pass the largest
-    double, is in input units.  A row ends at KKT: w >= 0, gradient >= -tol off the support,
-    |gradient|, Newton decrement <= tol on it."""
-    (m, p), k, cols = gmat.shape, len(rhs), _power_of_two(abs(gmat).max(axis=0, initial=0.0))
+    """(w[k, p], residuals[k], k_row[k], k_col[p]) for rhs[k, m] over gmat[m, p] by Lawson-Hanson
+    (1974, ch. 23) in Bro-De Jong normal-equations form (1997), each column and each row scaled
+    by the exact power of two 2^-k of `algebra._exponents` (k_col, k_row), subnormal ones too:
+    w solves the scaled problem, and w 2^(k_row - k_col), which may pass the largest double, is
+    in input units.  A row ends at KKT: w >= 0, gradient >= -tol off the support, |gradient|,
+    Newton decrement <= tol on it."""
+    (m, p), k, k_row, k_col = gmat.shape, len(rhs), _exponents(rhs), _exponents(gmat.T)
     check_float_budget(k * p * p, f"NNLS of {k} rows over {p} generators")  # the Gram stack
-    g, scale = gmat / cols, _power_of_two(abs(rhs).max(axis=1, keepdims=True, initial=0.0))
+    g, rhs = np.ldexp(gmat, -k_col), np.ldexp(rhs, -k_row[:, None])
     gtg, w, passive, alpha = g.T @ g, np.zeros((k, p)), np.zeros((k, p), dtype=bool), 1.0
     for _ in range(4 * p + 16):  # finite in exact arithmetic; the cap ends a roundoff cycle
-        grad = np.einsum("km,mp->kp", rhs / scale - np.einsum("kp,mp->km", w, g), g)  # -gradient
+        grad = np.einsum("km,mp->kp", rhs - np.einsum("kp,mp->km", w, g), g)  # -gradient
         tol = 10 * max(m, p) * np.finfo(float).eps * (1.0 + w.sum(axis=1, keepdims=True))
         free = np.where(passive, -np.inf, grad)
         enter = (alpha == 1.0) & (free.max(axis=1, keepdims=True) > tol)  # a full last step
@@ -37,7 +33,7 @@ def _nnls_rows(gmat, rhs):
         kkt = (np.where(passive, abs(grad), grad) <= tol).all(axis=1, keepdims=True)
         done = (alpha == 1.0) & kkt & ((step * grad).sum(axis=1, keepdims=True) <= tol**2)
         if done.all():
-            return w, scale[:, 0] * np.linalg.norm(w @ g.T - rhs / scale, axis=1), scale, cols
+            return w, np.ldexp(np.linalg.norm(w @ g.T - rhs, axis=1), k_row), k_row, k_col
         cut = passive & (w + step < 0.0) & ~done  # stop where the first coefficient reaches 0
         alpha = np.where(cut, w / np.where(cut, -step, 1.0), 1.0).min(axis=1, keepdims=True)
         passive &= (alpha == 1.0) | (w + alpha * step > tol)
@@ -48,9 +44,5 @@ def _nnls_rows(gmat, rhs):
 def nnls(gmat, b):
     """(w, residual) for one right-hand side b: the one-row `_nnls_rows`, w in input units.  A
     coefficient past the largest double raises NumericError."""
-    w, residuals, scale, cols = _nnls_rows(np.asarray(gmat, dtype=float), np.atleast_2d(b))
-    with np.errstate(over="ignore"):
-        w = w[0] * scale[0] / cols
-    if not np.isfinite(w).all():
-        raise NumericError("an NNLS coefficient is past the largest double")
-    return w, residuals[0]
+    w, residuals, k_row, k_col = _nnls_rows(np.asarray(gmat, dtype=float), np.atleast_2d(b))
+    return _scaled_back(w[0], k_row[0] - k_col, "an NNLS coefficient"), residuals[0]

@@ -24,7 +24,6 @@ from .errors import (
     AlgebraMismatchError,
     InfeasiblePathError,
     MembershipError,
-    NumericError,
     UnsupportedAlgebraError,
     check_float_budget,
 )
@@ -52,7 +51,7 @@ __all__ = [
     "NNLS_RESIDUAL",
     "SpectralSet",
     "FanInterval",
-    "SpectralComponent",
+    "SpectralComponents",
     "DecompositionCertificate",
     "CertificateVerdict",
     "ss_member",
@@ -93,10 +92,15 @@ class FanInterval:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralComponent:
-    representative: np.ndarray  # sorted eigenvalues (per factor for products)
-    element: Element
-    description: str
+class SpectralComponents:
+    """The components of a finite spectral set, one row each, as read-only stacks."""
+
+    representatives: np.ndarray  # [k, rank] sorted eigenvalues, per factor block
+    coords: np.ndarray  # [k, dim] each representative composed in the canonical frame
+    descriptions: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.descriptions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +283,7 @@ def connect(
 # components of finite spectral sets
 
 
-def components_finite(sset: SpectralSet) -> list[SpectralComponent]:
+def components_finite(sset: SpectralSet) -> SpectralComponents:
     """Arcwise connected components of the spectral set of a finite Q.
 
     One component per distinct split of a sorted point of Q into the factor
@@ -314,10 +318,9 @@ def components_finite(sset: SpectralSet) -> list[SpectralComponent]:
     # the n x n frame and each composition stack [k, n, n], real or complex
     k = len(reps)
     check_float_budget(2 * k * a.dim, f"the composition of {k} components in dimension {a.dim}")
-    return [
-        SpectralComponent(representative=rep, element=Element(a, c), description=template % tuple(q))
-        for rep, q, c in zip(reps, reps.tolist(), _compose(reps, canonical_frame(a)))
-    ]
+    coords = _compose(reps, canonical_frame(a))
+    reps.flags.writeable = coords.flags.writeable = False
+    return SpectralComponents(reps, coords, tuple(template % tuple(q) for q in reps.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +371,6 @@ def _unit_scaled(x: Element) -> tuple[np.ndarray, int]:
     return np.ldexp(x.coords, -k), k
 
 
-def _scaled_back(values: np.ndarray, k: int, what: str) -> np.ndarray:
-    """values 2^k, or `NumericError` if one of them is past the largest double."""
-    mantissas, exponents = np.frexp(values)
-    if ((exponents + k > 1024) & (mantissas != 0)).any():
-        raise NumericError(f"{what} is past the largest double")
-    return np.ldexp(values, k)
-
-
 def fan_interval(c: Element, a_el: Element) -> FanInterval:
     """Exact range endpoints of <c, .> over the eigenvalue orbit of a.
 
@@ -395,7 +390,7 @@ def fan_interval(c: Element, a_el: Element) -> FanInterval:
     # both ends are sums of rounded products, as `fan_sample` values are: a
     # BLAS dot fuses multiply-adds, which would leave one product's rounding
     # error in one end only (c = diag(x, -x), a = y I would give [0, -9e-17])
-    small, big = _scaled_back(
+    small, big = alg._scaled_back(
         (np.stack([scaled_c[::-1], scaled_c]) * scaled_a).sum(axis=1), kc + ka, "an end of the fan range"
     ).tolist()
     frame_c, _ = spectral_decompose(c)
@@ -418,7 +413,7 @@ def _fan_values(c: Element, a_el: Element, count: int, seed: int) -> tuple[np.nd
 
 def fan_sample(c: Element, a_el: Element, count: int, seed: int) -> np.ndarray:
     """Values of <c, phi(a)> over random identity-component automorphisms."""
-    return _scaled_back(*_fan_values(c, a_el, count, seed), "a fan value")
+    return alg._scaled_back(*_fan_values(c, a_el, count, seed), "a fan value")
 
 
 def _samples_in_interval(c: Element, a_el: Element, interval: FanInterval, count: int, seed: int) -> bool:

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -931,14 +932,43 @@ def test_components_stdout_is_emit_element_per_component(tmp_path, run_cli, alge
     proc = run_cli(["components", write_json(tmp_path, "set.json", set_doc),
                     write_json(tmp_path, "alg.json", algebra_doc)])
     assert proc.returncode == 0
-    sset = ss.SpectralSet(parse_algebra(algebra_doc), parse_permset(set_doc))
+    algebra = parse_algebra(algebra_doc)
+    comps = ss.components_finite(ss.SpectralSet(algebra, parse_permset(set_doc)))
     per_component = [
-        {"representative": c.representative, "description": c.description,
-         "element": emit_element(c.element)}
-        for c in ss.components_finite(sset)
+        {"representative": rep, "description": description, "element": emit_element(Element(algebra, coords))}
+        for rep, description, coords in zip(comps.representatives, comps.descriptions, comps.coords)
     ]
     assert len(per_component) >= 2
     assert proc.stdout == render_json({"components": per_component}) + "\n"
+
+
+def test_components_peak_near_its_output_length(tmp_path, monkeypatch):
+    # the 5,040 components of R^7 go from coordinate stacks to one text per
+    # component: no Element, dict or per-value render per component is held
+    write_json(tmp_path, "set.json", {"set": "finite", "points": [list(range(7))]})
+    write_json(tmp_path, "r7.json", emit_algebra(coordinate_algebra(7)))
+    monkeypatch.chdir(tmp_path)
+    argv = ["components", "set.json", "r7.json"]
+
+    class Counter:
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+
+    with contextlib.redirect_stdout(Counter()):
+        assert cli.main(argv) == 0  # the parser, frame and emitter plan, built once
+    out = Counter()
+    with contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert out.chars > 3_000_000
+    assert peak <= 2.9 * out.chars
 
 
 def test_finite_set_non_finite_point_exits_2(tmp_path, capsys):

@@ -112,7 +112,7 @@ def test_finite_orbit_rows_match_the_tuple_construction(points):
     assert not np.signbit(q_set.points[q_set.points == 0.0]).any()  # a zero is always +0.0
     # over R^n every permutation is its own component, so the representatives are the orbit
     comps = components_finite(SpectralSet(coordinate_algebra(q_set.n), q_set))
-    orbit = np.array([c.representative for c in comps])
+    orbit = comps.representatives
     assert np.array_equal(orbit, _orbit_by_tuples(points))
     assert not np.signbit(orbit[orbit == 0.0]).any()
 

@@ -481,7 +481,7 @@ def test_components_coordinate_space():
     s = SpectralSet(a, make_finite_orbit([[1.0, 0.0, 0.0]]))
     comps = components_finite(s)
     assert len(comps) == 3
-    reps = sorted(tuple(c.representative) for c in comps)
+    reps = sorted(map(tuple, comps.representatives.tolist()))
     assert reps == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
 
 
@@ -490,10 +490,11 @@ def test_components_simple_algebra():
     s = SpectralSet(a, make_finite_orbit([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
     comps = components_finite(s)
     assert len(comps) == 2
-    for c in comps:
-        assert ss_member(s, c.element, slack=1e-10)
-    lam0 = eigen_map(comps[0].element)
-    lam1 = eigen_map(comps[1].element)
+    elements = [Element(a, c) for c in comps.coords]
+    for x in elements:
+        assert ss_member(s, x, slack=1e-10)
+    lam0 = eigen_map(elements[0])
+    lam1 = eigen_map(elements[1])
     assert np.abs(lam0 - lam1).max() > 0.5  # separated by the eigenvalue map
 
 
@@ -502,8 +503,9 @@ def test_components_single_orbit_connects():
     s = SpectralSet(a, make_finite_orbit([[1.0, 0.0, 0.0]]))
     comps = components_finite(s)
     assert len(comps) == 1
-    x = orbit_sample(comps[0].element, 1, seed=1)[0]
-    y = orbit_sample(comps[0].element, 1, seed=2)[0]
+    rep = Element(a, comps.coords[0])
+    x = orbit_sample(rep, 1, seed=1)[0]
+    y = orbit_sample(rep, 1, seed=2)[0]
     path = connect(s, x, y, steps=15)
     assert distance(path.samples[-1], y) <= 1e-9
 
@@ -527,8 +529,12 @@ def test_components_compose_like_compose_theta(algebra):
     comps = components_finite(SpectralSet(algebra, make_finite_orbit(points)))
     frame = canonical_frame(algebra)
     assert len(comps) >= 2
-    for c in comps:
-        assert np.array_equal(c.element.coords, compose_theta(c.representative, frame).coords)
+    for rep, coords in zip(comps.representatives, comps.coords):
+        assert np.array_equal(coords, compose_theta(rep, frame).coords)
+    # the stacks are the result, shared by every reader: neither is writable
+    assert not comps.representatives.flags.writeable and not comps.coords.flags.writeable
+    with pytest.raises(ValueError):
+        comps.coords[0, 0] = 1.0
 
 
 def _components_by_permutations(algebra, points):
@@ -584,9 +590,9 @@ def test_components_match_the_permutation_orbit(case):
     algebra, points = case
     reps, descriptions = _components_by_permutations(algebra, points)
     comps = components_finite(SpectralSet(algebra, make_finite_orbit(points)))
-    assert [c.description for c in comps] == descriptions
-    assert [c.representative.tobytes() for c in comps] == [np.array(r).tobytes() for r in reps]
-    assert not any(np.signbit(c.representative[c.representative == 0]).any() for c in comps)
+    assert list(comps.descriptions) == descriptions
+    assert [rep.tobytes() for rep in comps.representatives] == [np.array(r).tobytes() for r in reps]
+    assert not np.signbit(comps.representatives[comps.representatives == 0]).any()
 
 
 def test_components_need_finite_flag():
@@ -780,8 +786,8 @@ def nnls_problems(draw):
 )
 def test_nnls_matches_reference_and_its_rows(problem):
     gmat, rhs = problem
-    w, residuals, scale, cols = _nnls_rows(gmat, rhs)
-    w = w * scale / cols
+    w, residuals, k_row, k_col = _nnls_rows(gmat, rhs)
+    w = np.ldexp(w, k_row[:, None] - k_col)
     assert np.all(w >= 0.0)
     for row, b in enumerate(rhs):
         w_row, res_row = nnls(gmat, b)
@@ -798,6 +804,14 @@ def test_nnls_coefficient_past_the_largest_double_raises():
     # the coefficients 4e308 solve the problem exactly but are no doubles
     with pytest.raises(NumericError, match="past the largest double"):
         nnls(1e-308 * np.eye(3), [4.0, 4.0, 4.0])
+
+
+def test_nnls_coefficients_near_the_largest_double_are_scaled_back_once():
+    # w = [6.5e293, 6.5e293] is finite, but w times the row scale 2^1023
+    # alone is not: the coefficients go back by 2^(k_row - k_col) in one step
+    w, residual = nnls(2.0**60 * np.array([[1.0, -1.0], [1e-4, 1e-4]]), [0.0, 1.5e308])
+    assert np.allclose(w, 1.5e308 / (2.0**61 * 1e-4), rtol=1e-12, atol=0.0)
+    assert residual <= 1e-6 * 1.5e308
 
 
 def test_certificate_orthant_accepted():

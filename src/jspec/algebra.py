@@ -366,17 +366,20 @@ def inner_product(x: Element, y: Element) -> float:
 def _exponents(d: np.ndarray) -> np.ndarray:
     """The k of each row of d [..., m] whose largest |entry| lies in [2^k,
     2^(k + 1)), -1 for a zero row: `np.ldexp(d, -k)`, exact down to 2^-1074,
-    brings the row's largest |entry| into [1, 2).  `_lengths`, NNLS and
-    `fan` scale by it, and `_scaled_back` scales their results back."""
+    brings the row's largest |entry| into [1, 2).  `_lengths`, NNLS, `fan`
+    and the eigen layer scale by it, and `_scaled_back` scales their
+    results back."""
     return np.frexp(np.abs(d).max(axis=-1, initial=0.0))[1] - 1
 
 
 def _scaled_back(values: np.ndarray, k, what: str) -> np.ndarray:
-    """values 2^k, k an int or an array, or `NumericError` if one is past the largest double."""
-    mantissas, exponents = np.frexp(values)
-    if ((exponents + k > 1024) & (mantissas != 0)).any():
-        raise NumericError(f"{what} is past the largest double")
-    return np.ldexp(values, k)
+    """values 2^k, k an int or an array, or `NumericError` if one is past
+    the largest double: `ldexp`'s overflow is raised, not warned about."""
+    try:
+        with np.errstate(over="raise"):
+            return np.ldexp(values, k)
+    except FloatingPointError:
+        raise NumericError(f"{what} is past the largest double") from None
 
 
 def _lengths(d: np.ndarray, w=1.0) -> np.ndarray:
@@ -385,16 +388,11 @@ def _lengths(d: np.ndarray, w=1.0) -> np.ndarray:
     power of two 2^-k of `_exponents`, which brings its largest |entry| into
     [1, 2), so the sum neither overflows nor underflows, and the root is
     scaled back by 2^k; a power-of-two scale is exact, so in the normal
-    range every length is bit for bit sqrt(np.vecdot(w * d, d)).  A root is
-    below 2^64, so only a k above 960 can take a length past the largest
-    double: then `_scaled_back` raises `NumericError` before `ldexp` would
-    overflow."""
+    range every length is bit for bit sqrt(np.vecdot(w * d, d)).  A length
+    past the largest double raises `NumericError` (`_scaled_back`)."""
     k = _exponents(d)[..., None]
     d = np.ldexp(d, -k)
-    root, k = np.sqrt(np.vecdot(w * d, d)), k[..., 0]
-    if k.max(initial=0) > 960:
-        return _scaled_back(root, k, "a length")
-    return np.ldexp(root, k)
+    return _scaled_back(np.sqrt(np.vecdot(w * d, d)), k[..., 0], "a length")
 
 
 def norm(x: Element) -> float:

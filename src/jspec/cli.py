@@ -126,15 +126,16 @@ def _cmd_components(args):
     q_set = jio.parse_permset(_load(args.set))
     algebra = jio.parse_algebra(_load(args.algebra))
     comps = ss.components_finite(SpectralSet(algebra, q_set))
-    reps = jio._float_rows(comps.representatives)
-    texts = jio._element_texts(algebra, comps.coords)
-    row = '{"representative": %s, "description": %s, "element": %s}'
-    return {
-        "components": [
-            jio._Json(row % (rep, jio._string(d), text))
-            for rep, d, text in zip(reps, comps.descriptions, texts)
-        ]
-    }
+    # seven pieces per component, its representative, description and
+    # element text at 1, 3 and 5
+    pieces = jio._Pieces(['{"representative": ', "", ', "description": ', "", ', "element": ', "", "}, "])
+    pieces *= len(comps)
+    pieces[5::7] = jio._element_texts(algebra, comps.coords)
+    pieces[1::7] = jio._float_rows(comps.representatives)
+    pieces[3::7] = map(jio._string, comps.descriptions)
+    pieces.insert(0, "[")
+    pieces[-1] = "}]" if len(comps) else "[]"  # over the last separator, or the "["
+    return {"components": pieces}
 
 
 def _cmd_certify(args):
@@ -157,7 +158,7 @@ def _cmd_sum_split(args):
     q2 = jio.parse_numbers(_json(args.q2, "--q2"), "--q2")
     split = ss.sum_split(z, q1_set, q2_set, q1, q2)
     part1, part2 = jio._element_texts(z.algebra, [x.coords for x in split])
-    return {"part1": part1, "part2": part2}
+    return {"part1": jio._Pieces([part1]), "part2": jio._Pieces([part2])}
 
 
 def _cmd_pointed_check(args):
@@ -250,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    pieces = []
     try:
-        text = jio.render_json(args.handler(args), end="\n")
+        jio._render(args.handler(args), pieces)
     except _INFEASIBLE_ERRORS as exc:
         clause = getattr(exc, "clause", None)
         label = f" [{clause}]" if clause else ""
@@ -263,7 +265,12 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"jspec: input error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
+    # the document is whole before its first piece is written, so an error
+    # leaves stdout empty
+    pieces.append("\n")
+    write = sys.stdout.write
+    for piece in pieces:
+        write(piece)
     return 0
 
 

@@ -19,10 +19,13 @@ between the numbers), padded with NUL to 4-byte words, and one word index
 over them and a chunk's number rows in document order; per chunk one
 gather, one deletion of the NUL bytes and one decode make the text of
 its elements, with no Python string per number.  A stack printed as a
-JSON array is one text; `emit_element` is one element's text decoded.
-The renderer appends a document's pieces to one list and `render_json`
-joins them once, so the CLI writes each document, trailing newline
-included, from one join and one write.
+JSON array is an `_Items` of its chunks' decoded texts, a stack of
+element texts an `_Items` of one text per element, and `emit_element`
+is one element's text decoded.  The renderer appends a document's pieces
+to one list, the texts of a `_Json`, an `_Items` or a `_Pieces`
+unchanged.  `render_json` joins that list once; the CLI writes its
+pieces to stdout one by one once the whole document is rendered, so a
+stack's text is decoded once and never copied again.
 """
 
 from __future__ import annotations
@@ -214,6 +217,14 @@ def _parse_element_data(a: Algebra, data) -> Element:
 
 class _Json(str):
     """JSON text that `_render` writes unchanged."""
+
+
+class _Items(list):
+    """JSON texts that `_render` writes unchanged as the items of one array."""
+
+
+class _Pieces(list):
+    """JSON text as consecutive str pieces that `_render` writes unchanged."""
 
 
 # ---------------------------------------------------------------------------
@@ -477,28 +488,25 @@ def _element_chunks(a: Algebra | int, coords):
         yield buffer.view("<u4").take(plan.index[: per_row * len(chunk)]).tobytes().translate(None, b"\0")
 
 
-def _element_texts(a: Algebra | int, coords) -> list[_Json]:
+def _element_texts(a: Algebra | int, coords) -> _Items:
     """The JSON text of each element of `a` with coordinates a row of
-    coords, one `_Json` each: per chunk one decode and one split."""
-    out = []
+    coords, one str each: per chunk one decode and one split."""
+    out = _Items()
     for text in _element_chunks(a, coords):
         out += text.decode("ascii").split("\n")
         out.pop()  # after the last newline
-    return list(map(_Json, out))
+    return out
 
 
-def _element_array(a: Algebra, coords) -> _Json:
+def _element_array(a: Algebra, coords) -> _Items:
     """The JSON array of the elements of `a` with coordinates the rows of
-    coords, one `_Json` for a whole stack, the text `render_json` writes
-    for `_element_texts(a, coords)`: each chunk's newlines become the
-    separators, and one decode makes the text."""
-    pieces = [text.replace(b"\n", b", ") for text in _element_chunks(a, coords)]
-    if pieces:
-        pieces[-1] = pieces[-1][:-2]  # the separator after the last element
-    return _Json(b"".join([b"[", *pieces, b"]"]).decode("ascii"))
+    coords, the text `render_json` writes for `_element_texts(a, coords)`,
+    with one item per chunk: its elements, its newlines made separators,
+    in one decoded text.  No text is joined."""
+    return _Items(text[:-1].replace(b"\n", b", ").decode("ascii") for text in _element_chunks(a, coords))
 
 
-def _float_rows(rows) -> list[_Json]:
+def _float_rows(rows) -> _Items:
     """JSON text of each row of floats [k, n], the text `_render` writes for
     it, from the element assembler with the plan of an n-float row."""
     rows = np.asarray(rows, dtype=float)
@@ -552,7 +560,7 @@ def parse_certificate(doc) -> DecompositionCertificate:
 
 def emit_polyline(path: PathPolyline) -> dict:
     """The `connect` document of a path for the CLI, the only caller: its
-    `samples` are element text that only `render_json` writes."""
+    `samples` are the pieces of element text that only `_render` writes."""
     return {
         "samples": _element_array(path.algebra, path.coords),
         "max_step": path.max_step,
@@ -565,10 +573,18 @@ def emit_polyline(path: PathPolyline) -> dict:
 
 
 def _render(value, out: list) -> None:
-    """Append the JSON text of value to out; a `_Json` text goes in as is."""
+    """Append the JSON text of value to out; the texts of a `_Json`, an
+    `_Items` and a `_Pieces` go in as they are."""
     kind = type(value)
     if kind is _Json:
         out.append(value)
+    elif kind is _Pieces:
+        out += value
+    elif kind is _Items:
+        out.append("[")
+        for item in value:
+            out += (item, ", ")
+        out[-1] = "]" if value else "[]"
     elif kind is list or kind is tuple:
         out.append("[")
         for item in value:
@@ -600,13 +616,12 @@ def _render(value, out: list) -> None:
         raise TypeError(f"cannot render {kind!r}")
 
 
-def render_json(value, end: str = "") -> str:
-    """Deterministic one-line JSON with round-trip-exact float rendering,
-    followed by `end`: the pieces go into one list and are joined once.  A
-    non-finite float has no JSON form and raises `NumericError`.  Python
-    types only (plus numpy arrays and scalars): a subclass such as an
-    `IntEnum` raises `TypeError`."""
+def render_json(value) -> str:
+    """Deterministic one-line JSON with round-trip-exact float rendering:
+    the pieces go into one list and are joined once.  A non-finite float
+    has no JSON form and raises `NumericError`.  Python types only (plus
+    numpy arrays and scalars): a subclass such as an `IntEnum` raises
+    `TypeError`."""
     out = []
     _render(value, out)
-    out.append(end)
     return "".join(out)

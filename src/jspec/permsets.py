@@ -157,8 +157,11 @@ def pointed_sample_check(q_set: PermSet, samples: int, seed: int):
     -q members.  Candidates mix raw Gaussians g_i with zero-sum differences
     g_i - g_i[perm_i], so lineality directions of trace-type half-spaces are
     actually hit.  One `default_rng(seed)` draws g_i and the sort keys of
-    perm_i per sample, so a longer run extends a shorter one.  Returns the
-    first witness in scan order (g_0, g_0 - g_0[perm_0], g_1, ...) or None.
+    perm_i per sample, so a longer run extends a shorter one.  The stream
+    is drawn in chunks that double the samples drawn so far (the first has
+    64), so the scan stops at the chunk of its first witness; the draws
+    are those of one call for all samples, bit for bit.  Returns the first
+    witness in scan order (g_0, g_0 - g_0[perm_0], g_1, ...) or None.
     """
     if not q_set.cone:
         raise ValueError(f"{q_set.tag} is not flagged as a cone")
@@ -166,15 +169,19 @@ def pointed_sample_check(q_set: PermSet, samples: int, seed: int):
         raise ValueError("need at least one sample")
     n = q_set.n
     check_float_budget(2 * samples * n, f"{samples} pointedness samples")
-    draws = np.random.default_rng(int(seed)).standard_normal((samples, 2, n))
-    g = draws[:, 0]
-    perm = np.argsort(draws[:, 1], axis=1)
-    rows = np.empty((2 * samples, n))
-    rows[0::2] = g
-    rows[1::2] = g - np.take_along_axis(g, perm, axis=1)
-    both = (q_set.margin_many(rows) >= 0.0) & (q_set.margin_many(-rows) >= 0.0)
-    nonzero = np.abs(rows).max(axis=1) > FINITE_TOL
-    hits = np.flatnonzero(both & nonzero)
-    if hits.size:
-        return rows[hits[0]].copy()
+    rng, drawn = np.random.default_rng(int(seed)), 0
+    while drawn < samples:
+        count = min(max(drawn, 64), samples - drawn)
+        draws = rng.standard_normal((count, 2, n))
+        drawn += count
+        g = draws[:, 0]
+        perm = np.argsort(draws[:, 1], axis=1)
+        rows = np.empty((2 * count, n))
+        rows[0::2] = g
+        rows[1::2] = g - np.take_along_axis(g, perm, axis=1)
+        both = (q_set.margin_many(rows) >= 0.0) & (q_set.margin_many(-rows) >= 0.0)
+        nonzero = np.abs(rows).max(axis=1) > FINITE_TOL
+        hits = np.flatnonzero(both & nonzero)
+        if hits.size:
+            return rows[hits[0]].copy()
     return None

@@ -15,7 +15,9 @@ on request its frame basis; `eigen_map` and `spectral_decompose` run it on
 each factor block (a simple algebra is one block).  Matrix kinds are
 diagonalized by LAPACK through numpy (``eigvalsh``, or ``eigh`` with the
 frame: their values may differ in the last bits), whose ascending output
-is reversed, values and eigenvector columns together.  Degenerate eigenvalues admit many valid frames; this module
+is reversed, values and eigenvector columns together; each matrix is
+first divided by a power of two, so that the eigenvalues scale exactly
+with the element (see `_eigh_desc`).  Degenerate eigenvalues admit many valid frames; this module
 returns the one LAPACK computes, in that reversed order, and never
 attempts a canonical choice.  A 1x1 matrix kind's eigenvalue is read off
 its coordinate, with basis [[1]], the values LAPACK returns for it.
@@ -136,9 +138,20 @@ def _eigh_desc(m: np.ndarray, vectors: bool):
     which runs LAPACK on each matrix in turn: row i equals the result for
     matrix i on its own, bit for bit.
 
+    Each matrix is first divided by the power of two 2^k that brings its
+    largest |entry| into [1, 2) (`algebra._exponents`), and its eigenvalues
+    are scaled back by 2^k (`algebra._scaled_back`, which raises
+    `NumericError` past the largest double).  LAPACK would rescale a matrix
+    whose norm is far from 1 by a factor that is not a power of two; this
+    way the eigenvalues of 2^j m are bit for bit 2^j times those of m, and
+    its eigenvectors those of m, wherever the entries of both are normal.
+
     The caller passes finite input; a LAPACK failure or a non-finite result
     anywhere in the stack raises `NumericError`.
     """
+    n = m.shape[-1]
+    k = alg._exponents(m.reshape(m.shape[:-2] + (n * n,)))
+    m = np.ldexp(m.view(float), -k[..., None, None]).view(m.dtype)  # Re and Im as floats
     try:
         if vectors:
             values, vecs = np.linalg.eigh(m)
@@ -149,9 +162,8 @@ def _eigh_desc(m: np.ndarray, vectors: bool):
     if not (np.isfinite(values).all() and (vecs is None or np.isfinite(vecs).all())):
         raise NumericError("LAPACK eigensolver returned a non-finite result")
     # reverse the eigenvalue axis, never the stack axis
-    if vecs is None:
-        return values[..., ::-1].copy(), None
-    return values[..., ::-1].copy(), vecs[..., ::-1].copy()
+    values = alg._scaled_back(values[..., ::-1], k[..., None], "an eigenvalue")
+    return values, None if vecs is None else vecs[..., ::-1].copy()
 
 
 def _simple_spectrum(a: Algebra, coords: np.ndarray, vectors: bool):

@@ -448,6 +448,21 @@ def test_sums_of_squares_far_from_one(tmp_path, run_cli, command, doc, expected)
         assert json.loads(proc.stdout) == expected
 
 
+def test_non_finite_number_after_a_stack_exits_3(tmp_path, capsys, monkeypatch):
+    # the document is rendered whole before its first piece is written: a
+    # NaN rendered after the pieces of the samples leaves stdout empty
+    emit = cli.jio.emit_polyline
+    monkeypatch.setattr(cli.jio, "emit_polyline", lambda path: {**emit(path), "tolerance": math.nan})
+    set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1})
+    x = element_from_sym(RealSymmetric(3), np.diag([2.0, 1.0, 0.5]))
+    y = element_from_sym(RealSymmetric(3), np.diag([1.0, 0.7, 0.3]))
+    paths = [write_json(tmp_path, f"{name}.json", emit_element(z)) for name, z in (("x", x), ("y", y))]
+    assert cli.main(["connect", set_path, *paths, "--steps", "6"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "non-finite number nan" in err
+
+
 def test_spin_radius_past_the_largest_double_exits_3(run_cli):
     # |xbar| = 2.4e308 is no double: a numeric failure, in process, with
     # nothing on stdout and no numpy overflow warning on the way
@@ -886,6 +901,9 @@ def test_fan_values_scale_exactly_with_the_inputs(j, m):
     a = element_from_sym(RealSymmetric(3), np.diag([1.5, -0.5, 0.75]))
     scaled = [Element(x.algebra, np.ldexp(x.coords, e)) for x, e in ((c, j), (a, m))]
     assert np.array_equal(np.ldexp(ss.fan_sample(c, a, 50, 4), j + m), ss.fan_sample(*scaled, 50, 4))
+    # and so are matrices before LAPACK, so the interval ends scale too
+    ends, scaled_ends = ss.fan_interval(c, a), ss.fan_interval(*scaled)
+    assert np.ldexp([ends.delta, ends.Delta], j + m).tolist() == [scaled_ends.delta, scaled_ends.Delta]
 
 
 def test_fan_mismatched_algebras_exit_2(tmp_path, run_cli):
@@ -969,6 +987,51 @@ def test_components_peak_near_its_output_length(tmp_path, monkeypatch):
             tracemalloc.stop()
     assert out.chars > 3_000_000
     assert peak <= 2.9 * out.chars
+
+
+def _peak_over_output(argv):
+    """The tracemalloc peak of a second `cli.main(argv)` run over the
+    length of its stdout, and that length."""
+
+    class Counter:
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+
+    with contextlib.redirect_stdout(Counter()):
+        assert cli.main(argv) == 0  # the parser, frame and emitter plan, built once
+    out = Counter()
+    with contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    return peak / out.chars, out.chars
+
+
+def test_components_write_their_texts_as_pieces(tmp_path, monkeypatch):
+    # each component's representative, description and element text go to
+    # stdout as pieces of the document: no text per component and no
+    # document is joined (2.69x the output when both were)
+    write_json(tmp_path, "set.json", {"set": "finite", "points": [list(range(7))]})
+    write_json(tmp_path, "r7.json", emit_algebra(coordinate_algebra(7)))
+    monkeypatch.chdir(tmp_path)
+    ratio, chars = _peak_over_output(["components", "set.json", "r7.json"])
+    assert chars > 3_000_000
+    assert ratio <= 2.05
+
+
+def test_decompose_peaks_near_its_output_length(tmp_path):
+    # the frame goes to stdout as its chunks' decoded texts: no stack text
+    # and no document is joined (3.19x the output when both were)
+    path = write_json(tmp_path, "x.json", emit_element(random_element(RealSymmetric(40), 3)))
+    ratio, chars = _peak_over_output(["decompose", path])
+    assert chars > 1_400_000
+    assert ratio <= 2.5
 
 
 def test_finite_set_non_finite_point_exits_2(tmp_path, capsys):

@@ -246,6 +246,35 @@ def test_pointed_check_witness_independent_of_sample_count():
     assert np.array_equal(w, pointed_sample_check(h, 2000, seed=0))
 
 
+def _full_draw_witness(q_set, samples, seed):
+    """The pointedness probe with all samples drawn in one call and scanned
+    at once."""
+    draws = np.random.default_rng(seed).standard_normal((samples, 2, q_set.n))
+    g = draws[:, 0]
+    rows = np.empty((2 * samples, q_set.n))
+    rows[0::2] = g
+    rows[1::2] = g - np.take_along_axis(g, np.argsort(draws[:, 1], axis=1), axis=1)
+    both = (q_set.margin_many(rows) >= 0.0) & (q_set.margin_many(-rows) >= 0.0)
+    hits = np.flatnonzero(both & (np.abs(rows).max(axis=1) > FINITE_TOL))
+    return rows[hits[0]] if hits.size else None
+
+
+def test_pointed_check_stops_at_the_full_scan_witness():
+    # drawn in doubling chunks, the probe stops at the chunk of its first
+    # witness: the same witness, bit for bit, as one draw scanned whole
+    sets = [make_rearrangement_cone(5, 2), make_trace_norm_cone(4), make_trace_halfspace(2),
+            make_trace_halfspace(6), make_finite_orbit([[0.0, 0.0, 0.0]])]
+    found = 0
+    for q_set in sets:
+        for seed in range(50):
+            got, want = pointed_sample_check(q_set, 300, seed), _full_draw_witness(q_set, 300, seed)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                found += 1
+    assert 50 <= found < 250  # witnesses on some sets and seeds, none on the others
+
+
 def _zero_or_minus_inf(inside):
     """The margin 0 where `inside` holds and -inf where it does not."""
     return np.where(inside, 0.0, -np.inf)

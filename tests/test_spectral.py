@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -357,6 +357,26 @@ def test_stacked_eigenvalues_equal_eigen_map(algebra):
     values = spectral._eigenvalues(algebra, coords)
     for row, c in zip(values, coords):
         assert np.array_equal(row, eigen_map(Element(algebra, c)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_KINDS + [RealSymmetric(7), ComplexHermitian(5)]),
+       st.integers(0, 2**32 - 1), st.integers(-1000, 1000))
+@example(RealSymmetric(4), 0, -1000)
+@example(ComplexHermitian(3), 0, 1000)
+@example(RealSymmetric(7), 1, 700)
+def test_eigenvalues_scale_exactly_with_the_element(algebra, seed, k):
+    # LAPACK rescales a matrix whose norm is far from 1 by a factor that is
+    # not a power of two; divided by a power of two first, 2^k x has the
+    # eigenvalues 2^k eigen_map(x) and the frame of x, bit for bit
+    x = random_element(algebra, seed)
+    scaled = np.ldexp(x.coords, k)
+    assume(np.all((scaled == 0.0) | (np.abs(scaled) >= np.finfo(float).tiny)))
+    y = Element(algebra, scaled)
+    assert np.array_equal(eigen_map(y), np.ldexp(eigen_map(x), k))
+    (frame_x, values_x), (frame_y, values_y) = spectral_decompose(x), spectral_decompose(y)
+    assert np.array_equal(values_y, np.ldexp(values_x, k))
+    assert np.array_equal(spectral._idempotent_coords(frame_y), spectral._idempotent_coords(frame_x))
 
 
 @pytest.mark.parametrize("algebra", ALL_KINDS, ids=str)

@@ -3,7 +3,9 @@ sets, coefficient paths, and certificates, plus a deterministic renderer.
 
 Element payloads are redundant on purpose (full matrices, not packed
 coordinates): symmetry and antisymmetry are validated on read within
-SYMMETRY_TOL and the parse/emit round trip is value-exact.  Floats render
+SYMMETRY_TOL and the parse/emit round trip is value-exact.  An element
+document, a product's factor documents included, is read into one
+coordinate vector, which becomes one `Element`.  Floats render
 with 17 significant digits (`%.17g`), which round-trips IEEE doubles.  The
 renderer dispatches on exact Python types and formats a lone float with
 `%`.  A stack of floats is formatted by `_g17`, one pass of numpy kernels
@@ -162,35 +164,38 @@ def emit_algebra(a: Algebra) -> dict:
 
 
 def parse_element(doc) -> Element:
+    """An element document as one `Element`.  Its numbers, a product's
+    factor documents included, are read in document order into one
+    coordinate vector under one `errstate`, with no Element per factor.
+    Each simple document is checked in turn, so the first fault in
+    document order is the one reported: its shape and symmetry, then its
+    finiteness (after symmetrizing, where (m + m.T) / 2 may overflow), then,
+    for a factor document, whether its algebra is the factor's."""
     a = parse_algebra(_need(doc, "alg", "element"))
     data = _need(doc, "data", "element")
-    # checked on the symmetrized coordinates, where (m + m.T) / 2 may overflow
+    coords = np.empty(a.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _parse_element_data(a, data)
-    if not np.isfinite(x.coords).all():
-        raise ValueError("element: coordinates must be finite numbers")
-    return x
+        _read_element(a, data, coords)
+    return Element(a, coords)
 
 
-def _parse_element_data(a: Algebra, data) -> Element:
-    if isinstance(a, RealSymmetric):
-        m = _as_matrix(data, a.n, "element")
-        skew = float(np.abs(m - m.T).max())
-        if skew > SYMMETRY_TOL:
-            raise ValueError(f"element: matrix is not symmetric (deviation {skew:.3e})")
-        return alg.element_from_sym(a, (m + m.T) / 2.0)
-    if isinstance(a, ComplexHermitian):
-        re = _as_matrix(_need(data, "re", "element"), a.n, "element re")
-        im = _as_matrix(_need(data, "im", "element"), a.n, "element im")
-        sk_re = float(np.abs(re - re.T).max())
-        sk_im = float(np.abs(im + im.T).max())
-        if sk_re > SYMMETRY_TOL:
-            raise ValueError(f"element: re part not symmetric (deviation {sk_re:.3e})")
-        if sk_im > SYMMETRY_TOL:
-            raise ValueError(f"element: im part not antisymmetric (deviation {sk_im:.3e})")
-        m = np.empty(re.shape, dtype=complex)  # parts set in place: zeros keep their sign
-        m.real, m.imag = (re + re.T) / 2.0, (im - im.T) / 2.0
-        return alg.element_from_herm(a, m)
+def _read_element(a: Algebra, data, out: np.ndarray):
+    """Read the data of an element of `a` into `out` [a.dim], or raise the
+    first fault in document order."""
+    if isinstance(a, ProductAlgebra):
+        factor_docs = _need(data, "factors", "element")
+        if not isinstance(factor_docs, list) or len(factor_docs) != len(a.factors):
+            raise ValueError(
+                f"element: product data needs {len(a.factors)} factor documents"
+            )
+        for fdoc, (f, c, _) in zip(factor_docs, alg._blocks(a)):
+            fa = parse_algebra(_need(fdoc, "alg", "element"))
+            fdata = _need(fdoc, "data", "element")
+            if fa != f:  # read on its own, so its faults come first
+                _read_element(fa, fdata, np.empty(fa.dim))
+                raise ValueError(f"element: factor document algebra {fa} does not match {f}")
+            _read_element(f, fdata, out[c])
+        return
     if isinstance(a, SpinFactor):
         x0 = parse_numbers(_need(data, "x0", "element"), "element x0")
         if x0.shape != ():
@@ -198,21 +203,45 @@ def _parse_element_data(a: Algebra, data) -> Element:
         xbar = parse_numbers(_need(data, "xbar", "element"), "element xbar")
         if xbar.shape != (a.d - 1,):
             raise ValueError(f"element: xbar must have length {a.d - 1}")
-        return alg.element_from_spin(a, float(x0), xbar)
-    factor_docs = _need(data, "factors", "element")
-    if not isinstance(factor_docs, list) or len(factor_docs) != len(a.factors):
-        raise ValueError(
-            f"element: product data needs {len(a.factors)} factor documents"
-        )
-    parts = []
-    for fdoc, fa in zip(factor_docs, a.factors):
-        part = parse_element(fdoc)
-        if part.algebra != fa:
-            raise ValueError(
-                f"element: factor document algebra {part.algebra} does not match {fa}"
-            )
-        parts.append(part)
-    return alg.join_product(a, parts)
+        out[0], out[1:] = x0, xbar
+    else:
+        herm = isinstance(a, ComplexHermitian)
+        if herm:
+            re = _as_matrix(_need(data, "re", "element"), a.n, "element re")
+            im = _as_matrix(_need(data, "im", "element"), a.n, "element im")
+            flat = np.concatenate([re.ravel(), im.ravel()])
+        else:
+            flat = _as_matrix(data, a.n, "element").ravel()
+        first, second, sign, coord = _entry_pairs(a.n, herm)
+        u, v = flat.take(first), sign * flat.take(second)
+        faults = ("re part not symmetric", "im part not antisymmetric") if herm else ("matrix is not symmetric",)
+        # max |m - m.T|, or max |re - re.T| and max |im + im.T|, read on i >= j
+        for fault, skew in zip(faults, np.abs(u - v).reshape(len(faults), -1).max(axis=1).tolist()):
+            if skew > SYMMETRY_TOL:
+                raise ValueError(f"element: {fault} (deviation {skew:.3e})")
+        np.divide((u + v).take(coord), 2.0, out=out)  # (m + m.T) / 2 at the coordinates
+    if not np.isfinite(out).all():
+        raise ValueError("element: coordinates must be finite numbers")
+
+
+@functools.lru_cache(maxsize=64)
+def _entry_pairs(n: int, herm: bool):
+    """The entry pairs that an n x n element document is read by, as
+    positions in its numbers laid out flat (the matrix, or `re` then `im`):
+    the entries (i, j) and (j, i), i >= j, in the order of
+    `np.tril_indices(n)`, the Re pairs before the Im pairs; the sign of the
+    second entry, -1 in an Im pair, so that first + sign * second is twice
+    the entry of the symmetrized matrix and first - sign * second its
+    deviation from (anti)symmetry; and the pair of each packed coordinate
+    (see `algebra`)."""
+    i, j = np.tril_indices(n)
+    first, second = i * n + j, j * n + i
+    if not herm:
+        return first, second, np.ones(first.size), np.arange(first.size)
+    p = first.size  # Re (i, j) and, below the diagonal, Im (i, j), row by row
+    coord = [[t] if r == c else [t, p + t] for t, (r, c) in enumerate(zip(i, j))]
+    return (np.concatenate([first, first + n * n]), np.concatenate([second, second + n * n]),
+            np.repeat([1.0, -1.0], p), np.concatenate(coord))
 
 
 class _Json(str):

@@ -11,8 +11,12 @@ factor frames) plus a listing order; idempotent elements are built only
 when read.
 
 One kernel, `_simple_spectrum`, gives the eigenvalues of a simple kind and
-on request its frame basis; `eigen_map` and `spectral_decompose` run it on
-each factor block (a simple algebra is one block).  Matrix kinds are
+on request its frame basis, for a whole coordinate stack at once;
+`eigen_map` and `spectral_decompose` run it on each factor block (a simple
+algebra is one block), and `spectral_decompose` is the one-row case of
+`_decompositions`, which decomposes a stack of elements with one call per
+factor block.  Finiteness is checked once per coordinate stack, before the
+first factor is read, not once per factor.  Matrix kinds are
 diagonalized by LAPACK through numpy (``eigvalsh``, or ``eigh`` with the
 frame: their values may differ in the last bits), whose ascending output
 is reversed, values and eigenvector columns together; each matrix is
@@ -98,7 +102,7 @@ class JordanFrame:
                 raise InvalidFrameError(f"frame basis is not orthonormal within {FRAME_TOL}")
             basis.setflags(write=False)
         order = np.array(self.order)
-        if order.ndim != 1 or order.dtype.kind not in "iu" or sorted(order) != list(range(a.rank)):
+        if order.ndim != 1 or order.dtype.kind not in "iu" or sorted(order.tolist()) != list(range(a.rank)):
             raise InvalidFrameError(f"frame order must be a permutation of range({a.rank})")
         order.setflags(write=False)
         object.__setattr__(self, "basis", basis)
@@ -163,7 +167,7 @@ def _eigh_desc(m: np.ndarray, vectors: bool):
         raise NumericError("LAPACK eigensolver returned a non-finite result")
     # reverse the eigenvalue axis, never the stack axis
     values = alg._scaled_back(values[..., ::-1], k[..., None], "an eigenvalue")
-    return values, None if vecs is None else vecs[..., ::-1].copy()
+    return values, None if vecs is None else vecs[..., ::-1]
 
 
 def _simple_spectrum(a: Algebra, coords: np.ndarray, vectors: bool):
@@ -173,15 +177,14 @@ def _simple_spectrum(a: Algebra, coords: np.ndarray, vectors: bool):
     [..., n, n] of a matrix kind, or the unit axis [..., d - 1] of a spin
     factor, the first coordinate axis where the vector part vanishes.
 
-    A non-finite coordinate raises `NumericError` in every kind, checked
-    once before the kind is read.  A 1x1 matrix kind is its own eigenvalue
-    with basis [[1]]: LAPACK returns that entry unchanged, so it is not
-    called.  A spin radius is `alg._lengths` of the vector part: it neither
+    The caller checks the whole stack for finiteness first (`_check_finite`),
+    once for all its factors.  A 1x1 matrix kind is its own eigenvalue with
+    basis [[1]]: LAPACK returns that entry unchanged, so it is not called.
+    A spin radius is `alg._lengths` of the vector part: it neither
     overflows nor underflows, and in the normal range 2^k xbar has the
-    radius 2^k |xbar| bit for bit.
+    radius 2^k |xbar| bit for bit.  Row i of a stack equals the call on
+    row i alone, bit for bit, in every kind.
     """
-    if not np.isfinite(coords).all():
-        raise NumericError("eigensolver input has a non-finite entry")
     if not isinstance(a, SpinFactor) and a.n > 1:
         return _eigh_desc(alg.matrix_of(a, coords), vectors)
     if isinstance(a, SpinFactor):
@@ -198,11 +201,19 @@ def _simple_spectrum(a: Algebra, coords: np.ndarray, vectors: bool):
     return values, np.ones(coords.shape[:-1] + (1, 1)) if vectors else None
 
 
+def _check_finite(coords: np.ndarray):
+    """`NumericError` if an entry is not finite: the one finiteness check of
+    a coordinate stack, made before its factors are read."""
+    if not np.isfinite(coords).all():
+        raise NumericError("eigensolver input has a non-finite entry")
+
+
 def _eigenvalue_blocks(a: Algebra, coords: np.ndarray) -> np.ndarray:
     """Eigenvalues [..., rank] of the elements of `a` with coordinates
     [..., dim]: non-increasing within each factor block, blocks in factor
     order.  Each factor is read as its slice of `coords`, without building
     an Element per factor."""
+    _check_finite(coords)
     blocks = alg._blocks(a)
     values = [_simple_spectrum(f, coords[..., c], vectors=False)[0] for f, c, _ in blocks]
     return values[0] if len(blocks) == 1 else np.concatenate(values, axis=-1)
@@ -226,17 +237,27 @@ def spectral_decompose(x: Element) -> tuple[JordanFrame, np.ndarray]:
     """Jordan frame F and eigenvalues q (non-increasing) with x = sum(q_i * F_i).
     A product lists its factor frames' idempotents in the stable sort of the
     pooled eigenvalues."""
-    a = x.algebra
-    frames, values = [], []
-    for f, c, _ in alg._blocks(a):
-        q, basis = _simple_spectrum(f, x.coords[c], vectors=True)
-        frames.append(JordanFrame(f, basis, np.arange(f.rank)))
-        values.append(q)
-    if a.is_simple():
-        return frames[0], values[0]
-    values = np.concatenate(values)
-    order = np.argsort(-values, kind="stable")
-    return JordanFrame(a, tuple(frames), order), values[order]
+    return _decompositions(x.algebra, x.coords[None])[0]
+
+
+def _decompositions(a: Algebra, coords: np.ndarray) -> list[tuple[JordanFrame, np.ndarray]]:
+    """`spectral_decompose` of each element of `a` with coordinates [k, dim]:
+    one `_simple_spectrum` per factor block over the whole stack (one LAPACK
+    `eigh` per matrix factor), whose row i equals the call on row i alone,
+    bit for bit."""
+    _check_finite(coords)
+    blocks = alg._blocks(a)
+    spectra = [_simple_spectrum(f, coords[:, c], vectors=True) for f, c, _ in blocks]
+    values = spectra[0][0] if len(blocks) == 1 else np.concatenate([q for q, _ in spectra], axis=1)
+    if not a.is_simple():
+        order = np.argsort(-values, axis=1, kind="stable")
+        values = np.take_along_axis(values, order, axis=1)
+    out = []
+    for i in range(len(coords)):
+        frames = [JordanFrame(f, basis[i], np.arange(f.rank)) for (f, _, _), (_, basis) in zip(blocks, spectra)]
+        frame = frames[0] if a.is_simple() else JordanFrame(a, tuple(frames), order[i])
+        out.append((frame, values[i]))
+    return out
 
 
 def _compose(q: np.ndarray, frame: JordanFrame) -> np.ndarray:

@@ -29,15 +29,15 @@ from .errors import (
 )
 from .nnls import _nnls_rows
 from .orbits import PathPolyline, _orbit_coords, _orbit_leg
-from .permsets import PermSet, _lex_unique
+from .permsets import FINITE_TOL, PermSet, _lex_unique
 from .spectral import (
     _compose,
+    _decompositions,
     _eigenvalue_blocks,
     _eigenvalues,
     canonical_frame,
     compose_theta,
     eigen_map,
-    sort_desc,
     spectral_decompose,
 )
 
@@ -207,15 +207,21 @@ def connect(
     from x to its eigenvalue blocks composed in y's frame, then a sweep of
     `steps` samples of that frame along a path of coefficient vectors to
     y's blocks, which is y; the legs share one joint.  Without `q_path` the
-    sweep takes the segment between the blocks when they agree within
-    `tolerance` or Q is flagged convex (Q is permutation invariant, so the
-    segment stays in Q); a finite Q then has no path, and any other Q needs
+    sweep takes the segment between the blocks when Q is flagged convex (Q
+    is permutation invariant, so the segment stays in Q) or the blocks
+    agree: within `tolerance`, or for a finite Q within 2 * FINITE_TOL, since
+    each member endpoint lies within FINITE_TOL of its own split of a point
+    of Q, so that `connect` and `components_finite` agree on which endpoints
+    share a component.  A finite Q then has no path, and any other Q needs
     `q_path`, whose vertices are sorted per block, must lie in Q, and must
     start and end at the blocks of x and y.  Every sample is audited for
     membership at `tolerance` (finite and nonnegative).  The path is one
-    coordinate stack: x and y are diagonalized once, the sweep is one
-    stacked composition and the audit one eigenvalue pass.  Only x == y,
-    coordinate for coordinate, gives the two-sample path [x, y].
+    coordinate stack: the blocks of x and y are one `eigvalsh` pass and
+    their memberships one `margin_many`; both frames are one stacked `eigh`
+    per matrix factor (`_decompositions` of [x, y]), built only for
+    distinct endpoints; the sweep is one stacked composition and the audit
+    one eigenvalue pass.  Only x == y, coordinate for coordinate, gives the
+    two-sample path [x, y].
     """
     if x.algebra != sset.algebra or y.algebra != sset.algebra:
         raise AlgebraMismatchError("endpoints must live in the set's algebra")
@@ -223,20 +229,22 @@ def connect(
         raise ValueError("steps must be at least 2")
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tolerance!r}")
-    a = sset.algebra
+    a, xy = sset.algebra, np.stack([x.coords, y.coords])
     # per-factor eigenvalue blocks of x and y; pooled and sorted for membership
-    start_q, end_q = _eigenvalue_blocks(a, np.stack([x.coords, y.coords]))
-    for name, q in (("x", start_q), ("y", end_q)):
-        if not sset.q.member(sort_desc(q)):
+    blocks = _eigenvalue_blocks(a, xy)
+    for name, margin in zip("xy", sset.q.margin_many(np.sort(blocks)[:, ::-1].copy())):
+        if not margin >= 0.0:
             raise InfeasiblePathError(
                 f"endpoint {name} is not a member of the spectral set",
                 clause="endpoint-membership",
             )
     if np.array_equal(x.coords, y.coords):
-        return PathPolyline(a, np.stack([x.coords, y.coords]), tolerance)
+        return PathPolyline(a, xy, tolerance)
 
+    start_q, end_q = blocks
     if q_path is None:
-        if float(np.abs(start_q - end_q).max()) <= tolerance or sset.q.convex:
+        agree = tolerance if sset.q.points is None else 2 * FINITE_TOL
+        if float(np.abs(start_q - end_q).max()) <= agree or sset.q.convex:
             vertices = [start_q, end_q]
         elif sset.q.points is not None:
             raise InfeasiblePathError(
@@ -271,10 +279,10 @@ def connect(
 
     # the coordinates, plus the audit's matrices (at most 2 * dim reals each)
     check_float_budget(3 * steps * 3 * a.dim, f"a connect path of {steps} sweep steps")
+    (f_x, _), (f_y, _) = _decompositions(a, xy)
     # the sweep lists y's idempotents block by block, as the orbit leg ends on them
-    f_y = spectral_decompose(y)[0]
     sweep = _compose(_interpolate_vertices(vertices, steps)[1:, f_y.order], f_y)
-    coords = np.concatenate([_orbit_leg(x, spectral_decompose(x)[0], f_y, 2 * steps - 1), sweep])
+    coords = np.concatenate([_orbit_leg(x, f_x, f_y, 2 * steps - 1), sweep])
     _audit_membership(sset, coords, tolerance)
     return PathPolyline(a, coords, tolerance)
 

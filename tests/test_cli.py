@@ -124,6 +124,149 @@ def test_eig_non_finite_element_exits_2(tmp_path, capsys, doc):
     assert "finite" in err
 
 
+def _product3(sym=None, herm=None, spin=None):
+    """A sym(2) x herm(2) x spin(3) element document; a given factor
+    document replaces the valid one."""
+    factors = [
+        sym or {"alg": {"kind": "sym", "n": 2}, "data": [[2.0, 0.5], [0.5, 1.0]]},
+        herm or {"alg": {"kind": "herm", "n": 2},
+                 "data": {"re": [[1.0, 0.2], [0.2, 3.0]], "im": [[0.0, 0.4], [-0.4, 0.0]]}},
+        spin or {"alg": {"kind": "spin", "d": 3}, "data": {"x0": 1.5, "xbar": [0.3, 0.4]}},
+    ]
+    algebras = [{"kind": "sym", "n": 2}, {"kind": "herm", "n": 2}, {"kind": "spin", "d": 3}]
+    return {"alg": {"kind": "product", "factors": algebras}, "data": {"factors": factors}}
+
+
+def _herm2(re, im):
+    return {"alg": {"kind": "herm", "n": 2}, "data": {"re": re, "im": im}}
+
+
+_NAN_SYM2 = {"alg": {"kind": "sym", "n": 2}, "data": [[float("nan"), 0.5], [0.5, 1.0]]}
+_RAGGED_SYM2 = {"alg": {"kind": "sym", "n": 2}, "data": [[2.0, 0.5], [0.5]]}
+_SHORT_SPIN3 = {"alg": {"kind": "spin", "d": 3}, "data": {"x0": 1.5, "xbar": [0.3]}}
+_ASYM_HERM2 = _herm2([[1.0, 0.2], [0.25, 3.0]], [[0.0, 0.4], [-0.4, 0.0]])
+
+# one fault per document, or two in different factors, where the first in
+# document order is reported; the stderr texts are the ones recorded before
+# products were read into one coordinate vector
+_PARSE_FAULTS = {
+    "factor-count": (
+        {**_product3(), "data": {"factors": _product3()["data"]["factors"][:2]}},
+        "jspec: input error: element: product data needs 3 factor documents\n",
+    ),
+    "factor-algebra": (
+        _product3(herm={"alg": {"kind": "sym", "n": 2}, "data": [[1.0, 0.0], [0.0, 1.0]]}),
+        "jspec: input error: element: factor document algebra RealSymmetric(n=2) "
+        "does not match ComplexHermitian(n=2)\n",
+    ),
+    "nan-factor-0": (
+        _product3(sym=_NAN_SYM2),
+        "jspec: input error: element: coordinates must be finite numbers\n",
+    ),
+    "inf-factor-2": (
+        _product3(spin={"alg": {"kind": "spin", "d": 3}, "data": {"x0": 1.5, "xbar": [float("inf"), 0.4]}}),
+        "jspec: input error: element: coordinates must be finite numbers\n",
+    ),
+    "overflow-factor-1": (
+        _product3(herm=_herm2([[1.0, 1.5e308], [1.5e308, 3.0]], [[0.0, 0.0], [0.0, 0.0]])),
+        "jspec: input error: element: coordinates must be finite numbers\n",
+    ),
+    "bool-leaf": (
+        _product3(sym={"alg": {"kind": "sym", "n": 2}, "data": [[True, 0.5], [0.5, 1.0]]}),
+        "jspec: input error: element: expected JSON numbers, got bool\n",
+    ),
+    "string-leaf": (
+        _product3(spin={"alg": {"kind": "spin", "d": 3}, "data": {"x0": "1.5", "xbar": [0.3, 0.4]}}),
+        "jspec: input error: element x0: expected JSON numbers, got str\n",
+    ),
+    "ragged-rows": (
+        _product3(sym=_RAGGED_SYM2),
+        "jspec: input error: element: nested lists must have one shape\n",
+    ),
+    "asymmetric-re": (
+        _product3(herm=_ASYM_HERM2),
+        "jspec: input error: element: re part not symmetric (deviation 5.000e-02)\n",
+    ),
+    "asymmetric-im": (
+        _product3(herm=_herm2([[1.0, 0.2], [0.2, 3.0]], [[0.0, 0.4], [-0.3, 0.0]])),
+        "jspec: input error: element: im part not antisymmetric (deviation 1.000e-01)\n",
+    ),
+    "asymmetric-sym": (
+        {"alg": {"kind": "sym", "n": 2}, "data": [[2.0, 0.5], [0.25, 1.0]]},
+        "jspec: input error: element: matrix is not symmetric (deviation 2.500e-01)\n",
+    ),
+    "xbar-length": (
+        _product3(spin=_SHORT_SPIN3),
+        "jspec: input error: element: xbar must have length 2\n",
+    ),
+    "nested-product": (
+        _product3(sym={"alg": {"kind": "product", "factors": [{"kind": "sym", "n": 2}]},
+                       "data": {"factors": [_product3()["data"]["factors"][0]]}}),
+        "jspec: input error: element: factor document algebra ProductAlgebra(factors=(RealSymmetric(n=2),)) "
+        "does not match RealSymmetric(n=2)\n",
+    ),
+    "nested-product-inner-fault": (
+        _product3(sym={"alg": {"kind": "product", "factors": [{"kind": "sym", "n": 2}]},
+                       "data": {"factors": [_RAGGED_SYM2]}}),
+        "jspec: input error: element: nested lists must have one shape\n",
+    ),
+    "ragged-0-and-xbar-2": (
+        _product3(sym=_RAGGED_SYM2, spin=_SHORT_SPIN3),
+        "jspec: input error: element: nested lists must have one shape\n",
+    ),
+    "nan-0-and-asymmetric-1": (
+        _product3(sym=_NAN_SYM2, herm=_ASYM_HERM2),
+        "jspec: input error: element: coordinates must be finite numbers\n",
+    ),
+    "asymmetric-1-and-nan-2": (
+        _product3(herm=_ASYM_HERM2, spin={"alg": {"kind": "spin", "d": 3},
+                                          "data": {"x0": float("nan"), "xbar": [0.3, 0.4]}}),
+        "jspec: input error: element: re part not symmetric (deviation 5.000e-02)\n",
+    ),
+    "algebra-1-and-nan-2": (
+        _product3(herm={"alg": {"kind": "sym", "n": 2}, "data": [[1.0, 0.0], [0.0, 1.0]]},
+                  spin={"alg": {"kind": "spin", "d": 3}, "data": {"x0": float("nan"), "xbar": [0.3, 0.4]}}),
+        "jspec: input error: element: factor document algebra RealSymmetric(n=2) "
+        "does not match ComplexHermitian(n=2)\n",
+    ),
+    "nan-in-mismatched-factor": (
+        _product3(herm=_NAN_SYM2),
+        "jspec: input error: element: coordinates must be finite numbers\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PARSE_FAULTS))
+def test_element_faults_keep_their_exit_and_message(tmp_path, capsys, case):
+    doc, stderr = _PARSE_FAULTS[case]
+    path = write_json(tmp_path, "x.json", doc)
+    for command in ("eig", "member"):
+        argv = [command, path] if command == "eig" else [command, write_json(
+            tmp_path, "set.json", {"set": "rearr", "n": 6, "m": 1}), path]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == stderr
+
+
+def test_a_product_document_builds_one_element(monkeypatch):
+    # no Element per factor: the factors are read into one coordinate
+    # vector, the factor documents' own coordinates side by side
+    from jspec import algebra
+
+    factor_coords = [parse_element(f).coords for f in _product3()["data"]["factors"]]
+    built, init = [], algebra.Element.__post_init__
+
+    def count(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(algebra.Element, "__post_init__", count)
+    x = parse_element(_product3())
+    assert built == [x]
+    assert x.coords.tobytes() == np.concatenate(factor_coords).tobytes()
+
+
 def test_eig_sweep_cap_exits_3(tmp_path, capsys, monkeypatch):
     # LAPACK gives up after its own iteration cap and raises LinAlgError;
     # both the eigenvalue-only and the eigenvector path must map that to 3.
@@ -668,6 +811,45 @@ def test_connect_distinct_points_of_a_finite_set_near_1e12_exit_4(tmp_path, run_
     assert "no-path-in-finite-set" in proc.stderr
 
 
+@pytest.mark.parametrize("gap", [5e-9, 2e-8])
+def test_connect_agrees_with_components_on_close_finite_points(tmp_path, run_cli, gap):
+    # `components` lists the two points of Q as two components, so `connect`
+    # must find no path from one to the other, even closer than PATH_TOL
+    set_doc = {"set": "finite", "points": [[2.0, 1.0], [2.0 + gap, 1.0]]}
+    x_doc, y_doc = _sym([[2.0, 0.0], [0.0, 1.0]]), _sym([[2.0 + gap, 0.0], [0.0, 1.0]])
+    set_path, alg_path, x_path, y_path = (write_json(tmp_path, f"{name}.json", doc) for name, doc in (
+        ("set", set_doc), ("alg", {"kind": "sym", "n": 2}), ("x", x_doc), ("y", y_doc)))
+    comps = run_cli(["components", set_path, alg_path])
+    assert comps.returncode == 0 and len(json.loads(comps.stdout)["components"]) == 2
+    proc = run_cli(["connect", set_path, x_path, y_path, "--steps", "4"])
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "no-path-in-finite-set" in proc.stderr
+    sset = ss.SpectralSet(RealSymmetric(2), parse_permset(set_doc))
+    with pytest.raises(errors.InfeasiblePathError) as info:
+        ss.connect(sset, parse_element(x_doc), parse_element(y_doc), steps=4)
+    assert info.value.clause == "no-path-in-finite-set"
+
+
+def test_connect_joins_one_orbit_of_a_finite_set(tmp_path, run_cli):
+    # a same-orbit pair over a finite Q: its blocks differ by rounding only
+    x = element_from_sym(RealSymmetric(2), np.diag([2.0, 1.0]))
+    c, s = np.cos(0.7), np.sin(0.7)
+    rot = np.array([[c, -s], [s, c]])
+    m = rot @ np.diag([2.0, 1.0]) @ rot.T
+    y = element_from_sym(RealSymmetric(2), (m + m.T) / 2.0)
+    set_doc = {"set": "finite", "points": [[2.0, 1.0], [3.0, 1.0]]}
+    sset = ss.SpectralSet(RealSymmetric(2), parse_permset(set_doc))
+    gap = float(np.abs(spectral.eigen_map(x) - spectral.eigen_map(y)).max())
+    assert 0.0 < gap <= 1e-14
+    argv = ["connect"] + [write_json(tmp_path, f"{name}.json", doc) for name, doc in
+                          (("set", set_doc), ("x", emit_element(x)), ("y", emit_element(y)))]
+    proc = run_cli(argv + ["--steps", "4"])
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["samples"]) == 3 * 4 - 2
+    assert len(ss.connect(sset, x, y, steps=4).coords) == 3 * 4 - 2
+
+
 BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
@@ -799,6 +981,35 @@ def test_decompose_stdout_bytes_are_pinned(tmp_path, capsys, case):
     }
     assert cli.main(["decompose", write_json(tmp_path, "x.json", doc)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout recorded before products were read into one coordinate
+# vector and endpoints decomposed as one stack: `eig` and `member` on a
+# three-factor product document, `certify` on the orthant certificate
+_PARSE_DIGESTS = {
+    "eig": "640ccdf599a1ff7c90f7a3f194338702260bde2fff6bde1a2b47e388f5312826",
+    "member": "77d672fc7ee073399a780f5b5e93903d542442fce5ef200ac2d7fc24ff8deb45",
+    "certify": "e0038e7f6289550033fc07fa7bac0014a537c176b1e45559f6ee1480899bb196",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PARSE_DIGESTS))
+def test_product_documents_keep_their_stdout_bytes(tmp_path, capsys, command):
+    rng = np.random.default_rng(28)
+    docs = [_seeded_doc(kind, n, rng) for kind, n in [("sym", 3), ("herm", 2), ("spin", 4)]]
+    doc = {"alg": {"kind": "product", "factors": [d["alg"] for d in docs]}, "data": {"factors": docs}}
+    x_path = write_json(tmp_path, "x.json", doc)
+    if command == "eig":
+        argv = ["eig", x_path]
+    elif command == "member":
+        argv = ["member", write_json(tmp_path, "set.json", {"set": "halfspace-trace", "n": 7}), x_path]
+    else:
+        a = coordinate_algebra(3)
+        cert = {"parts": [[emit_element(Element(a, np.eye(3)[i]))] for i in range(3)]}
+        argv = ["certify", write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1}),
+                write_json(tmp_path, "cert.json", cert), "--samples", "20", "--seed", "0"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _PARSE_DIGESTS[command]
 
 
 def _connect_one_sample_at_a_time(x, y, q_path, steps):

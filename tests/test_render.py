@@ -19,6 +19,7 @@ from jspec.algebra import (
     ProductAlgebra,
     RealSymmetric,
     SpinFactor,
+    coords_of,
     matrix_of,
     random_element,
 )
@@ -34,6 +35,7 @@ from jspec.io import (
     _plan,
     emit_algebra,
     emit_element,
+    SYMMETRY_TOL,
     parse_element,
     render_json,
 )
@@ -463,3 +465,68 @@ def test_render_json_peaks_near_its_output_length():
         tracemalloc.stop()
     assert len(text) > 4_000_000
     assert peak <= 1.5 * len(text)
+
+
+def reference_parse(a, data):
+    """A matrix-kind element document read by whole matrices, as it was
+    before the reader took the entries in pairs: the checks of m - m.T (of
+    re - re.T, then im + im.T), then the coordinates of (m + m.T) / 2 and
+    their finiteness; the message of the first fault, or the coordinates."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(a, RealSymmetric):
+            m = np.array(data, dtype=float)
+            skew = float(np.abs(m - m.T).max())
+            if skew > SYMMETRY_TOL:
+                return f"element: matrix is not symmetric (deviation {skew:.3e})"
+            coords = coords_of(a, (m + m.T) / 2.0)
+        else:
+            re, im = np.array(data["re"], dtype=float), np.array(data["im"], dtype=float)
+            sk_re, sk_im = float(np.abs(re - re.T).max()), float(np.abs(im + im.T).max())
+            if sk_re > SYMMETRY_TOL:
+                return f"element: re part not symmetric (deviation {sk_re:.3e})"
+            if sk_im > SYMMETRY_TOL:
+                return f"element: im part not antisymmetric (deviation {sk_im:.3e})"
+            m = np.empty(re.shape, dtype=complex)
+            m.real, m.imag = (re + re.T) / 2.0, (im - im.T) / 2.0
+            coords = coords_of(a, m)
+    if not np.isfinite(coords).all():
+        return "element: coordinates must be finite numbers"
+    return coords
+
+
+_PARSE_ENTRIES = [0.0, -0.0, 1.0, -2.5, 0.1, 1e-13, -3e-12, 1e308, -1.5e308, 5e-324, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def matrix_documents(draw):
+    """sym or herm n documents from a pool of entries with signed zeros,
+    near-ties of the tolerance, overflowing sums and non-finite numbers;
+    mostly (anti)symmetric before a few entries are changed."""
+    herm, n = draw(st.booleans()), draw(st.integers(1, 4))
+    parts = []
+    for sign in ((1.0, -1.0) if herm else (1.0,)):
+        m = draw(hnp.arrays(float, (n, n), elements=st.sampled_from(_PARSE_ENTRIES)))
+        if draw(st.booleans()):
+            low = np.tril(np.ones((n, n), dtype=bool), -1)
+            m[low.T] = (sign * m.T)[low.T]
+        for _ in range(draw(st.integers(0, 2))):
+            m[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(st.sampled_from(_PARSE_ENTRIES))
+        parts.append(m)
+    a = (ComplexHermitian if herm else RealSymmetric)(n)
+    data = {"re": parts[0].tolist(), "im": parts[1].tolist()} if herm else parts[0].tolist()
+    return a, data
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_documents())
+def test_matrix_documents_parse_as_whole_matrices(doc):
+    # the same first fault and message, or the same coordinates bit for bit
+    a, data = doc
+    want = reference_parse(a, data)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as info:
+            parse_element({"alg": emit_algebra(a), "data": data})
+        assert str(info.value) == want
+    else:
+        got = parse_element({"alg": emit_algebra(a), "data": data}).coords
+        assert got.tobytes() == want.tobytes()

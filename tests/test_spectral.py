@@ -100,6 +100,29 @@ def test_spectral_decompose_one_by_one_matches_lapack(kind, monkeypatch):
             spectral_decompose(Element(kind, np.array([bad])))
 
 
+@pytest.mark.parametrize("algebra", ALL_KINDS + [coordinate_algebra(3)], ids=str)
+def test_stacked_decompositions_equal_the_one_row_calls(algebra):
+    # `_decompositions` runs one `_simple_spectrum` per factor block over the
+    # whole stack; row i gives the frame and values that the per-factor
+    # calls on row i alone give, bit for bit, a zero row included
+    from jspec.algebra import _blocks
+
+    coords = np.stack([random_element(algebra, s).coords for s in (1, 2, 3)] + [np.zeros(algebra.dim)])
+    product = isinstance(algebra, ProductAlgebra)
+    for row, (frame, q) in zip(coords, spectral._decompositions(algebra, coords), strict=True):
+        bases = frame.basis if product else (frame,)
+        values = []
+        for f, (fa, c, _) in zip(bases, _blocks(algebra), strict=True):
+            want_q, want_u = spectral._simple_spectrum(fa, row[c], vectors=True)
+            assert f.basis.tobytes() == np.asarray(want_u, dtype=f.basis.dtype).tobytes()
+            values.append(want_q)
+        values = np.concatenate(values)
+        order = np.argsort(-values, kind="stable") if product else np.arange(algebra.rank)
+        assert np.array_equal(frame.order, order)
+        assert q.tobytes() == values[order].tobytes()
+        assert spectral_decompose(Element(algebra, row))[1].tobytes() == q.tobytes()
+
+
 @pytest.mark.parametrize("vector", [[0.0, np.inf, 0.0], [np.nan, 1.0, 0.0]])
 @pytest.mark.parametrize("call", [eigen_map, spectral_decompose])
 def test_spin_non_finite_coordinates_raise(call, vector):

@@ -54,11 +54,11 @@ from jspec import (
 from jspec import canonical_frame, compose_theta
 from jspec import orbits, spectral, spectralsets
 from jspec.algebra import matrix_of
-from jspec.spectral import _eigenvalue_blocks
+from jspec.spectral import JordanFrame, _eigenvalue_blocks
 from jspec.nnls import _nnls_rows, nnls
-from jspec.spectralsets import NNLS_RESIDUAL, _numerical_rank
+from jspec.spectralsets import NNLS_RESIDUAL, _block_sorted, _numerical_rank
 
-from conftest import ALL_KINDS, SIMPLE_KINDS, element_with_eigenvalues
+from conftest import ALL_KINDS, SIMPLE_KINDS, element_with_eigenvalues, random_frame
 
 
 def psd_set(n):
@@ -366,18 +366,70 @@ def test_connect_diagonalizes_only_its_endpoints(algebra, monkeypatch):
     blocks = [(xi.algebra, (xi.coords, yi.coords)) for xi, yi in parts
               if isinstance(xi.algebra, (RealSymmetric, ComplexHermitian)) and xi.algebra.n >= 2]
     calls = _eigensolver_spy(monkeypatch)
+
+    def no_decompose(x):
+        raise AssertionError("connect called spectral_decompose")
+
+    monkeypatch.setattr(spectralsets, "spectral_decompose", no_decompose)
     steps = 6
     connect(s, x, y, steps=steps)
     full = [m for m, vectors in calls if vectors]
     values = [m for m, vectors in calls if not vectors]
-    # eigh on x and on y per matrix factor, never on a reference endpoint
-    assert len(full) == 2 * len(blocks)
-    for f, b in blocks:
-        assert any(np.array_equal(m, matrix_of(f, b[0])) for m in full)
-        assert any(np.array_equal(m, matrix_of(f, b[1])) for m in full)
+    # one eigh per matrix factor, on the stack [x, y] of that factor bit for
+    # bit, and no other: never on a reference endpoint, never on one alone
+    assert len(full) == len(blocks)
+    for m, (f, b) in zip(full, blocks, strict=True):
+        want = np.stack([matrix_of(f, b[0]), matrix_of(f, b[1])])
+        assert m.dtype == want.dtype and m.shape == want.shape and m.tobytes() == want.tobytes()
     # two eigvalsh passes per factor: the endpoints, then the audit of every sample
     passes = [2, 3 * steps - 2] * len(blocks)
     assert sorted(len(m) for m in values) == sorted(passes)
+
+
+_FINITE_KINDS = [
+    RealSymmetric(2),
+    RealSymmetric(3),
+    ComplexHermitian(2),
+    ProductAlgebra((RealSymmetric(2), SpinFactor(3))),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_connect_exits_4_iff_components_separate_the_endpoints(data):
+    # x and y lie on splits of points of a finite Q, each on its own random
+    # frame; connect has no path exactly when components_finite puts them
+    # apart, also where the splits differ by 5e-9, less than PATH_TOL
+    a = data.draw(st.sampled_from(_FINITE_KINDS), label="algebra")
+    n = a.rank
+    points = data.draw(st.lists(st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n),
+                                min_size=1, max_size=3), label="points")
+    if data.draw(st.booleans(), label="near"):
+        # y on the split of a point 5e-9 from x's point that x's split takes
+        points.append([points[0][0] + 5e-9, *points[0][1:]])
+        picks, perms = [points[0], points[-1]], [data.draw(st.permutations(range(n)))] * 2
+    else:
+        picks = [data.draw(st.sampled_from(points)) for _ in range(2)]
+        perms = [data.draw(st.permutations(range(n))) for _ in range(2)]
+    sset = SpectralSet(a, make_finite_orbit(points))
+    reps = components_finite(sset).representatives
+    ends, where = [], []
+    for p, perm, seed in zip(picks, perms, (5, 6)):
+        q = _block_sorted(np.array(p)[perm], a)
+        # listed in basis order, so q's factor blocks are the element's
+        frame = JordanFrame(a, random_frame(a, seed).basis, np.arange(n))
+        ends.append(compose_theta(q, frame))
+        gaps = np.abs(reps - _eigenvalue_blocks(a, ends[-1].coords)).max(axis=1)
+        assert gaps.min() <= 1e-13
+        where.append(int(gaps.argmin()))
+    try:
+        path = connect(sset, *ends, steps=4)
+    except InfeasiblePathError as exc:
+        assert exc.clause == "no-path-in-finite-set"
+        assert where[0] != where[1]
+    else:
+        assert where[0] == where[1]
+        assert len(path.coords) == (2 if np.array_equal(ends[0].coords, ends[1].coords) else 3 * 4 - 2)
 
 
 @pytest.mark.parametrize("algebra", ALL_KINDS, ids=str)

@@ -56,10 +56,13 @@ def _json(text: str, where: str):
 
 
 def _load(path: str):
+    """The JSON document in a file, read as bytes and decoded once as strict
+    UTF-8 (the JSON decoder refuses a BOM and reads a CRLF line end as
+    whitespace), or on stdin for "-"."""
     if path == "-":
         return _json(sys.stdin.read(), "stdin")
-    with open(path, "r", encoding="utf-8") as fh:
-        return _json(fh.read(), path)
+    with open(path, "rb") as fh:
+        return _json(fh.read().decode("utf-8"), path)
 
 
 def _nonneg(value: str) -> int:
@@ -109,11 +112,11 @@ def _cmd_connect(args):
 def _cmd_fan(args):
     c = jio.parse_element(_load(args.c))
     a = jio.parse_element(_load(args.a))
-    interval = ss.fan_interval(c, a)
+    ends = ss._fan_ends(c, a)
     return {
-        "delta": interval.delta,
-        "Delta": interval.Delta,
-        "samples_in_interval": ss._samples_in_interval(c, a, interval, args.samples, args.seed),
+        "delta": ends[0],
+        "Delta": ends[1],
+        "samples_in_interval": ss._samples_in_interval(c, a, ends, args.samples, args.seed),
     }
 
 
@@ -173,10 +176,16 @@ def _cmd_pointed_check(args):
 # parser
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The `jspec` parser, built once per process: `main` reuses it, and
-    each `parse_args` call returns a fresh namespace."""
+    """The `jspec` parser, built once per process with its subcommand
+    parsers, which `main` reuses; each `parse_args` call returns a fresh
+    namespace."""
+    return _parsers()[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `jspec` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="jspec",
         description="Spectral sets over Euclidean Jordan algebras: eigenvalue "
@@ -246,11 +255,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonneg, default=0)
     p.set_defaults(handler=_cmd_pointed_check)
 
-    return parser
+    return parser, dict(sub.choices)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)` in one pass: the top-level parser
+    hands every argument after the command to the command's parser, so a
+    command line that starts with a command, asks for no help and leaves no
+    argument over parses the same through that parser alone.  Any other
+    command line, and any leftover, goes through the top-level parser, which
+    writes the usage or error text."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None and "-h" not in argv and "--help" not in argv:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     pieces = []
     try:
         jio._render(args.handler(args), pieces)

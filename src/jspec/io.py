@@ -216,10 +216,15 @@ def _read_element(a: Algebra, data, out: np.ndarray):
         u, v = flat.take(first), sign * flat.take(second)
         faults = ("re part not symmetric", "im part not antisymmetric") if herm else ("matrix is not symmetric",)
         # max |m - m.T|, or max |re - re.T| and max |im + im.T|, read on i >= j
-        for fault, skew in zip(faults, np.abs(u - v).reshape(len(faults), -1).max(axis=1).tolist()):
+        skews = np.abs(u - v).reshape(len(faults), -1).max(axis=1).tolist()
+        for fault, skew in zip(faults, skews):
             if skew > SYMMETRY_TOL:
                 raise ValueError(f"element: {fault} (deviation {skew:.3e})")
         np.divide((u + v).take(coord), 2.0, out=out)  # (m + m.T) / 2 at the coordinates
+        # a NaN anywhere in im makes its deviation NaN, which passes the
+        # check above; on the diagonal of im it is in no coordinate either
+        if herm and math.isnan(skews[1]):
+            raise ValueError("element: coordinates must be finite numbers")
     if not np.isfinite(out).all():
         raise ValueError("element: coordinates must be finite numbers")
 

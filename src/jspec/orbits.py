@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -329,7 +329,16 @@ class PathPolyline:
 
     @cached_property
     def max_step(self) -> float:
-        return float(alg._lengths(np.diff(self.coords, axis=0), alg._inner_weights(self.algebra)).max())
+        steps = self.coords[1:] - self.coords[:-1]
+        return float(alg._lengths(steps, alg._inner_weights(self.algebra)).max())
+
+
+@lru_cache(maxsize=16)
+def _unit_grid(steps: int) -> np.ndarray:
+    """`np.linspace(0.0, 1.0, steps)`, read-only, built once per `steps`."""
+    ts = np.linspace(0.0, 1.0, steps)
+    ts.flags.writeable = False
+    return ts
 
 
 def _orbit_leg(x: Element, f_x: JordanFrame, f_y: JordanFrame, steps: int) -> np.ndarray:
@@ -344,7 +353,7 @@ def _orbit_leg(x: Element, f_x: JordanFrame, f_y: JordanFrame, steps: int) -> np
         parts = zip(alg.split_product(x), f_x.basis, f_y.basis)
         return np.concatenate([_orbit_leg(xi, fi, gi, steps) for xi, fi, gi in parts], axis=-1)
     path = g_path(frame_transport(f_x, f_y))
-    return _act(a, path.matrices(np.linspace(0.0, 1.0, steps)), x)
+    return _act(a, path.matrices(_unit_grid(steps)), x)
 
 
 def orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:
@@ -358,7 +367,7 @@ def orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:
         raise ValueError("steps must be at least 2")
     a = x.algebra
     product = isinstance(a, ProductAlgebra)
-    qx, qy = _eigenvalue_blocks(a, np.stack([x.coords, y.coords]))
+    qx, qy = _eigenvalue_blocks(a, np.array((x.coords, y.coords)))
     for k, (_, _, b) in enumerate(alg._blocks(a)):  # every factor before any leg
         if not np.max(np.abs(qx[b] - qy[b])) <= EIG_MATCH_TOL:
             raise OrbitMismatchError(

@@ -65,6 +65,14 @@ def sort_desc(q) -> np.ndarray:
     return np.sort(np.asarray(q, dtype=float))[::-1].copy()
 
 
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """`np.eye(n)`, read-only, built once per size."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 @dataclass(frozen=True, eq=False)
 class JordanFrame:
     """Ordered complete system of rank-many orthogonal primitive idempotents.
@@ -97,7 +105,7 @@ class JordanFrame:
             if basis.shape != shape:
                 raise InvalidFrameError(f"frame basis for {a} must have shape {shape}")
             cols = basis.reshape(shape[0], -1)
-            err = float(np.abs(cols.conj().T @ cols - np.eye(cols.shape[1])).max())
+            err = float(np.abs(cols.conj().T @ cols - _identity(cols.shape[1])).max())
             if not err <= FRAME_TOL:
                 raise InvalidFrameError(f"frame basis is not orthonormal within {FRAME_TOL}")
             basis.setflags(write=False)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,14 +167,22 @@ def _block_sorted(q: np.ndarray, a: alg.Algebra) -> np.ndarray:
 # connectivity witnesses
 
 
+@lru_cache(maxsize=16)
+def _sweep_grid(segs: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """`steps` parameters evenly spaced over `segs` segments, as the segment
+    of each and its fraction [steps, 1] along it, read-only."""
+    u = np.linspace(0.0, float(segs), steps)
+    idx = np.minimum(u.astype(int), segs - 1)
+    frac = (u - idx)[:, None]
+    idx.flags.writeable = frac.flags.writeable = False
+    return idx, frac
+
+
 def _interpolate_vertices(vertices: list[np.ndarray], steps: int) -> np.ndarray:
     """`steps` points [steps, rank], evenly spaced in the parameter of the
     polyline through two or more vertices, from the first to the last."""
     v = np.array(vertices)
-    segs = len(v) - 1
-    u = np.linspace(0.0, float(segs), steps)
-    idx = np.minimum(u.astype(int), segs - 1)
-    frac = (u - idx)[:, None]
+    idx, frac = _sweep_grid(len(v) - 1, steps)
     return (1.0 - frac) * v[idx] + frac * v[idx + 1]
 
 
@@ -229,7 +238,7 @@ def connect(
         raise ValueError("steps must be at least 2")
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tolerance!r}")
-    a, xy = sset.algebra, np.stack([x.coords, y.coords])
+    a, xy = sset.algebra, np.array((x.coords, y.coords))
     # per-factor eigenvalue blocks of x and y; pooled and sorted for membership
     blocks = _eigenvalue_blocks(a, xy)
     for name, margin in zip("xy", sset.q.margin_many(np.sort(blocks)[:, ::-1].copy())):
@@ -379,12 +388,9 @@ def _unit_scaled(x: Element) -> tuple[np.ndarray, int]:
     return np.ldexp(x.coords, -k), k
 
 
-def fan_interval(c: Element, a_el: Element) -> FanInterval:
-    """Exact range endpoints of <c, .> over the eigenvalue orbit of a.
-
-    The maximum pairs both sorted eigenvalue vectors in the same order on
-    c's frame; the minimum pairs them oppositely.
-    """
+def _fan_ends(c: Element, a_el: Element) -> tuple[float, float]:
+    """The ends delta <= Delta of `fan_interval`, without the elements that
+    attain them."""
     if c.algebra != a_el.algebra:
         raise AlgebraMismatchError("both elements must share one algebra")
     if not c.algebra.is_simple():
@@ -401,8 +407,18 @@ def fan_interval(c: Element, a_el: Element) -> FanInterval:
     small, big = alg._scaled_back(
         (np.stack([scaled_c[::-1], scaled_c]) * scaled_a).sum(axis=1), kc + ka, "an end of the fan range"
     ).tolist()
-    frame_c, _ = spectral_decompose(c)
-    ends = _compose(np.stack([lam_a, lam_a[::-1]]), frame_c)
+    return small, big
+
+
+def fan_interval(c: Element, a_el: Element) -> FanInterval:
+    """Exact range endpoints of <c, .> over the eigenvalue orbit of a.
+
+    The maximum pairs both sorted eigenvalue vectors in the same order on
+    c's frame; the minimum pairs them oppositely.
+    """
+    small, big = _fan_ends(c, a_el)
+    lam_a = eigen_map(a_el)
+    ends = _compose(np.stack([lam_a, lam_a[::-1]]), spectral_decompose(c)[0])
     maximizer, minimizer = (Element(c.algebra, v) for v in ends)
     return FanInterval(delta=small, Delta=big, minimizer=minimizer, maximizer=maximizer)
 
@@ -424,18 +440,19 @@ def fan_sample(c: Element, a_el: Element, count: int, seed: int) -> np.ndarray:
     return alg._scaled_back(*_fan_values(c, a_el, count, seed), "a fan value")
 
 
-def _samples_in_interval(c: Element, a_el: Element, interval: FanInterval, count: int, seed: int) -> bool:
-    """Whether the `fan_sample` values lie in the interval up to 1e-9
-    max(1, |c| |a|), the size of their rounding error (|<c, phi(a)>| <=
-    |c| |a|), compared in units of 2^k, where that slack cannot overflow;
-    its floor 2^-k is clamped at 2^1023, far above any scaled value."""
+def _samples_in_interval(c: Element, a_el: Element, ends: tuple[float, float], count: int, seed: int) -> bool:
+    """Whether the `fan_sample` values lie in the `_fan_ends` [delta,
+    Delta] up to 1e-9 max(1, |c| |a|), the size of their rounding error
+    (|<c, phi(a)>| <= |c| |a|), compared in units of 2^k, where that slack
+    cannot overflow; its floor 2^-k is clamped at 2^1023, far above any
+    scaled value."""
     values, k = _fan_values(c, a_el, count, seed)
     if values.size == 0:
         return True
     w = alg._inner_weights(c.algebra)
     lengths = [float(alg._lengths(_unit_scaled(x)[0], w)) for x in (c, a_el)]
     tol = 1e-9 * max(math.ldexp(1.0, min(-k, 1023)), lengths[0] * lengths[1])
-    delta, big = np.ldexp([interval.delta, interval.Delta], -k)
+    delta, big = np.ldexp(ends, -k)
     return bool(values.min() >= delta - tol and values.max() <= big + tol)
 
 

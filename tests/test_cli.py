@@ -70,6 +70,10 @@ def run_cli(capsys, monkeypatch):
     return run
 
 
+def _outcome(proc):
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -247,6 +251,34 @@ def test_element_faults_keep_their_exit_and_message(tmp_path, capsys, case):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == stderr
+
+
+_NAN_IM_HERM2 = _herm2([[1.0, 0.0], [0.0, 2.0]], [[float("nan"), 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "command, doc, stderr",
+    [
+        ("eig", _NAN_IM_HERM2, "element: coordinates must be finite numbers"),
+        ("decompose", _NAN_IM_HERM2, "element: coordinates must be finite numbers"),
+        ("eig", _product3(herm=_NAN_IM_HERM2), "element: coordinates must be finite numbers"),
+        ("decompose", _product3(herm=_NAN_IM_HERM2), "element: coordinates must be finite numbers"),
+        # the first fault in document order is still the one reported
+        ("eig", _product3(sym=_RAGGED_SYM2, herm=_NAN_IM_HERM2), "element: nested lists must have one shape"),
+        ("eig", _product3(herm=_NAN_IM_HERM2, spin=_SHORT_SPIN3), "element: coordinates must be finite numbers"),
+        ("eig", _herm2([[1.0, 0.0], [0.1, 2.0]], [[float("nan"), 0.0], [0.0, 0.0]]),
+         "element: re part not symmetric (deviation 1.000e-01)"),
+    ],
+    ids=["eig", "decompose", "product-eig", "product-decompose", "ragged-before", "short-after", "asymmetric-re"],
+)
+def test_nan_on_the_diagonal_of_im_exits_2(tmp_path, capsys, command, doc, stderr):
+    # a diagonal Im entry is in no coordinate, and NaN fails the
+    # antisymmetry comparison, so only the reader's own check sees it
+    path = write_json(tmp_path, "x.json", doc)
+    assert cli.main([command, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"jspec: input error: {stderr}\n"
 
 
 def test_a_product_document_builds_one_element(monkeypatch):
@@ -1117,6 +1149,24 @@ def test_fan_values_scale_exactly_with_the_inputs(j, m):
     assert np.ldexp([ends.delta, ends.Delta], j + m).tolist() == [scaled_ends.delta, scaled_ends.Delta]
 
 
+def test_fan_builds_no_ends(tmp_path, run_cli, monkeypatch):
+    # `fan` prints the two ends and the sample verdict; the elements that
+    # attain the ends are left to `fan_interval`
+    c = element_from_sym(RealSymmetric(3), np.array([[3.0, 1.0, 0.5], [1.0, -2.0, 0.25], [0.5, 0.25, -1.0]]))
+    a = element_from_sym(RealSymmetric(3), np.diag([1.5, -0.5, 0.75]))
+    paths = [write_json(tmp_path, f"{name}.json", emit_element(x)) for name, x in (("c", c), ("a", a))]
+    want = _outcome(run_cli(["fan", *paths, "--samples", "300", "--seed", "2"]))
+    interval = ss.fan_interval(c, a)
+    assert json.loads(want[1]) == {"delta": interval.delta, "Delta": interval.Delta, "samples_in_interval": True}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an end element was built")
+
+    monkeypatch.setattr(ss, "spectral_decompose", refuse)
+    monkeypatch.setattr(ss, "_compose", refuse)
+    assert _outcome(run_cli(["fan", *paths, "--samples", "300", "--seed", "2"])) == want
+
+
 def test_fan_mismatched_algebras_exit_2(tmp_path, run_cli):
     c = element_from_sym(RealSymmetric(2), np.diag([1.0, -1.0]))
     a = element_from_sym(RealSymmetric(3), np.diag([1.0, 0.0, 0.0]))
@@ -1568,6 +1618,84 @@ def test_reused_parser_carries_no_state(tmp_path):
         assert (code, out) == (proc.returncode, fresh_out), argv
         assert code == 0, argv
     assert run_in_process(argvs[-1]) == in_process[-1]
+
+
+_COMMANDS = ["eig", "decompose", "member", "connect", "fan", "orbit-sample", "components",
+             "certify", "sum-split", "pointed-check"]
+
+# command lines that end in a usage, error or help text; the files need not
+# exist, since every line is refused or answered before a file is read
+_PARSER_LINES = {
+    **{f"{command}-help": [command, "-h"] for command in _COMMANDS},
+    "eig-abbreviated-help": ["eig", "--he"],
+    "member-missing-set": ["member"],
+    "connect-missing-y": ["connect", "s.json", "x.json"],
+    "sum-split-missing-q2": ["sum-split", "z.json", "q1.json", "q2.json", "--q1", "[1]"],
+    "connect-steps-x": ["connect", "s.json", "x.json", "y.json", "--steps", "x"],
+    "connect-steps-without-value": ["connect", "s.json", "x.json", "y.json", "--steps"],
+    "fan-seed-negative": ["fan", "c.json", "a.json", "--seed", "-1"],
+    "orbit-sample-count-negative": ["orbit-sample", "x.json", "--count", "-3"],
+    "eig-trailing-argument": ["eig", "x.json", "extra"],
+    "connect-unknown-option": ["connect", "s.json", "x.json", "y.json", "--bogus"],
+    "option-before-command": ["--steps", "3", "connect", "s.json", "x.json", "y.json"],
+    "unknown-command": ["frobnicate", "x.json"],
+    "no-arguments": [],
+    "top-level-help": ["--help"],
+}
+
+
+def _exit_and_output(capsys, call):
+    capsys.readouterr()
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("case", sorted(_PARSER_LINES))
+def test_main_parses_as_the_top_level_parser(capsys, case):
+    # main parses a command line once, through its command's parser; every
+    # usage, error and help text is still the top-level parser's
+    argv = _PARSER_LINES[case]
+    want = _exit_and_output(capsys, lambda: cli.build_parser().parse_args(argv))
+    assert want[0] in (0, 2)
+    assert _exit_and_output(capsys, lambda: cli.main(argv)) == want
+
+
+def test_a_valid_command_line_is_parsed_once(tmp_path, run_cli, monkeypatch):
+    set_path = write_json(tmp_path, "set.json", _REARR2)
+    x_path = write_json(tmp_path, "x.json", {"alg": {"kind": "sym", "n": 2}, "data": [[2, 0], [0, 1]]})
+    y_path = write_json(tmp_path, "y.json", {"alg": {"kind": "sym", "n": 2}, "data": [[2.5, 1.5], [1.5, 2.5]]})
+    argv = ["connect", set_path, x_path, y_path, "--steps", "5"]
+    want = _outcome(run_cli(argv))
+    assert want[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
+    assert _outcome(run_cli(argv)) == want
+
+
+def test_documents_are_read_as_utf8_bytes(tmp_path, run_cli):
+    text = json.dumps({"alg": {"kind": "herm", "n": 2},
+                       "data": {"re": [[2.0, 0.5], [0.5, 1.0]], "im": [[0.0, 0.25], [-0.25, 0.0]]}}, indent=1)
+    lf, crlf, bom, bad = (tmp_path / f"{name}.json" for name in ("lf", "crlf", "bom", "bad"))
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    bad.write_bytes(text.encode().replace(b"2.0", b"2.\xff", 1))
+    for command in ("eig", "decompose"):
+        want = _outcome(run_cli([command, str(lf)]))
+        assert want[0] == 0
+        assert _outcome(run_cli([command, str(crlf)])) == want
+        assert _outcome(run_cli([command, "-"], stdin=text)) == want
+        for path, message in ((bom, "Unexpected UTF-8 BOM"), (bad, "can't decode byte 0xff")):
+            proc = run_cli([command, str(path)])
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr.startswith("jspec: input error: ") and message in proc.stderr
 
 
 SAMPLING_ALGEBRAS = [

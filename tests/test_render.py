@@ -471,7 +471,8 @@ def reference_parse(a, data):
     """A matrix-kind element document read by whole matrices, as it was
     before the reader took the entries in pairs: the checks of m - m.T (of
     re - re.T, then im + im.T), then the coordinates of (m + m.T) / 2 and
-    their finiteness; the message of the first fault, or the coordinates."""
+    their finiteness, and that of the diagonal of im, which is in no
+    coordinate; the message of the first fault, or the coordinates."""
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(a, RealSymmetric):
             m = np.array(data, dtype=float)
@@ -489,6 +490,8 @@ def reference_parse(a, data):
             m = np.empty(re.shape, dtype=complex)
             m.real, m.imag = (re + re.T) / 2.0, (im - im.T) / 2.0
             coords = coords_of(a, m)
+            if not np.isfinite(np.diag(im)).all():
+                return "element: coordinates must be finite numbers"
     if not np.isfinite(coords).all():
         return "element: coordinates must be finite numbers"
     return coords

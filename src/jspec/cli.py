@@ -112,12 +112,8 @@ def _cmd_connect(args):
 def _cmd_fan(args):
     c = jio.parse_element(_load(args.c))
     a = jio.parse_element(_load(args.a))
-    ends = ss._fan_ends(c, a)
-    return {
-        "delta": ends[0],
-        "Delta": ends[1],
-        "samples_in_interval": ss._samples_in_interval(c, a, ends, args.samples, args.seed),
-    }
+    (delta, big), _, inside = ss._fan(c, a, args.samples, args.seed)
+    return {"delta": delta, "Delta": big, "samples_in_interval": inside}
 
 
 def _cmd_orbit_sample(args):

@@ -169,8 +169,9 @@ def parse_element(doc) -> Element:
     coordinate vector under one `errstate`, with no Element per factor.
     Each simple document is checked in turn, so the first fault in
     document order is the one reported: its shape and symmetry, then its
-    finiteness (after symmetrizing, where (m + m.T) / 2 may overflow), then,
-    for a factor document, whether its algebra is the factor's."""
+    finiteness, then, for a factor document, whether its algebra is the
+    factor's.  A finite document symmetrizes to finite coordinates, entries
+    past MAX / 2 included, so each one emitted parses back."""
     a = parse_algebra(_need(doc, "alg", "element"))
     data = _need(doc, "data", "element")
     coords = np.empty(a.dim)
@@ -226,7 +227,13 @@ def _read_element(a: Algebra, data, out: np.ndarray):
         if herm and math.isnan(skews[1]):
             raise ValueError("element: coordinates must be finite numbers")
     if not np.isfinite(out).all():
-        raise ValueError("element: coordinates must be finite numbers")
+        if not isinstance(a, SpinFactor):
+            # a pair past MAX / 2 overflows u + v; as it passed the symmetry
+            # check, u == v, so the sum of their halves is exact
+            over = np.flatnonzero(np.isinf(out))
+            out[over] = 0.5 * u.take(coord[over]) + 0.5 * v.take(coord[over])
+        if not np.isfinite(out).all():
+            raise ValueError("element: coordinates must be finite numbers")
 
 
 @functools.lru_cache(maxsize=64)

@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedAlgebraError,
     check_float_budget,
 )
-from .spectral import JordanFrame, _eigenvalue_blocks, spectral_decompose
+from .spectral import JordanFrame, _decompositions, _eigenvalue_blocks
 
 EIG_MATCH_TOL = 1e-8
 
@@ -365,17 +365,17 @@ def orbit_path(x: Element, y: Element, steps: int) -> PathPolyline:
         raise AlgebraMismatchError("endpoints live in different algebras")
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    a = x.algebra
+    a, xy = x.algebra, np.array((x.coords, y.coords))
     product = isinstance(a, ProductAlgebra)
-    qx, qy = _eigenvalue_blocks(a, np.array((x.coords, y.coords)))
+    qx, qy = _eigenvalue_blocks(a, xy)
     for k, (_, _, b) in enumerate(alg._blocks(a)):  # every factor before any leg
         if not np.max(np.abs(qx[b] - qy[b])) <= EIG_MATCH_TOL:
             raise OrbitMismatchError(
                 f"factor {k} has mismatched eigenvalues; endpoints are in different restricted orbits"
                 if product else "endpoints have different eigenvalues; they lie in different orbits"
             )
-    leg = _orbit_leg(x, spectral_decompose(x)[0], spectral_decompose(y)[0], steps)
-    return PathPolyline(a, leg, EIG_MATCH_TOL)
+    (f_x, _), (f_y, _) = _decompositions(a, xy)  # both frames: one eigh per matrix factor
+    return PathPolyline(a, _orbit_leg(x, f_x, f_y, steps), EIG_MATCH_TOL)
 
 
 def _orbit_coords(x: Element, count: int, seed: int) -> np.ndarray:

@@ -151,7 +151,8 @@ def _eigh_desc(m: np.ndarray, vectors: bool):
     matrix i on its own, bit for bit.
 
     Each matrix is first divided by the power of two 2^k that brings its
-    largest |entry| into [1, 2) (`algebra._exponents`), and its eigenvalues
+    largest |real or imaginary part| into [1, 2) (`algebra._exponents`; an
+    entry's modulus may overflow where its parts do not), and its eigenvalues
     are scaled back by 2^k (`algebra._scaled_back`, which raises
     `NumericError` past the largest double).  LAPACK would rescale a matrix
     whose norm is far from 1 by a factor that is not a power of two; this
@@ -161,9 +162,9 @@ def _eigh_desc(m: np.ndarray, vectors: bool):
     The caller passes finite input; a LAPACK failure or a non-finite result
     anywhere in the stack raises `NumericError`.
     """
-    n = m.shape[-1]
-    k = alg._exponents(m.reshape(m.shape[:-2] + (n * n,)))
-    m = np.ldexp(m.view(float), -k[..., None, None]).view(m.dtype)  # Re and Im as floats
+    flat = m.view(float)  # Re and Im as floats
+    k = alg._exponents(flat.reshape(m.shape[:-2] + (flat.shape[-2] * flat.shape[-1],)))
+    m = np.ldexp(flat, -k[..., None, None]).view(m.dtype)
     try:
         if vectors:
             values, vecs = np.linalg.eigh(m)

@@ -142,8 +142,8 @@ class CertificateVerdict:
 def ss_member(sset: SpectralSet, x: Element, slack: float = 0.0) -> bool:
     """x belongs to the spectral set iff its eigenvalue vector belongs to Q.
 
-    Positive `slack` relaxes the margin by that amount (used for path
-    audits); a margin of -inf stays out at any slack.
+    Positive `slack` relaxes the margin by that amount: x is a member when
+    its margin is at least -slack; a margin of -inf stays out at any slack.
     """
     if x.algebra != sset.algebra:
         raise AlgebraMismatchError(f"element of {x.algebra} tested against {sset.algebra}")
@@ -226,10 +226,10 @@ def connect(
     start and end at the blocks of x and y.  Every sample is audited for
     membership at `tolerance` (finite and nonnegative).  The path is one
     coordinate stack: the blocks of x and y are one `eigvalsh` pass and
-    their memberships one `margin_many`; both frames are one stacked `eigh`
-    per matrix factor (`_decompositions` of [x, y]), built only for
-    distinct endpoints; the sweep is one stacked composition and the audit
-    one eigenvalue pass.  Only x == y, coordinate for coordinate, gives the
+    their memberships one `margin_many`, as are the q_path vertices'; both
+    frames are one stacked `eigh` per matrix factor (`_decompositions` of
+    [x, y]), built only for distinct endpoints; the sweep is one stacked
+    composition and the audit one eigenvalue pass.  Only x == y, coordinate for coordinate, gives the
     two-sample path [x, y].
     """
     if x.algebra != sset.algebra or y.algebra != sset.algebra:
@@ -271,11 +271,11 @@ def connect(
             if v.shape != (a.rank,):
                 raise ValueError(f"q_path vertex {k} must have length {a.rank}")
         vertices = _block_sorted(np.array(vertices), a)
-        for k, v in enumerate(vertices):
-            if not sset.q.member(v):
-                raise InfeasiblePathError(
-                    f"q_path vertex {k} is not in Q", clause="qpath-membership"
-                )
+        outside = np.flatnonzero(~(sset.q.margin_many(vertices) >= 0.0))  # a nan margin is out too
+        if outside.size:
+            raise InfeasiblePathError(
+                f"q_path vertex {outside[0]} is not in Q", clause="qpath-membership"
+            )
         if float(np.abs(vertices[0] - start_q).max()) > tolerance or (
             float(np.abs(vertices[-1] - end_q).max()) > tolerance
         ):
@@ -378,36 +378,51 @@ def sum_split(
 # range of a linear functional over an orbit
 
 
-def _unit_scaled(x: Element) -> tuple[np.ndarray, int]:
-    """The coordinates of x divided by the exact power of two 2^k that
-    brings their largest |entry| into [1, 2) (`algebra._exponents`), and k.
-    The fan is computed from c and a scaled so, where no product of their
-    entries overflows, in units of 2^(kc + ka); in the normal range every
-    value is bit for bit the unscaled one."""
-    k = int(alg._exponents(x.coords))
-    return np.ldexp(x.coords, -k), k
+def _fan(c: Element, a_el: Element, count: int | None = None, seed: int = 0, ends: bool = True):
+    """The fan of <c, .> over the eigenvalue orbit of a_el from the stack
+    [c, a_el], checked and scaled once: each row divided by the exact power
+    of two 2^k_i that brings its largest |entry| into [1, 2), so no product
+    of their entries overflows.  Values come in units of 2^k, k = k_c + k_a;
+    in the normal range each is bit for bit the unscaled one.
 
-
-def _fan_ends(c: Element, a_el: Element) -> tuple[float, float]:
-    """The ends delta <= Delta of `fan_interval`, without the elements that
-    attain them."""
+    Returns three items.  With `ends` (simple algebras only) the first is
+    the range [delta, Delta], scaled back, and the second the eigenvalues
+    [2, rank] of c and a_el from one eigenvalue pass; without, both are
+    None.  The third is None without a `count`; with one, it is the
+    `fan_sample` values, scaled back, without `ends`, and with them whether
+    the values lie in the range up to 1e-9 max(1, |c| |a|), their rounding
+    error (|<c, phi(a)>| <= |c| |a|), compared in units of 2^k so that the
+    slack cannot overflow (its floor 2^-k is clamped at 2^1023, above any
+    scaled value).  The range is scaled back, and may overflow, before any
+    sample is drawn."""
     if c.algebra != a_el.algebra:
         raise AlgebraMismatchError("both elements must share one algebra")
-    if not c.algebra.is_simple():
-        raise UnsupportedAlgebraError(
-            "the closed-form endpoints are established for simple algebras"
-        )
-    lam_c = eigen_map(c)
-    lam_a = eigen_map(a_el)
-    (_, kc), (_, ka) = _unit_scaled(c), _unit_scaled(a_el)
-    scaled_c, scaled_a = np.ldexp(lam_c, -kc), np.ldexp(lam_a, -ka)
-    # both ends are sums of rounded products, as `fan_sample` values are: a
-    # BLAS dot fuses multiply-adds, which would leave one product's rounding
-    # error in one end only (c = diag(x, -x), a = y I would give [0, -9e-17])
-    small, big = alg._scaled_back(
-        (np.stack([scaled_c[::-1], scaled_c]) * scaled_a).sum(axis=1), kc + ka, "an end of the fan range"
-    ).tolist()
-    return small, big
+    a, ca = c.algebra, np.array((c.coords, a_el.coords))
+    if ends and not a.is_simple():
+        raise UnsupportedAlgebraError("the closed-form endpoints are established for simple algebras")
+    ks = alg._exponents(ca)[:, None]
+    scaled, k = np.ldexp(ca, -ks), int(ks.sum())
+    span = lam = None
+    if ends:
+        lam = _eigenvalues(a, ca)
+        lam_c, lam_a = np.ldexp(lam, -ks)
+        # both ends are sums of rounded products, as the sample values are: a
+        # BLAS dot fuses multiply-adds, which would leave one product's rounding
+        # error in one end only (c = diag(x, -x), a = y I would give [0, -9e-17])
+        span = (np.stack([lam_c[::-1], lam_c]) * lam_a).sum(axis=1)
+        span = alg._scaled_back(span, k, "an end of the fan range").tolist()
+    if count is None:
+        return span, lam, None
+    # <c, s> = sum(w * c * s) as in `inner_product`, summed row by row so
+    # each value is independent of `count`
+    w = alg._inner_weights(a)
+    values = (_orbit_coords(Element(a, scaled[1]), count, seed) * (w * scaled[0])).sum(axis=1)
+    if not ends:
+        return None, None, alg._scaled_back(values, k, "a fan value")
+    len_c, len_a = alg._lengths(scaled, w).tolist()
+    tol = 1e-9 * max(math.ldexp(1.0, min(-k, 1023)), len_c * len_a)
+    delta, big = np.ldexp(span, -k)
+    return span, lam, values.size == 0 or bool(values.min() >= delta - tol and values.max() <= big + tol)
 
 
 def fan_interval(c: Element, a_el: Element) -> FanInterval:
@@ -416,44 +431,15 @@ def fan_interval(c: Element, a_el: Element) -> FanInterval:
     The maximum pairs both sorted eigenvalue vectors in the same order on
     c's frame; the minimum pairs them oppositely.
     """
-    small, big = _fan_ends(c, a_el)
-    lam_a = eigen_map(a_el)
+    (small, big), (_, lam_a), _ = _fan(c, a_el)
     ends = _compose(np.stack([lam_a, lam_a[::-1]]), spectral_decompose(c)[0])
     maximizer, minimizer = (Element(c.algebra, v) for v in ends)
     return FanInterval(delta=small, Delta=big, minimizer=minimizer, maximizer=maximizer)
 
 
-def _fan_values(c: Element, a_el: Element, count: int, seed: int) -> tuple[np.ndarray, int]:
-    """The values of `fan_sample` in units of 2^k, and k."""
-    if c.algebra != a_el.algebra:
-        raise AlgebraMismatchError("both elements must share one algebra")
-    (scaled_c, kc), (scaled_a, ka) = _unit_scaled(c), _unit_scaled(a_el)
-    # <c, s> = sum(w * c * s) as in `inner_product`, summed row by row so
-    # each value is independent of `count`
-    weighted_c = alg._inner_weights(c.algebra) * scaled_c
-    samples = _orbit_coords(Element(a_el.algebra, scaled_a), count, seed)
-    return (samples * weighted_c).sum(axis=1), kc + ka
-
-
 def fan_sample(c: Element, a_el: Element, count: int, seed: int) -> np.ndarray:
     """Values of <c, phi(a)> over random identity-component automorphisms."""
-    return alg._scaled_back(*_fan_values(c, a_el, count, seed), "a fan value")
-
-
-def _samples_in_interval(c: Element, a_el: Element, ends: tuple[float, float], count: int, seed: int) -> bool:
-    """Whether the `fan_sample` values lie in the `_fan_ends` [delta,
-    Delta] up to 1e-9 max(1, |c| |a|), the size of their rounding error
-    (|<c, phi(a)>| <= |c| |a|), compared in units of 2^k, where that slack
-    cannot overflow; its floor 2^-k is clamped at 2^1023, far above any
-    scaled value."""
-    values, k = _fan_values(c, a_el, count, seed)
-    if values.size == 0:
-        return True
-    w = alg._inner_weights(c.algebra)
-    lengths = [float(alg._lengths(_unit_scaled(x)[0], w)) for x in (c, a_el)]
-    tol = 1e-9 * max(math.ldexp(1.0, min(-k, 1023)), lengths[0] * lengths[1])
-    delta, big = np.ldexp(ends, -k)
-    return bool(values.min() >= delta - tol and values.max() <= big + tol)
+    return _fan(c, a_el, count, seed, ends=False)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +479,11 @@ def certificate_check(
     a = cert.algebra
     if sset.algebra != a:
         raise AlgebraMismatchError(f"certificate over {a} audited against {sset.algebra}")
-    part_rows = [
-        np.array([alg.isometric_coords(g) for g in part]) for part in cert.parts
-    ]
-    rank_sum = sum(_numerical_rank(rows) for rows in part_rows)
-    stacked = np.vstack(part_rows)
+    # the generators, part by part: part p is rows bounds[p]:bounds[p + 1]
+    coords = np.array([g.coords for part in cert.parts for g in part])
+    bounds = np.cumsum([0] + [len(part) for part in cert.parts])
+    stacked = np.sqrt(alg._inner_weights(a)) * coords  # as `alg.isometric_coords` gives each
+    rank_sum = sum(_numerical_rank(stacked[i:j]) for i, j in zip(bounds[:-1], bounds[1:]))
     total_rank = _numerical_rank(stacked)
     if total_rank != rank_sum:
         return CertificateVerdict(
@@ -508,15 +494,13 @@ def certificate_check(
                 f"ranks {rank_sum}"
             ),
         )
-    gens = [(pi, gi, g) for pi, part in enumerate(cert.parts) for gi, g in enumerate(part)]
-    margins = sset.q.margin_many(_eigenvalues(a, np.array([g.coords for *_, g in gens])))
-    outside = np.flatnonzero(~(margins >= 0.0))  # a nan margin is no member either
+    outside = np.flatnonzero(~(sset.q.margin_many(_eigenvalues(a, coords)) >= 0.0))  # nan is out
     if outside.size:
-        pi, gi, _ = gens[outside[0]]
+        pi = int(np.searchsorted(bounds, outside[0], side="right")) - 1
         return CertificateVerdict(
             accepted=False,
             failed_clause="generator-membership",
-            detail=f"generator {gi} of part {pi} fails the membership oracle",
+            detail=f"generator {outside[0] - bounds[pi]} of part {pi} fails the membership oracle",
         )
     max_attempts = 50 * samples
     # the candidates, plus the eigenvalue pass's matrices (at most 2 * dim reals each)

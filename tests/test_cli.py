@@ -22,13 +22,15 @@ from hypothesis import strategies as st
 from jspec import (
     ComplexHermitian,
     Element,
+    ProductAlgebra,
     RealSymmetric,
     SpinFactor,
     coordinate_algebra,
+    eigen_map,
     element_from_sym,
     random_element,
 )
-from jspec import cli, errors, orbits, permsets, spectral
+from jspec import algebra, cli, errors, orbits, permsets, spectral
 from jspec import spectralsets as ss
 from jspec.algebra import distance, join_product, split_product
 from jspec.io import (
@@ -115,10 +117,8 @@ def test_eig_asymmetric_matrix_exits_2(run_cli):
         {"alg": {"kind": "sym", "n": 2}, "data": [[float("nan"), 0.0], [0.0, 1.0]]},
         {"alg": {"kind": "sym", "n": 2}, "data": [[float("inf"), 0.0], [0.0, 1.0]]},
         {"alg": {"kind": "spin", "d": 3}, "data": {"x0": 1.0, "xbar": [float("nan"), 0.0]}},
-        # finite as written; symmetrizing (m + m.T) / 2 overflows to inf
-        {"alg": {"kind": "sym", "n": 2}, "data": [[1e308, 0.0], [0.0, 1.0]]},
     ],
-    ids=["nan-sym", "inf-sym", "nan-spin-xbar", "overflow-sym"],
+    ids=["nan-sym", "inf-sym", "nan-spin-xbar"],
 )
 def test_eig_non_finite_element_exits_2(tmp_path, capsys, doc):
     path = write_json(tmp_path, "x.json", doc)
@@ -169,10 +169,6 @@ _PARSE_FAULTS = {
     ),
     "inf-factor-2": (
         _product3(spin={"alg": {"kind": "spin", "d": 3}, "data": {"x0": 1.5, "xbar": [float("inf"), 0.4]}}),
-        "jspec: input error: element: coordinates must be finite numbers\n",
-    ),
-    "overflow-factor-1": (
-        _product3(herm=_herm2([[1.0, 1.5e308], [1.5e308, 3.0]], [[0.0, 0.0], [0.0, 0.0]])),
         "jspec: input error: element: coordinates must be finite numbers\n",
     ),
     "bool-leaf": (
@@ -251,6 +247,33 @@ def test_element_faults_keep_their_exit_and_message(tmp_path, capsys, case):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == stderr
+
+
+# finite as written, with entries past MAX / 2, where the sum m + m.T of
+# symmetrizing overflows: the coordinates each document is read into
+_PAST_HALF_MAX = {
+    "overflow-sym": ({"alg": {"kind": "sym", "n": 2}, "data": [[1e308, 0.0], [0.0, 1.0]]}, [1e308, 0.0, 1.0]),
+    "overflow-factor-1": (
+        _product3(herm=_herm2([[1.0, 1.5e308], [1.5e308, 3.0]], [[0.0, 0.0], [0.0, 0.0]])),
+        [2.0, 0.5, 1.0, 1.0, 1.5e308, 0.0, 3.0, 1.5, 0.3, 0.4],
+    ),
+    "sym1": ({"alg": {"kind": "sym", "n": 1}, "data": [[1e308]]}, [1e308]),
+    "herm1": ({"alg": {"kind": "herm", "n": 1}, "data": {"re": [[-1e308]], "im": [[0.0]]}}, [-1e308]),
+    "herm2-im": (_herm2([[1.0, 0.0], [0.0, 2.0]], [[0.0, -1.2e308], [1.2e308, 0.0]]), [1.0, 0.0, 1.2e308, 2.0]),
+    "spin3": ({"alg": {"kind": "spin", "d": 3}, "data": {"x0": 1e308, "xbar": [0.0, 0.0]}}, [1e308, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PAST_HALF_MAX))
+def test_elements_past_half_max_parse_exactly(tmp_path, capsys, case):
+    doc, coords = _PAST_HALF_MAX[case]
+    x = parse_element(doc)
+    assert x.coords.tobytes() == np.array(coords).tobytes()
+    assert parse_element(emit_element(x)).coords.tobytes() == x.coords.tobytes()
+    assert cli.main(["eig", write_json(tmp_path, "x.json", doc)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["lambda"] == eigen_map(x).tolist()
 
 
 _NAN_IM_HERM2 = _herm2([[1.0, 0.0], [0.0, 2.0]], [[float("nan"), 0.0], [0.0, 0.0]])
@@ -705,6 +728,16 @@ def test_connect_with_qpath_file(tmp_path, run_cli):
     )
     proc = run_cli(["connect", set_path, x_path, y_path, "--qpath", q_path, "--steps", "5"])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_connect_qpath_vertex_outside_q_exits_4(tmp_path, run_cli):
+    # the second of four vertices leaves the rearrangement cone; it is named
+    set_path = write_json(tmp_path, "set.json", _REARR2)
+    x_path = write_json(tmp_path, "x.json", emit_element(element_from_sym(RealSymmetric(2), np.diag([2.0, 1.0]))))
+    y_path = write_json(tmp_path, "y.json", emit_element(element_from_sym(RealSymmetric(2), np.diag([4.0, 0.5]))))
+    q_path = write_json(tmp_path, "q.json", {"vertices": [[2.0, 1.0], [3.0, -1.0], [3.5, -2.0], [4.0, 0.5]]})
+    proc = run_cli(["connect", set_path, x_path, y_path, "--qpath", q_path])
+    assert _outcome(proc) == (4, "", "jspec: infeasible [qpath-membership]: q_path vertex 1 is not in Q\n")
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf"])
@@ -1174,6 +1207,76 @@ def test_fan_mismatched_algebras_exit_2(tmp_path, run_cli):
     a_path = write_json(tmp_path, "a.json", emit_element(a))
     proc = run_cli(["fan", c_path, a_path])
     assert proc.returncode == 2
+
+
+def _fan_paths(tmp_path, c, a, tag=""):
+    return [write_json(tmp_path, f"{name}{tag}.json", emit_element(x)) for name, x in (("c", c), ("a", a))]
+
+
+def test_fan_range_past_max_comes_before_the_sample_budget(tmp_path, run_cli):
+    # the range [2e320, 2e320] is scaled back, and refused, before any
+    # sample is drawn; the same samples on a range inside it exceed the budget
+    big = element_from_sym(RealSymmetric(2), np.diag([1e160, 1e160]))
+    proc = run_cli(["fan", *_fan_paths(tmp_path, big, big), "--samples", "100000000"])
+    assert _outcome(proc) == (3, "", "jspec: numeric failure: an end of the fan range is past the largest double\n")
+    small = element_from_sym(RealSymmetric(2), np.diag([1.0, 1.0]))
+    proc = run_cli(["fan", *_fan_paths(tmp_path, small, small), "--samples", "100000000"])
+    assert (proc.returncode, proc.stdout) == (2, "") and "over the budget" in proc.stderr
+
+
+def test_fan_algebra_faults_come_first(tmp_path, run_cli, monkeypatch):
+    # a mismatch or a product is refused before any scale, eigenvalue or sample
+    product = ProductAlgebra((RealSymmetric(2), SpinFactor(3)))
+    cases = [
+        (random_element(RealSymmetric(2), 1), random_element(RealSymmetric(3), 2),
+         "jspec: input error: both elements must share one algebra\n"),
+        (random_element(product, 1), random_element(product, 2),
+         "jspec: input error: the closed-form endpoints are established for simple algebras\n"),
+    ]
+    paths = [_fan_paths(tmp_path, c, a, k) for k, (c, a, _) in enumerate(cases)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the algebras were checked")
+
+    monkeypatch.setattr(algebra, "_exponents", refuse)
+    monkeypatch.setattr(spectral, "_check_finite", refuse)
+    monkeypatch.setattr(orbits, "_haar", refuse)
+    for (_, _, stderr), docs in zip(cases, paths):
+        assert _outcome(run_cli(["fan", *docs, "--samples", "100000000"])) == (2, "", stderr)
+
+
+def test_fan_subnormal_ends(tmp_path, run_cli):
+    # c and a near 1e-160 give ends near 1e-320, which lose digits when
+    # scaled back; the samples are compared with those rounded ends
+    m = np.array([[3.0, 1.0, 0.5], [1.0, -2.0, 0.25], [0.5, 0.25, -1.0]])
+    c = element_from_sym(RealSymmetric(3), 1e-160 * m)
+    a = element_from_sym(RealSymmetric(3), 1e-160 * np.diag([1.5, -0.5, 0.75]))
+    interval = ss.fan_interval(c, a)
+    assert 0.0 < -interval.delta < 2.2e-308 and 0.0 < interval.Delta < 2.2e-308
+    proc = run_cli(["fan", *_fan_paths(tmp_path, c, a), "--samples", "300", "--seed", "2"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"delta": interval.delta, "Delta": interval.Delta, "samples_in_interval": True}
+
+
+def test_fan_runs_one_eigenvalue_pass(tmp_path, run_cli, monkeypatch):
+    # both spectra come from one eigvalsh on the stack [c, a], and no frame is built
+    c = element_from_sym(RealSymmetric(3), np.array([[3.0, 1.0, 0.5], [1.0, -2.0, 0.25], [0.5, 0.25, -1.0]]))
+    a = element_from_sym(RealSymmetric(3), np.diag([1.5, -0.5, 0.75]))
+    paths = _fan_paths(tmp_path, c, a)
+    want = _outcome(run_cli(["fan", *paths, "--samples", "300", "--seed", "2"]))
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(m):
+        shapes.append(m.shape)
+        return eigvalsh(m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fan ran eigh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert _outcome(run_cli(["fan", *paths, "--samples", "300", "--seed", "2"])) == want
+    assert shapes == [(2, 3, 3)]
 
 
 def test_orbit_sample_deterministic_bytes(tmp_path, run_cli):

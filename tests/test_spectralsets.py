@@ -386,6 +386,45 @@ def test_connect_diagonalizes_only_its_endpoints(algebra, monkeypatch):
     assert sorted(len(m) for m in values) == sorted(passes)
 
 
+@pytest.mark.parametrize("algebra", ALL_KINDS, ids=str)
+def test_orbit_path_diagonalizes_its_endpoints_once(algebra, monkeypatch):
+    # y has x's eigenvalues factor by factor, on other frames
+    x = random_element(algebra, 3)
+    product = isinstance(algebra, ProductAlgebra)
+    parts = split_product(x) if product else [x]
+    ys = [element_with_eigenvalues(p.algebra, eigen_map(p), 4) for p in parts]
+    y = Element(algebra, np.concatenate([yi.coords for yi in ys]))
+    blocks = [(p.algebra, (p.coords, yi.coords)) for p, yi in zip(parts, ys)
+              if isinstance(p.algebra, (RealSymmetric, ComplexHermitian)) and p.algebra.n >= 2]
+    want = orbits.orbit_path(x, y, 5).coords
+    calls = _eigensolver_spy(monkeypatch)
+    assert orbits.orbit_path(x, y, 5).coords.tobytes() == want.tobytes()
+    # one eigh per matrix factor, on the stack [x, y] of that factor bit for bit
+    full = [m for m, vectors in calls if vectors]
+    assert len(full) == len(blocks)
+    for m, (f, b) in zip(full, blocks, strict=True):
+        want_m = np.stack([matrix_of(f, b[0]), matrix_of(f, b[1])])
+        assert m.dtype == want_m.dtype and m.shape == want_m.shape and m.tobytes() == want_m.tobytes()
+
+
+@pytest.mark.parametrize("outside", [-1.0, np.nan], ids=["negative", "nan"])
+def test_connect_checks_the_qpath_vertices_as_one_stack(outside):
+    # the second vertex leaves Q (a NaN margin is no member either); the
+    # margins are taken once for the endpoints and once for all four vertices
+    rows = []
+
+    def margin(q):
+        rows.append(len(q))
+        return np.where(q[:, 0] == 3.0, outside, q.min(axis=1))
+
+    s = SpectralSet(RealSymmetric(2), PermSet(2, "orthant", margin))
+    x, y = (element_from_sym(RealSymmetric(2), np.diag(d)) for d in ([2.0, 1.0], [4.0, 0.5]))
+    with pytest.raises(InfeasiblePathError, match="^q_path vertex 1 is not in Q$") as info:
+        connect(s, x, y, q_path=[[2.0, 1.0], [3.0, 1.0], [3.5, 1.0], [4.0, 0.5]])
+    assert info.value.clause == "qpath-membership"
+    assert rows == [2, 4]
+
+
 _FINITE_KINDS = [
     RealSymmetric(2),
     RealSymmetric(3),
@@ -792,6 +831,25 @@ def test_fan_rejects_mismatch_and_products():
     a = coordinate_algebra(2)
     with pytest.raises(UnsupportedAlgebraError):
         fan_interval(random_element(a, 0), random_element(a, 1))
+    # fan_sample too: its samples are defined on simple algebras only
+    with pytest.raises(AlgebraMismatchError):
+        fan_sample(random_element(RealSymmetric(2), 0), random_element(RealSymmetric(3), 0), 5, 0)
+    with pytest.raises(UnsupportedAlgebraError):
+        fan_sample(random_element(a, 0), random_element(a, 1), 5, 0)
+
+
+def test_fan_interval_draws_no_samples(monkeypatch):
+    c, x = random_element(RealSymmetric(3), 1), random_element(RealSymmetric(3), 2)
+    want = fan_interval(c, x)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fan_interval built a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    got = fan_interval(c, x)
+    assert (got.delta, got.Delta) == (want.delta, want.Delta)
+    for end in ("minimizer", "maximizer"):
+        assert getattr(got, end).coords.tobytes() == getattr(want, end).coords.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -864,6 +922,29 @@ def test_nnls_coefficients_near_the_largest_double_are_scaled_back_once():
     w, residual = nnls(2.0**60 * np.array([[1.0, -1.0], [1e-4, 1e-4]]), [0.0, 1.5e308])
     assert np.allclose(w, 1.5e308 / (2.0**61 * 1e-4), rtol=1e-12, atol=0.0)
     assert residual <= 1e-6 * 1.5e308
+
+
+def test_certificate_generators_are_one_stack(monkeypatch):
+    # parts of 1, 2 and 2 generators: the isometric rows, the per-part ranks
+    # and the memberships all come from one coordinate stack, and a failing
+    # generator is named by its part and its place in it
+    a = coordinate_algebra(3)
+    e = np.eye(3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was read on its own")
+
+    monkeypatch.setattr(spectralsets.alg, "isometric_coords", refuse)
+    s = SpectralSet(a, make_rearrangement_cone(3, 1))
+    for rows, verdict in [
+        ([[e[0]], [e[1], 2 * e[1]], [e[2], 3 * e[2]]], (True, None, "3 sampled members reconstructed; spans independent")),
+        ([[e[0]], [e[1], e[0] + e[1]], [e[2]]], (False, "span-independence", "stacked generator rank 3 != sum of per-part ranks 4")),
+        ([[e[0]], [e[1], 2 * e[1]], [e[2], -e[2]]], (False, "generator-membership", "generator 1 of part 2 fails the membership oracle")),
+        ([[e[0]], [e[1], -e[1]], [e[2], -e[2]]], (False, "generator-membership", "generator 1 of part 1 fails the membership oracle")),
+    ]:
+        cert = DecompositionCertificate(tuple(tuple(Element(a, g) for g in part) for part in rows))
+        v = certificate_check(s, cert, 3, 0)
+        assert (v.accepted, v.failed_clause, v.detail) == verdict
 
 
 def test_certificate_orthant_accepted():

@@ -382,6 +382,18 @@ def _scaled_back(values: np.ndarray, k, what: str) -> np.ndarray:
         raise NumericError(f"{what} is past the largest double") from None
 
 
+def _lapack(fn, *args, what: str, **kw):
+    """fn(*args, **kw) for a `np.linalg` fn, jspec's one LAPACK entry: its LinAlgError (a ValueError,
+    else read as an input error) and a non-finite number in any array it returns raise NumericError."""
+    try:
+        out = fn(*args, **kw)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"{what} failed: {exc}") from None
+    if not all(np.isfinite(r).all() for r in (out if isinstance(out, tuple) else (out,))):
+        raise NumericError(f"{what} returned a non-finite result")
+    return out
+
+
 def _lengths(d: np.ndarray, w=1.0) -> np.ndarray:
     """Lengths sqrt(sum(w * d * d)) along the last axis of d [..., m], one per
     row: the one scale-safe sum of squares.  Each row is scaled by the exact

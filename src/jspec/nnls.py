@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .algebra import _exponents, _scaled_back
+from .algebra import _exponents, _lapack, _scaled_back
 from .errors import NumericError, check_float_budget
 
 __all__ = ["nnls"]
@@ -14,7 +14,7 @@ def _nnls_rows(gmat, rhs):
     by the exact power of two 2^-k of `algebra._exponents` (k_col, k_row), subnormal ones too:
     w solves the scaled problem, and w 2^(k_row - k_col), which may pass the largest double, is
     in input units.  A row ends at KKT: w >= 0, gradient >= -tol off the support, |gradient|,
-    Newton decrement <= tol on it."""
+    Newton decrement <= tol on it.  Its solves and residual norms go through `algebra._lapack`."""
     (m, p), k, k_row, k_col = gmat.shape, len(rhs), _exponents(rhs), _exponents(gmat.T)
     check_float_budget(k * p * p, f"NNLS of {k} rows over {p} generators")  # the Gram stack
     g, rhs = np.ldexp(gmat, -k_col), np.ldexp(rhs, -k_row[:, None])
@@ -26,14 +26,12 @@ def _nnls_rows(gmat, rhs):
         enter = (alpha == 1.0) & (free.max(axis=1, keepdims=True) > tol)  # a full last step
         passive[enter[:, 0], free[enter[:, 0]].argmax(axis=1)] = True
         gram = np.where(passive[:, None] & passive[..., None], gtg, np.eye(p))
-        try:
-            step = np.linalg.solve(gram, (grad * passive)[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"NNLS passive-set solve failed: {exc}") from None
+        step = _lapack(np.linalg.solve, gram, (grad * passive)[..., None], what="NNLS passive-set solve")[..., 0]
         kkt = (np.where(passive, abs(grad), grad) <= tol).all(axis=1, keepdims=True)
         done = (alpha == 1.0) & kkt & ((step * grad).sum(axis=1, keepdims=True) <= tol**2)
         if done.all():
-            return w, np.ldexp(np.linalg.norm(w @ g.T - rhs, axis=1), k_row), k_row, k_col
+            residuals = _lapack(np.linalg.norm, w @ g.T - rhs, axis=1, what="NNLS residual norm")
+            return w, np.ldexp(residuals, k_row), k_row, k_col
         cut = passive & (w + step < 0.0) & ~done  # stop where the first coefficient reaches 0
         alpha = np.where(cut, w / np.where(cut, -step, 1.0), 1.0).min(axis=1, keepdims=True)
         passive &= (alpha == 1.0) | (w + alpha * step > tol)

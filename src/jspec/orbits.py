@@ -136,7 +136,8 @@ def _haar(n: int, rng, k: int, unitary: bool) -> np.ndarray:
         v /= np.sqrt(np.einsum("ki,ki->k", v.conj(), v).real)[:, None]
     q = qt.transpose(1, 2, 0)
     if not unitary:
-        det = np.einsum("ki,ki->k", qt[0], np.cross(qt[1], qt[2])) if n == 3 else np.linalg.det(q)
+        det = (np.einsum("ki,ki->k", qt[0], np.cross(qt[1], qt[2])) if n == 3
+               else alg._lapack(np.linalg.det, q, what="Haar det"))
         qt[0, det < 0.0] *= -1.0
     return q
 
@@ -194,7 +195,7 @@ def frame_transport(e_frame: JordanFrame, f_frame: JordanFrame) -> Automorphism:
     if isinstance(a, (RealSymmetric, ComplexHermitian)):
         u_e = e_frame.basis[:, e_frame.order]
         u_f = f_frame.basis[:, f_frame.order]
-        if isinstance(a, RealSymmetric) and np.linalg.det(u_e) * np.linalg.det(u_f) < 0.0:
+        if isinstance(a, RealSymmetric) and alg._lapack(np.linalg.det, u_f @ u_e.T, what="transport det") < 0.0:
             u_f[:, 0] = -u_f[:, 0]
         return Automorphism(a, u_f @ u_e.conj().T)
     # the first listed spin idempotent is (1/2, u/2) at basis position 0

@@ -123,9 +123,9 @@ class JordanFrame:
 
 
 def _idempotent_coords(frame: JordanFrame) -> np.ndarray:
-    """Coordinates [rank, dim] of the frame's listed idempotents: the stacked
-    outer products u_k u_k^* (matrix kinds), (1/2, +-u/2) (spin), or each
-    factor's idempotents in its block with zeros in the others (product)."""
+    """Coordinates [rank, dim] of the frame's listed idempotents: u_k u_k^* read
+    off the columns at each packed slot (i, j) as u[i, k] conj(u[j, k]) (matrix
+    kinds), (1/2, +-u/2) (spin), or each factor's in its block, zeros elsewhere."""
     a, u = frame.algebra, frame.basis
     if isinstance(a, ProductAlgebra):
         by_pos = np.zeros((a.rank, a.dim))
@@ -134,8 +134,10 @@ def _idempotent_coords(frame: JordanFrame) -> np.ndarray:
     elif isinstance(a, SpinFactor):
         by_pos = np.column_stack([np.full(2, 0.5), np.array([[0.5], [-0.5]]) * u])
     else:
-        outers = u.T[:, :, None] * u.T.conj()[:, None, :]  # u_k u_k^*, stacked over k
-        by_pos = alg.coords_of(a, outers)
+        herm = isinstance(a, ComplexHermitian)  # a Hermitian entry is an Re and an Im column
+        i, col = np.divmod(a._layout.pack, a._layout.reals // a.n)  # of the flat real view
+        slots = np.take(u.T, i, axis=1) * np.take(u.T, col // 2 if herm else col, axis=1).conj()
+        by_pos = np.where(col % 2 == 1, slots.imag, slots.real) if herm else slots
     return by_pos[frame.order]
 
 
@@ -159,21 +161,14 @@ def _eigh_desc(m: np.ndarray, vectors: bool):
     way the eigenvalues of 2^j m are bit for bit 2^j times those of m, and
     its eigenvectors those of m, wherever the entries of both are normal.
 
-    The caller passes finite input; a LAPACK failure or a non-finite result
-    anywhere in the stack raises `NumericError`.
+    The caller passes finite input; through `algebra._lapack`, a LAPACK
+    failure or a non-finite result anywhere in the stack raises `NumericError`.
     """
     flat = m.view(float)  # Re and Im as floats
     k = alg._exponents(flat.reshape(m.shape[:-2] + (flat.shape[-2] * flat.shape[-1],)))
     m = np.ldexp(flat, -k[..., None, None]).view(m.dtype)
-    try:
-        if vectors:
-            values, vecs = np.linalg.eigh(m)
-        else:
-            values, vecs = np.linalg.eigvalsh(m), None
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"LAPACK eigensolver failed: {exc}") from exc
-    if not (np.isfinite(values).all() and (vecs is None or np.isfinite(vecs).all())):
-        raise NumericError("LAPACK eigensolver returned a non-finite result")
+    out = alg._lapack(np.linalg.eigh if vectors else np.linalg.eigvalsh, m, what="LAPACK eigensolver")
+    values, vecs = out if vectors else (out, None)
     # reverse the eigenvalue axis, never the stack axis
     values = alg._scaled_back(values[..., ::-1], k[..., None], "an eigenvalue")
     return values, None if vecs is None else vecs[..., ::-1]
@@ -189,17 +184,20 @@ def _simple_spectrum(a: Algebra, coords: np.ndarray, vectors: bool):
     The caller checks the whole stack for finiteness first (`_check_finite`),
     once for all its factors.  A 1x1 matrix kind is its own eigenvalue with
     basis [[1]]: LAPACK returns that entry unchanged, so it is not called.
-    A spin radius is `alg._lengths` of the vector part: it neither
-    overflows nor underflows, and in the normal range 2^k xbar has the
-    radius 2^k |xbar| bit for bit.  Row i of a stack equals the call on
-    row i alone, bit for bit, in every kind.
+    A spin radius r is `alg._lengths` of the vector part, and x0 +- r is summed
+    divided by the power of two 2^k of [x0, r], as a matrix is in `_eigh_desc`:
+    it cannot overflow, an eigenvalue past the largest double raises
+    `NumericError`, and every other value is the unscaled sum bit for bit.
+    Row i of a stack equals the call on row i alone, bit for bit, in every kind.
     """
     if not isinstance(a, SpinFactor) and a.n > 1:
         return _eigh_desc(alg.matrix_of(a, coords), vectors)
     if isinstance(a, SpinFactor):
         x0, xbar = coords[..., :1], coords[..., 1:]
         r = alg._lengths(xbar)[..., None]
-        values = np.concatenate([x0 + r, x0 - r], axis=-1)
+        k = alg._exponents(np.concatenate([x0, r], axis=-1))[..., None]
+        s0, sr = np.ldexp(x0, -k), np.ldexp(r, -k)
+        values = alg._scaled_back(np.concatenate([s0 + sr, s0 - sr], axis=-1), k, "an eigenvalue")
         if not vectors:
             return values, None
         axis = np.zeros(xbar.shape)

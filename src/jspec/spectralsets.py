@@ -447,12 +447,10 @@ def fan_sample(c: Element, a_el: Element, count: int, seed: int) -> np.ndarray:
 
 
 def _numerical_rank(rows: np.ndarray) -> int:
-    if rows.size == 0:
-        return 0
-    sv = np.linalg.svd(rows, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv >= RANK_TOL * sv[0]))
+    """The count of singular values of rows [k >= 1, m] at least RANK_TOL times the largest (0
+    for zero rows), by an SVD through `algebra._lapack`: a non-finite one raises NumericError."""
+    sv = alg._lapack(np.linalg.svd, rows, compute_uv=False, what="rank SVD")
+    return int(np.count_nonzero(sv >= RANK_TOL * sv[0])) if sv[0] > 0.0 else 0
 
 
 def certificate_check(

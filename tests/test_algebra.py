@@ -1,3 +1,4 @@
+import ast
 import math
 import pathlib
 import re
@@ -279,6 +280,26 @@ def test_only_algebra_sums_squares():
         if f.name not in ("algebra.py", "nnls.py") and re.search(r"linalg\.norm|vecdot", f.read_text())
     ]
     assert not offenders, f"{offenders} sum squares outside algebra._lengths"
+
+
+def test_every_lapack_call_goes_through_the_guard():
+    # each np.linalg function is passed to `algebra._lapack`, never called
+    # nor imported on its own: a LinAlgError is a ValueError, which the CLI
+    # reads as an input error, and a NaN result could become a verdict
+    src = pathlib.Path(jspec.__file__).parent
+    offenders = []
+    for f in sorted(src.glob("*.py")):
+        tree = ast.parse(f.read_text())
+        guarded = {id(fn) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and ast.unparse(node.func).endswith("_lapack") and node.args
+                   for fn in ast.walk(node.args[0])}  # a conditional passes either branch
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(node):
+                offenders.append(f"{f.name}:{node.lineno}")
+            elif (isinstance(node, ast.Attribute) and ast.unparse(node.value).endswith("linalg")
+                  and node.attr != "LinAlgError" and id(node) not in guarded):
+                offenders.append(f"{f.name}:{node.lineno}")
+    assert not offenders, f"np.linalg used outside algebra._lapack at {offenders}"
 
 
 def test_norm_of_a_subnormal_element():

@@ -5,6 +5,7 @@ import copy
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -673,6 +674,20 @@ def test_spin_radius_past_the_largest_double_exits_3(run_cli):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("command", ["eig", "fan"])
+def test_spin_eigenvalue_past_the_largest_double_exits_3(tmp_path, run_cli, command):
+    # x0 and |xbar| are doubles, x0 + |xbar| = 2e308 is not: the spin
+    # element is scaled before the sum, so the eigenvalue is named where it
+    # arises, in process, with no numpy overflow warning on the way
+    doc = {"alg": {"kind": "spin", "d": 3}, "data": {"x0": 1e308, "xbar": [1e308, 0]}}
+    path = write_json(tmp_path, "x.json", doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        proc = run_cli([command, path] + ([path] if command == "fan" else []))
+    assert [str(w.message) for w in caught] == []
+    assert _outcome(proc) == (3, "", "jspec: numeric failure: an eigenvalue is past the largest double\n")
+
+
 def test_connect_sample_leaving_a_finite_set_exits_4(tmp_path, run_cli):
     # the segment between two points of a finite set leaves it at the
     # first sweep sample, after the orbit leg's 2 * 4 - 1 samples
@@ -962,6 +977,76 @@ def test_every_bench_op_meets_its_oracle(tmp_path, capsys, monkeypatch, workload
         rc = cli.main(list(op.argv))
         op.check(rc, *capsys.readouterr())
     assert sorted(os.listdir(BENCH_DIR)) == before
+
+
+_LINALG = ("eigh", "eigvalsh", "solve", "norm", "det", "svd")
+
+
+def _with_nan(out):
+    """A np.linalg result with a NaN in the first entry of each array it holds."""
+    if isinstance(out, tuple):
+        return type(out)(*map(_with_nan, out))
+    out = np.array(out)
+    out.flat[0] = np.nan
+    return out[()]
+
+
+def _inject(monkeypatch):
+    """Wrap every np.linalg function jspec calls: each call appends its name
+    to the returned log, and while `fault` is [i, kind], call i raises
+    LinAlgError (kind "raise") or returns its result with NaNs ("nan")."""
+    log, fault = [], [None, None]
+
+    def wrap(name, real):
+        def call(*args, **kw):
+            log.append(name)
+            if fault[0] != len(log) - 1:
+                return real(*args, **kw)
+            if fault[1] == "raise":
+                raise np.linalg.LinAlgError("injected")
+            return _with_nan(real(*args, **kw))
+        return call
+
+    for name in _LINALG:
+        monkeypatch.setattr(np.linalg, name, wrap(name, getattr(np.linalg, name)))
+    return log, fault
+
+
+def test_every_lapack_failure_in_a_bench_op_exits_3(tmp_path, capsys, monkeypatch):
+    # each op class of the benchmark at seed 1, run again once per np.linalg
+    # call it makes with that call raising and once with it returning NaNs: a
+    # solver failure is exit 3 with empty stdout, never an input error (a
+    # LinAlgError is a ValueError) and never a verdict; a NaN may also leave
+    # the rc and stdout as they were
+    _bench_oracle(monkeypatch)
+    workloads = _bench_module(monkeypatch, "workloads")
+    ops = [op for w in ("paths", "sampling", "spectra") for op in workloads.build(w, 1, str(tmp_path / w))]
+    log, fault = _inject(monkeypatch)
+    breaks, seen = [], set()
+    for op in ops:
+        log.clear()
+        fault[:] = [None, None]
+        clean = cli.main(list(op.argv)), capsys.readouterr().out
+        names = list(log)
+        seen.update(names)
+        for i, kind in itertools.product(range(len(names)), ("raise", "nan")):
+            log.clear()
+            fault[:] = [i, kind]
+            got = cli.main(list(op.argv)), capsys.readouterr().out
+            if got != (3, "") and not (kind == "nan" and got == clean):
+                breaks.append(f"{op.name}: {names[i]} call {i} ({kind}) ends in exit {got[0]}")
+    assert seen == set(_LINALG)  # every function is reached, det through frame transport
+    assert not breaks, "\n".join(breaks)
+
+
+@pytest.mark.parametrize("kind", ["raise", "nan"])
+def test_haar_determinant_failure_raises(monkeypatch, kind):
+    # no bench op draws a real Haar matrix with n != 3, whose sign needs det
+    log, fault = _inject(monkeypatch)
+    fault[:] = [0, kind]
+    with pytest.raises(errors.NumericError, match="Haar det"):
+        orbits._haar(4, np.random.default_rng(0), 3, unitary=False)
+    assert log == ["det"]
 
 
 _COMPONENTS_DIGESTS = {

@@ -10,6 +10,7 @@ from jspec import (
     Element,
     InvalidFrameError,
     JordanFrame,
+    NumericError,
     ProductAlgebra,
     RealSymmetric,
     SpinFactor,
@@ -31,7 +32,9 @@ from jspec import (
     unit_element,
 )
 
-from conftest import ALL_KINDS, element_with_eigenvalues, random_frame
+from jspec.algebra import coords_of
+
+from conftest import ALL_KINDS, SIMPLE_KINDS, element_with_eigenvalues, random_frame
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +387,50 @@ def test_stacked_eigenvalues_equal_eigen_map(algebra):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(ALL_KINDS + [RealSymmetric(7), ComplexHermitian(5)]),
-       st.integers(0, 2**32 - 1), st.integers(-1000, 1000))
+       st.integers(0, 2**32 - 1), st.integers(-1000, 1024))
 @example(RealSymmetric(4), 0, -1000)
 @example(ComplexHermitian(3), 0, 1000)
 @example(RealSymmetric(7), 1, 700)
+@example(SpinFactor(3), 1, 1023)  # lambda = (1.23, -0.54) 2^1023
+@example(SpinFactor(3), 1, 1024)  # 1.23 * 2^1024 is no double, 0.82 * 2^1024 is
 def test_eigenvalues_scale_exactly_with_the_element(algebra, seed, k):
     # LAPACK rescales a matrix whose norm is far from 1 by a factor that is
     # not a power of two; divided by a power of two first, 2^k x has the
-    # eigenvalues 2^k eigen_map(x) and the frame of x, bit for bit
+    # eigenvalues 2^k eigen_map(x) and the frame of x, bit for bit, and so
+    # does a spin element, whose x0 +- |xbar| is summed scaled: an
+    # eigenvalue (or a spin radius) past the largest double raises, with no
+    # overflow warning
     x = random_element(algebra, seed)
-    scaled = np.ldexp(x.coords, k)
-    assume(np.all((scaled == 0.0) | (np.abs(scaled) >= np.finfo(float).tiny)))
+    with np.errstate(over="ignore"):
+        scaled, want = np.ldexp(x.coords, k), np.ldexp(eigen_map(x), k)
+    assume(np.isfinite(scaled).all() and np.all((scaled == 0.0) | (np.abs(scaled) >= np.finfo(float).tiny)))
     y = Element(algebra, scaled)
-    assert np.array_equal(eigen_map(y), np.ldexp(eigen_map(x), k))
+    if not np.isfinite(want).all():
+        with pytest.raises(NumericError, match="is past the largest double"):
+            eigen_map(y)
+        return
+    assert np.array_equal(eigen_map(y), want)
     (frame_x, values_x), (frame_y, values_y) = spectral_decompose(x), spectral_decompose(y)
     assert np.array_equal(values_y, np.ldexp(values_x, k))
     assert np.array_equal(spectral._idempotent_coords(frame_y), spectral._idempotent_coords(frame_x))
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [a for a in SIMPLE_KINDS if not isinstance(a, SpinFactor)]
+    + [RealSymmetric(1), ComplexHermitian(1), RealSymmetric(40)],
+    ids=str,
+)
+def test_idempotents_equal_the_packed_outer_products(algebra):
+    # each packed slot is read off the eigenvector columns: bit for bit the
+    # packed stack of outer products u_k u_k^*, in any listing order
+    frame = random_frame(algebra, 5)
+    u = frame.basis
+    packed = coords_of(algebra, u.T[:, :, None] * u.T.conj()[:, None, :])
+    for order in (frame.order, np.random.default_rng(1).permutation(algebra.rank)):
+        coords = spectral._idempotent_coords(JordanFrame(algebra, u, order))
+        assert coords.flags.c_contiguous
+        assert coords.tobytes() == packed[order].tobytes()
 
 
 @pytest.mark.parametrize("algebra", ALL_KINDS, ids=str)

@@ -93,14 +93,54 @@ def _rep_size(a: Algebra) -> int:
     )
 
 
+# up to max|x| < 2^(_ACT_MAX_EXP + 1) nothing in `_act` overflows: an image
+# entry is at most sqrt(2) r max|x| and its symmetrizing sum twice that,
+# under 2^1024 for every r <= 2^13 the float budget allows
+_ACT_MAX_EXP = 1000
+
+
+@lru_cache(maxsize=None)
+def _lower_pairs(n: int, herm: bool):
+    """Flat [n, n] indices of each lower entry (i, j), i >= j, in tril order
+    and of its mirror (j, i), and which reals of those entries are the packed
+    coordinates: all, or for a Hermitian kind all but each diagonal's Im."""
+    i, j = np.tril_indices(n)
+    keep = np.delete(np.arange(2 * i.size), 2 * np.flatnonzero(i == j) + 1) if herm else slice(None)
+    return i * n + j, j * n + i, keep
+
+
 def _act(a: Algebra, mats: np.ndarray, x: Element) -> np.ndarray:
     """Coordinates [k, dim] of the images of x, an element of a simple kind,
-    under the stacked representations mats[k, r, r]."""
-    if isinstance(a, SpinFactor):
-        x0, xbar = alg.spin_parts(x)
-        return np.column_stack([np.full(len(mats), x0), mats @ xbar])
-    m = mats @ alg.matrix_of(a, x.coords) @ mats.conj().swapaxes(1, 2)
-    return alg.coords_of(a, (m + m.conj().swapaxes(1, 2)) / 2.0)
+    under the stacked representations mats[k, r, r]; row i equals the call
+    on mats[i:i + 1], bit for bit.
+
+    Matrix kinds: U X for the whole stack is one GEMM, [k r, r] @ X, bit for
+    bit the per-matrix products; (U X) U^* is one product per matrix, as its
+    right operand differs for each.  Only the lower entries are symmetrized,
+    (m_ij + conj(m_ji)) / 2.0, in complex arithmetic for a Hermitian kind:
+    halving Re and Im apart would flip signed zeros.  A spin factor fixes x0
+    and turns the vector part, one product per matrix.  Where the moved part
+    has its largest |entry| in [2^e, 2^(e + 1)), e > _ACT_MAX_EXP, the action
+    is on it divided by 2^e and the images are scaled back
+    (`algebra._scaled_back`: one past the largest double raises)."""
+    spin = isinstance(a, SpinFactor)
+    v = x.coords[1:] if spin else x.coords
+    e = int(alg._exponents(v))
+    if e > _ACT_MAX_EXP:
+        v = np.ldexp(v, -e)
+    if spin:
+        images = mats @ v
+    else:
+        k, r = len(mats), a.n
+        ux = (np.reshape(mats, (k * r, r)) @ alg.matrix_of(a, v)).reshape(k, r, r)
+        m = (ux @ mats.conj().swapaxes(1, 2)).reshape(k, r * r).T
+        low, up, keep = _lower_pairs(r, isinstance(a, ComplexHermitian))
+        pairs = (m[low] + m[up].conj()) / 2.0  # [len(low), k]
+        # C order: `fan` sums each row, and a sum over a strided row rounds differently
+        images = np.ascontiguousarray(np.ascontiguousarray(pairs.T).view(float)[:, keep])
+    if e > _ACT_MAX_EXP:
+        images = alg._scaled_back(images, e, "an orbit image")
+    return np.column_stack([np.full(len(mats), x.coords[0]), images]) if spin else images
 
 
 def apply_automorphism(phi: Automorphism, x: Element) -> Element:
@@ -136,8 +176,11 @@ def _haar(n: int, rng, k: int, unitary: bool) -> np.ndarray:
         v /= np.sqrt(np.einsum("ki,ki->k", v.conj(), v).real)[:, None]
     q = qt.transpose(1, 2, 0)
     if not unitary:
-        det = (np.einsum("ki,ki->k", qt[0], np.cross(qt[1], qt[2])) if n == 3
-               else alg._lapack(np.linalg.det, q, what="Haar det"))
+        if n == 3:  # the triple product of the columns u, v, w, each [row, k]
+            (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = qt.transpose(0, 2, 1)
+            det = u0 * (v1 * w2 - v2 * w1) + u1 * (v2 * w0 - v0 * w2) + u2 * (v0 * w1 - v1 * w0)
+        else:
+            det = alg._lapack(np.linalg.det, q, what="Haar det")
         qt[0, det < 0.0] *= -1.0
     return q
 

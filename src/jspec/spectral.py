@@ -188,6 +188,9 @@ def _simple_spectrum(a: Algebra, coords: np.ndarray, vectors: bool):
     divided by the power of two 2^k of [x0, r], as a matrix is in `_eigh_desc`:
     it cannot overflow, an eigenvalue past the largest double raises
     `NumericError`, and every other value is the unscaled sum bit for bit.
+    The axis is the vector part divided by its own power of two, then by
+    that vector's length: a unit vector even where the vector part or r is
+    subnormal, and bit for bit xbar / r in the normal range.
     Row i of a stack equals the call on row i alone, bit for bit, in every kind.
     """
     if not isinstance(a, SpinFactor) and a.n > 1:
@@ -202,7 +205,8 @@ def _simple_spectrum(a: Algebra, coords: np.ndarray, vectors: bool):
             return values, None
         axis = np.zeros(xbar.shape)
         axis[..., 0] = 1.0
-        return values, np.divide(xbar, r, out=axis, where=r > 0.0)
+        unit = np.ldexp(xbar, -alg._exponents(xbar)[..., None])  # max |entry| in [1, 2)
+        return values, np.divide(unit, alg._lengths(unit)[..., None], out=axis, where=r > 0.0)
     # as in matrix_of, a stored -0.0 reads as +0.0 in the real kind only
     values = coords + 0.0 if isinstance(a, RealSymmetric) else coords.copy()
     return values, np.ones(coords.shape[:-1] + (1, 1)) if vectors else None

@@ -448,7 +448,10 @@ def fan_sample(c: Element, a_el: Element, count: int, seed: int) -> np.ndarray:
 
 def _numerical_rank(rows: np.ndarray) -> int:
     """The count of singular values of rows [k >= 1, m] at least RANK_TOL times the largest (0
-    for zero rows), by an SVD through `algebra._lapack`: a non-finite one raises NumericError."""
+    for zero rows), by an SVD through `algebra._lapack`: a non-finite one raises NumericError.
+    The test is relative, so the rows are divided by the one power of two that brings their
+    largest |entry| into [1, 2) first: no singular value can overflow."""
+    rows = np.ldexp(rows, -alg._exponents(rows.ravel()))
     sv = alg._lapack(np.linalg.svd, rows, compute_uv=False, what="rank SVD")
     return int(np.count_nonzero(sv >= RANK_TOL * sv[0])) if sv[0] > 0.0 else 0
 

@@ -549,6 +549,18 @@ def test_float_budget_is_checked_before_allocating(tmp_path, capsys, monkeypatch
     assert len(json.loads(capsys.readouterr().out)["samples"]) == 2
 
 
+def test_decompose_spin_with_a_subnormal_vector_part(run_cli):
+    # the axis is xbar divided by its own power of two, then by that
+    # vector's length: a unit vector, not a frame refused as an input error
+    xbar = np.array([-8.612e-320, -1.1213e-319])
+    doc = {"alg": {"kind": "spin", "d": 3}, "data": {"x0": 0, "xbar": xbar.tolist()}}
+    proc = run_cli(["decompose"], stdin=json.dumps(doc))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    axis = 2.0 * np.array(json.loads(proc.stdout)["frame"][0]["data"]["xbar"])
+    unit = np.ldexp(xbar, 1074)  # exact: integers
+    assert np.abs(axis - unit / math.hypot(*unit)).max() <= 1e-15
+
+
 def test_decompose_reports_frame(tmp_path, run_cli):
     x = random_element(RealSymmetric(3), 7)
     proc = run_cli(["decompose"], stdin=json.dumps(emit_element(x)))
@@ -965,17 +977,56 @@ def test_connect_meets_the_bench_oracle(tmp_path, capsys, monkeypatch, case):
     check(rc, *capsys.readouterr())
 
 
+# exit code and sha256 of stdout of each benchmark op class at seed 1,
+# recorded before U X became one GEMM over the stack of automorphisms; a
+# change that moves a bit of any of them updates this table as a contract
+# change
+_BENCH_DIGESTS = {
+    "paths": {
+        "member.in": (0, "77d672fc7ee073399a780f5b5e93903d542442fce5ef200ac2d7fc24ff8deb45"),
+        "member.out": (0, "d5d4bf75c11dab7c26708cc86f99174406acdbf903ea9b7f0431c4620d47d7e5"),
+        "connect.finite-obstruction": (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "connect.product-qpath": (0, "44c543f44e95f314b6ba2db00580f45a95fb17d39fef78fae5b55750b336673c"),
+        "connect.herm4": (0, "c10d52d072478edcba9a46571832ada3380a326090faeb39c7c791af026864c0"),
+        "connect.sym6-orbit": (0, "08e725a68f2237fdd346aae65dd7c17407df07c5418cc81d8814075491030b89"),
+        "connect.sym6-distinct": (0, "6d6146942fce5801c6d5b9f44394dcc8cb91f5d63b86566fe11288f0fbdf41dd"),
+    },
+    "sampling": {
+        "certify.overlap": (0, "99a2e7ab60c97665dd009677f1bd10d7ebb0a26648f971ee35b50a9732834036"),
+        "certify.orthant": (0, "e0038e7f6289550033fc07fa7bac0014a537c176b1e45559f6ee1480899bb196"),
+        "orbit-sample.herm4": (0, "e9563b9c224bdbfddca9a613ebaa14d082514fc0187630691d3563b9121cde3f"),
+        "pointed-check.rearr52": (0, "7278b9a520b704347b3ebb2dacea84fec27271f73eb8a4d37f2d1591df71905c"),
+        "pointed-check.halfspace5": (0, "67d3faf3d0e6e33a3828d45c025f84ce6037978378b0e2a36dbd6270c053594a"),
+        "certify.rescaled": (0, "e0038e7f6289550033fc07fa7bac0014a537c176b1e45559f6ee1480899bb196"),
+        "fan.sym3": (0, "98842c017d9fce4908dba9bf5619bdb67ebcb418e9c4d77bae14950c5514649b"),
+    },
+    "spectra": {
+        "eig.sym": (0, "ea19da85fe708450c536fb7a435f6877c4f1620a29966310ed4d5ab5f1dc19b9"),
+        "decompose.sym": (0, "e95653337da3be88f2b2539e899d303c01fba6d92b56889026e67b351a67abe8"),
+        "eig.herm": (0, "71479db0838079f6672260838e80bd78af1801c50f005884e9e872238d2188ad"),
+        "decompose.herm": (0, "273d2428988a5ef922993ef9e32b0ea05e693c2210a9e0d68b44e12008af556c"),
+        "eig.product": (0, "1d76200faf19e2e2580dfb9247e24df7a4e1e6074f8e72b02e0a09076c7afb72"),
+        "decompose.product": (0, "881f580ceb9b31ba91d52b7659b6b2e13fe863a36c63e6e174d8930cdd4c196a"),
+    },
+}
+
+
 @pytest.mark.parametrize("workload", ["paths", "sampling", "spectra"])
 def test_every_bench_op_meets_its_oracle(tmp_path, capsys, monkeypatch, workload):
     # each op class of the benchmark at seed 1, the weight-0 probes too,
-    # run once in process and judged by the benchmark's own check; the
-    # documents go to tmp_path and nothing is written under bench/
+    # run once in process, judged by the benchmark's own check and pinned
+    # by its exit code and stdout digest; the documents go to tmp_path and
+    # nothing is written under bench/
     before = sorted(os.listdir(BENCH_DIR))
     _bench_oracle(monkeypatch)
     workloads = _bench_module(monkeypatch, "workloads")
+    digests = {}
     for op in workloads.build(workload, 1, str(tmp_path)):
         rc = cli.main(list(op.argv))
-        op.check(rc, *capsys.readouterr())
+        out, err = capsys.readouterr()
+        op.check(rc, out, err)
+        digests[op.name] = (rc, hashlib.sha256(out.encode()).hexdigest())
+    assert digests == _BENCH_DIGESTS[workload]
     assert sorted(os.listdir(BENCH_DIR)) == before
 
 
@@ -1375,6 +1426,26 @@ def test_orbit_sample_deterministic_bytes(tmp_path, run_cli):
     assert len(payload["samples"]) == 4
 
 
+_M = 1.7e308
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"alg": {"kind": "sym", "n": 2}, "data": [[_M, 0.0], [0.0, -_M]]},
+        {"alg": {"kind": "herm", "n": 2}, "data": {"re": [[_M, 0.0], [0.0, -_M]], "im": [[0.0, 0.0], [0.0, 0.0]]}},
+    ],
+    ids=["sym2", "herm2"],
+)
+def test_orbit_sample_of_diag_near_the_largest_double(run_cli, doc):
+    # every image of diag(M, -M) is finite, and no sum on the way overflows
+    proc = run_cli(["orbit-sample", "--count", "8", "--seed", "1"], stdin=json.dumps(doc))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for sample in json.loads(proc.stdout)["samples"]:
+        lam = spectral.eigen_map(parse_element(sample))
+        assert np.abs(lam - [_M, -_M]).max() <= 1e-12 * _M
+
+
 def test_components_coordinate_space(tmp_path, run_cli):
     set_path = write_json(tmp_path, "set.json", {"set": "finite", "points": [[1, 0, 0]]})
     alg_path = write_json(
@@ -1533,6 +1604,20 @@ def test_certify_accepts_orthant_certificates(tmp_path, run_cli, parts):
     proc = run_cli(["certify", set_path, cert_path, "--samples", "20", "--seed", "0"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["accepted"] is True
+
+
+def test_certify_rank_near_the_largest_double_is_the_rank_of_the_scaled_rows(tmp_path, run_cli):
+    # the rank SVD reads the generator rows divided by one power of two: a
+    # stacked singular value past the largest double gives the verdict of
+    # the certificate divided by 2^1000
+    set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1})
+    outcomes = []
+    for big in (1.2e308, math.ldexp(1.2e308, -1000)):
+        cert_path = write_json(tmp_path, "cert.json", _coord_cert([[[big, big, 0.0]], [[big, 0.0, 0.0]]]))
+        outcomes.append(_outcome(run_cli(["certify", set_path, cert_path, "--samples", "20", "--seed", "0"])))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0
+    assert json.loads(outcomes[0][1])["failed_clause"] == "nonnegative-reconstruction"
 
 
 @pytest.mark.parametrize("part", [5, "element"], ids=["number", "element"])

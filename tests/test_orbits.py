@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -32,8 +33,9 @@ from jspec import (
     split_product,
     unit_element,
 )
+from jspec import algebra as alg
 from jspec.algebra import Element, join_product, sym_matrix
-from jspec.orbits import Automorphism, PathPolyline, _haar
+from jspec.orbits import Automorphism, PathPolyline, _act, _haar, _orbit_coords
 
 from conftest import PRODUCT_KINDS, SIMPLE_KINDS, element_with_eigenvalues, random_frame
 
@@ -58,6 +60,54 @@ def test_action_preserves_products_and_eigenvalues(algebra):
             - inner_product(x, y)
         ) <= 1e-8 * max(1.0, abs(inner_product(x, y)))
         assert np.abs(eigen_map(apply_automorphism(phi, x)) - eigen_map(x)).max() <= 1e-8
+
+
+def _act_per_matrix(a, mats, x):
+    """The action as two products per matrix and a full symmetrization."""
+    m = mats @ alg.matrix_of(a, x.coords) @ mats.conj().swapaxes(1, 2)
+    return alg.coords_of(a, (m + m.conj().swapaxes(1, 2)) / 2.0)
+
+
+@pytest.mark.parametrize("kind", [RealSymmetric, ComplexHermitian])
+def test_act_is_the_per_matrix_product_bit_for_bit(kind):
+    # one GEMM for U X over the stack and the lower pairs alone give the
+    # per-matrix products' coordinates byte for byte, Haar stacks and path
+    # stacks alike, and row i of a stack is the one-row call on mats[i]
+    scales = [1.0, 2.0**-1000, 2.0**900, 2.0**-37, 2.0**51]
+    for n in range(1, 13):
+        a = kind(n)
+        for i, count in enumerate((0, 1, 2, 7, 64, 200)):
+            seed = 13 * n + i
+            x = random_element(a, seed)
+            xs = [Element(a, x.coords * scales[seed % len(scales)]), Element(a, np.full(a.dim, -0.0))]
+            rng = np.random.default_rng(seed)
+            stacks = [_haar(n, rng, count, kind is ComplexHermitian)]
+            if count in (2, 7):
+                stacks.append(g_path(random_g_automorphism(a, rng)).matrices(np.linspace(0.0, 1.0, count)))
+            for x, mats in itertools.product(xs, stacks):
+                got = _act(a, mats, x)
+                assert got.flags.c_contiguous and got.shape == (count, a.dim)
+                assert got.tobytes() == _act_per_matrix(a, mats, x).tobytes()
+                for row, u in zip(got, mats):
+                    assert row.tobytes() == _act(a, u[None], x)[0].tobytes()
+
+
+@pytest.mark.parametrize("algebra", [RealSymmetric(3), ComplexHermitian(3), SpinFactor(4)], ids=str)
+def test_orbit_sample_scales_exactly_up_to_the_largest_double(algebra):
+    # past 2^1000 the action is on x / 2^e, scaled back: the samples of
+    # 2^j x are 2^j times those of x, bit for bit, on both sides of the cut
+    x = random_element(algebra, 3)
+    base = _orbit_coords(x, 5, seed=8)
+    for j in [*range(-1000, 990, 19), *range(990, 1017)]:
+        got = _orbit_coords(Element(algebra, np.ldexp(x.coords, j)), 5, seed=8)
+        assert got.tobytes() == np.ldexp(base, j).tobytes(), j
+
+
+def test_orbit_image_past_the_largest_double_raises():
+    # xbar = (M, M), M = 1.7e308, has length sqrt(2) M: turned near an axis,
+    # it has an entry that is no double
+    with pytest.raises(NumericError, match="orbit image is past the largest double"):
+        orbit_sample(Element(SpinFactor(3), [0.0, 1.7e308, 1.7e308]), 20, seed=4)
 
 
 def test_unitary_always_in_identity_component():

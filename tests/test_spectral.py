@@ -32,7 +32,7 @@ from jspec import (
     unit_element,
 )
 
-from jspec.algebra import coords_of
+from jspec.algebra import _lengths, coords_of
 
 from conftest import ALL_KINDS, SIMPLE_KINDS, element_with_eigenvalues, random_frame
 
@@ -224,6 +224,20 @@ def test_decompose_spin_zero_vector_part():
     frame, values = spectral_decompose(element_from_spin(a, 2.0, np.zeros(3)))
     assert np.array_equal(values, [2.0, 2.0])
     assert np.allclose(frame.idempotents[0].coords, [0.5, 0.5, 0.0, 0.0])
+
+
+def test_spin_frames_at_every_scale():
+    # 2,000 spin elements, d = 3-6, at scales 2^-1074 .. 2^1000: each axis is
+    # a unit vector, so no frame is refused, and it is bit for bit xbar / r
+    # where xbar has no subnormal entry
+    rng = np.random.default_rng(33)
+    for _ in range(2000):
+        a = SpinFactor(int(rng.integers(3, 7)))
+        x = Element(a, np.ldexp(rng.standard_normal(a.dim), int(rng.integers(-1074, 1001))))
+        frame, _ = spectral_decompose(x)
+        xbar = x.coords[1:]
+        if np.all((xbar == 0.0) | (np.abs(xbar) >= np.finfo(float).tiny)) and xbar.any():
+            assert np.array_equal(frame.basis, xbar / _lengths(xbar))
 
 
 _KIND_FAMILIES = {

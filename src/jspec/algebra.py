@@ -24,6 +24,8 @@ Both matrix kinds are Herm(n, F) over F = R or C and share two kernels
 with leading stack axes, `matrix_of` (coordinates [..., dim] to matrices
 [..., n, n]) and its inverse `coords_of`; `sym_matrix`, `herm_matrix`,
 `element_from_sym` and `element_from_herm` are their one-element cases.
+`_make_layout` derives the packed order once: the orbit action and the
+element-document reader take their entry pairs from its fields.
 
 All operations are pure functions of immutable values and are safe for
 unrestricted concurrent use.
@@ -231,26 +233,30 @@ def _require_same_algebra(x: Element, y: Element):
 # -- matrix/spin packing ----------------------------------------------------
 
 
-_Layout = namedtuple("_Layout", "pack diag low full reals")
+_Layout = namedtuple("_Layout", "pack diag low full reals lower mirror keep")
 
 
 @lru_cache(maxsize=None)  # descriptors are built per document; layouts per size
 def _make_layout(n: int, herm: bool) -> _Layout:
-    """Layout of the n x n real symmetric or (`herm`) Hermitian kind: `pack`,
-    each coordinate's index in the flat real view of the matrix ([n, n], or
-    [n, 2n] with Re/Im interleaved), which holds `reals` numbers; `diag` and
-    `low`, the packed positions of the diagonal and of Re (i, j) over
-    `np.tril_indices(n, -1)`; `full`, the packed position of each matrix
-    entry, where an upper Hermitian entry (j, i) takes the Im slot of (i, j)."""
+    """The one derivation of the packed order of the n x n real symmetric or
+    (`herm`) Hermitian kind: `pack`, each coordinate's index in the flat
+    real view of the matrix ([n, n], or [n, 2n] with Re/Im interleaved),
+    which holds `reals` numbers; `diag` and `low`, the packed positions of
+    the diagonal and of Re (i, j), i > j; `full`, the packed position of each
+    entry, an upper Hermitian (j, i) taking the Im slot of (i, j); `lower`
+    and `mirror`, the flat [n, n] positions of (i, j), i >= j, in tril order
+    and of (j, i); `keep`, which of their reals, Re and Im interleaved, are
+    coordinates: all but each diagonal Im, or all for the real kind."""
     w = 2 if herm else 1  # reals per strict-lower entry
     d = np.arange(n)
-    i, j = np.tril_indices(n, -1)
+    i, j = np.tril_indices(n)
     start = w * d * (d - 1) // 2 + d  # packed position of row i's first slot
     rows = np.repeat(d, w * d + 1)
     pack = rows * (w * n) + np.arange(rows.size) - start[rows]
     r, c = np.maximum.outer(d, d), np.minimum.outer(d, d)
     full = start[r] + w * c + (w - 1) * (r > d[:, None])
-    return _Layout(pack, start + w * d, start[i] + w * j, full, w * n * n)
+    keep = np.flatnonzero(np.column_stack([i >= j, i > j])) if herm else slice(None)
+    return _Layout(pack, start + w * d, (start[i] + w * j)[i > j], full, w * n * n, i * n + j, j * n + i, keep)
 
 
 def matrix_of(a: Algebra, coords) -> np.ndarray:

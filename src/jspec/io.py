@@ -240,20 +240,19 @@ def _read_element(a: Algebra, data, out: np.ndarray):
 def _entry_pairs(n: int, herm: bool):
     """The entry pairs that an n x n element document is read by, as
     positions in its numbers laid out flat (the matrix, or `re` then `im`):
-    the entries (i, j) and (j, i), i >= j, in the order of
-    `np.tril_indices(n)`, the Re pairs before the Im pairs; the sign of the
-    second entry, -1 in an Im pair, so that first + sign * second is twice
-    the entry of the symmetrized matrix and first - sign * second its
-    deviation from (anti)symmetry; and the pair of each packed coordinate
-    (see `algebra`)."""
-    i, j = np.tril_indices(n)
-    first, second = i * n + j, j * n + i
+    the entries (i, j) and (j, i), i >= j, of the layout's `lower` and
+    `mirror` (see `algebra._make_layout`), the Re pairs before the Im pairs;
+    the sign of the second entry, -1 in an Im pair, so that first + sign *
+    second is twice the entry of the symmetrized matrix and first - sign *
+    second its deviation from (anti)symmetry; and the pair of each packed
+    coordinate."""
+    lay = alg._make_layout(n, herm)
+    first, second, p = lay.lower, lay.mirror, lay.lower.size
     if not herm:
-        return first, second, np.ones(first.size), np.arange(first.size)
-    p = first.size  # Re (i, j) and, below the diagonal, Im (i, j), row by row
-    coord = [[t] if r == c else [t, p + t] for t, (r, c) in enumerate(zip(i, j))]
+        return first, second, np.ones(p), np.arange(p)
+    # the Im pairs sit n * n later; the layout's `keep` interleaves Re and Im
     return (np.concatenate([first, first + n * n]), np.concatenate([second, second + n * n]),
-            np.repeat([1.0, -1.0], p), np.concatenate(coord))
+            np.repeat([1.0, -1.0], p), lay.keep % 2 * p + lay.keep // 2)
 
 
 class _Json(str):

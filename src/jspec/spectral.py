@@ -282,9 +282,9 @@ def _compose(q: np.ndarray, frame: JordanFrame) -> np.ndarray:
     u = frame.basis
     if isinstance(a, (RealSymmetric, ComplexHermitian)):
         return alg.coords_of(a, (u * qb[:, None, :]) @ u.conj().T)
-    if isinstance(a, SpinFactor):
-        x0 = 0.5 * (qb[:, 0] + qb[:, 1])
-        return np.column_stack([x0, (0.5 * (qb[:, 0] - qb[:, 1]))[:, None] * u])
+    if isinstance(a, SpinFactor):  # halves first: q0 + q1 may pass the largest double
+        h0, h1 = 0.5 * qb[:, 0], 0.5 * qb[:, 1]
+        return np.column_stack([h0 + h1, (h0 - h1)[:, None] * u])
     return np.concatenate([_compose(qb[:, r], f) for f, (_, _, r) in zip(u, alg._blocks(a))], axis=1)
 
 

@@ -302,6 +302,25 @@ def test_every_lapack_call_goes_through_the_guard():
     assert not offenders, f"np.linalg used outside algebra._lapack at {offenders}"
 
 
+def test_the_packed_order_has_one_derivation():
+    # every reader of the packed lower triangle takes its entries from
+    # `algebra._make_layout`, the one function that derives them
+    triangles = {"tril_indices", "triu_indices", "tril", "triu"}
+    src = pathlib.Path(jspec.__file__).parent
+    offenders = []
+    for f in sorted(src.glob("*.py")):
+        tree = ast.parse(f.read_text())
+        defs = [d for d in ast.walk(tree) if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in triangles
+                    or isinstance(node, ast.alias) and node.name in triangles):
+                # ast.walk is breadth first: the last def around the line is the innermost
+                around = [d.name for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                offenders.append(f"{f.stem}.{around[-1] if around else '<module>'}")
+    offenders = sorted(set(offenders) - {"algebra._make_layout"})
+    assert not offenders, f"{offenders} derive a triangle outside algebra._make_layout"
+
+
 def test_norm_of_a_subnormal_element():
     a = coordinate_algebra(2)
     tiny = math.ldexp(1.0, -1074)  # the smallest subnormal double

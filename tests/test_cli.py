@@ -627,6 +627,21 @@ def test_connect_endpoints_far_from_one(tmp_path, run_cli, k):
     assert 2.0 ** (k - 30) < payload["max_step"] < 2.0 ** (k + 30)
 
 
+def test_connect_spin_near_the_largest_double(tmp_path, run_cli):
+    # the eigenvalues of 2^1021 (x + 4e) sum past the largest double, their
+    # halves do not: the sweep composes from the halves, with nothing on stderr
+    a = SpinFactor(4)
+    x, y = (np.ldexp(random_element(a, seed).coords + 4 * algebra.unit_element(a).coords, 1021) for seed in (1, 2))
+    paths = [write_json(tmp_path, f"{name}.json", emit_element(Element(a, z))) for name, z in (("x", x), ("y", y))]
+    set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 2, "m": 1})
+    proc = run_cli(["connect", set_path, *paths, "--steps", "5"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    samples = [parse_element(doc).coords for doc in json.loads(proc.stdout)["samples"]]
+    assert len(samples) == 3 * 5 - 2
+    assert samples[0].tolist() == x.tolist()
+    assert np.allclose(samples[-1], y, rtol=1e-12, atol=0.0)
+
+
 def _spin3(xbar):
     return {"alg": {"kind": "spin", "d": 3}, "data": {"x0": 0.0, "xbar": xbar}}
 

@@ -102,18 +102,16 @@ _ACT_MAX_EXP = 1000
 def _act(a: Algebra, mats: np.ndarray, x: Element) -> np.ndarray:
     """Coordinates [k, dim] of the images of x, an element of a simple kind,
     under the stacked representations mats[k, r, r]; row i equals the call
-    on mats[i:i + 1], bit for bit, wherever the GEMM below does.
+    on mats[i:i + 1], bit for bit.
 
-    Matrix kinds: U X for the whole stack is one GEMM, [k r, r] @ X, or
-    [r k, r] @ X on a rows-first stack, bit for bit the per-matrix products
-    for r <= 12 (OpenBLAS 0.3.31 rounds some real r = 17-20 apart); (U X)
-    U^* is one product per matrix, as its right operand differs for each.
-    Only the layout's lower entries are symmetrized, (m_ij + conj(m_ji)) /
-    2.0, in complex arithmetic for a Hermitian kind: halving Re and Im
-    apart would flip signed zeros.  A spin factor fixes x0 and turns the
-    vector part, one product per matrix.  Where the moved part has its
-    largest |entry| in [2^e, 2^(e + 1)), e > _ACT_MAX_EXP, the action is on
-    it divided by 2^e and the images are scaled back
+    Matrix kinds: U X for the whole stack is one GEMM, [k r, r] @ X, bit for
+    bit the per-matrix products; (U X) U^* is one product per matrix, as its
+    right operand differs for each.  Only the lower entries are symmetrized,
+    (m_ij + conj(m_ji)) / 2.0, in complex arithmetic for a Hermitian kind:
+    halving Re and Im apart would flip signed zeros.  A spin factor fixes x0
+    and turns the vector part, one product per matrix.  Where the moved part
+    has its largest |entry| in [2^e, 2^(e + 1)), e > _ACT_MAX_EXP, the action
+    is on it divided by 2^e and the images are scaled back
     (`algebra._scaled_back`: one past the largest double raises)."""
     spin = isinstance(a, SpinFactor)
     v = x.coords[1:] if spin else x.coords
@@ -124,9 +122,7 @@ def _act(a: Algebra, mats: np.ndarray, x: Element) -> np.ndarray:
         images = mats @ v
     else:
         k, r, lay = len(mats), a.n, a._layout
-        t = (1, 0, 2) if mats.transpose(1, 0, 2).flags.c_contiguous else (0, 1, 2)  # rows first: no copy
-        u = mats.transpose(t)
-        ux = (u.reshape(k * r, r) @ alg.matrix_of(a, v)).reshape(u.shape).transpose(t)
+        ux = (np.reshape(mats, (k * r, r)) @ alg.matrix_of(a, v)).reshape(k, r, r)
         m = (ux @ mats.conj().swapaxes(1, 2)).reshape(k, r * r).T
         pairs = (m[lay.lower] + m[lay.mirror].conj()) / 2.0  # [len(lower), k]
         # C order: `fan` sums each row, and a sum over a strided row rounds differently

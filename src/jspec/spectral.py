@@ -282,9 +282,13 @@ def _compose(q: np.ndarray, frame: JordanFrame) -> np.ndarray:
     u = frame.basis
     if isinstance(a, (RealSymmetric, ComplexHermitian)):
         return alg.coords_of(a, (u * qb[:, None, :]) @ u.conj().T)
-    if isinstance(a, SpinFactor):  # halves first: q0 + q1 may pass the largest double
-        h0, h1 = 0.5 * qb[:, 0], 0.5 * qb[:, 1]
-        return np.column_stack([h0 + h1, (h0 - h1)[:, None] * u])
+    if isinstance(a, SpinFactor):
+        q0, q1 = qb[:, 0], qb[:, 1]
+        with np.errstate(over="ignore"):
+            s = 0.5 * np.array([q0 + q1, q0 - q1])  # rounded once: exact on subnormal q
+        if np.isinf(s).any():  # q0 +- q1 past the largest double: the halves' sum is exact
+            s = np.where(np.isinf(s), 0.5 * q0 + np.array([[0.5], [-0.5]]) * q1, s)
+        return np.column_stack([s[0], s[1][:, None] * u])
     return np.concatenate([_compose(qb[:, r], f) for f, (_, _, r) in zip(u, alg._blocks(a))], axis=1)
 
 

@@ -297,6 +297,26 @@ def test_theta_listing_independence_exact():
             assert np.array_equal(compose_theta(q[sigma], shuffled).coords, base.coords)
 
 
+@pytest.mark.filterwarnings("error")
+def test_spin_compose_is_exact_at_both_ends_of_the_doubles():
+    # x0 = (q0 + q1) / 2 and the vector coefficient (q0 - q1) / 2 round once:
+    # exact on subnormal q, and no overflow where q0 +- q1 passes the
+    # largest double
+    frame = canonical_frame(SpinFactor(3))
+    tiny, big = 2.0**-1074, np.finfo(float).max
+    cases = [
+        ((3 * tiny, tiny), (2 * tiny, tiny)),
+        ((3 * tiny, -tiny), (tiny, 2 * tiny)),
+        ((big, big), (big, 0.0)),
+        ((big, -big), (0.0, big)),
+        ((1.5 * 2.0**1023, 2.0**1023), (1.25 * 2.0**1023, 0.25 * 2.0**1023)),
+    ]
+    for q, (x0, c) in cases:
+        x = compose_theta(q, frame)
+        assert x.coords.tobytes() == np.array([x0, c, 0.0]).tobytes(), q
+        assert np.array_equal(eigen_map(x), q), q
+
+
 def test_compose_theta_length_mismatch():
     frame = canonical_frame(RealSymmetric(3))
     with pytest.raises(ValueError):

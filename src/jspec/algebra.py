@@ -408,9 +408,15 @@ def _lengths(d: np.ndarray, w=1.0) -> np.ndarray:
     scaled back by 2^k; a power-of-two scale is exact, so in the normal
     range every length is bit for bit sqrt(np.vecdot(w * d, d)).  A length
     past the largest double raises `NumericError` (`_scaled_back`)."""
-    k = _exponents(d)[..., None]
-    d = np.ldexp(d, -k)
-    return _scaled_back(np.sqrt(np.vecdot(w * d, d)), k[..., 0], "a length")
+    return _scaled_back(*_scaled_lengths(d, w), "a length")
+
+
+def _scaled_lengths(d: np.ndarray, w=1.0):
+    """The lengths of `_lengths` as r 2^k: the roots r of the scaled rows
+    and the exponents k, for a caller that scales back on its own."""
+    k = _exponents(d)
+    d = np.ldexp(d, -k[..., None])
+    return np.sqrt(np.vecdot(w * d, d)), k
 
 
 def norm(x: Element) -> float:

@@ -34,7 +34,6 @@ _INPUT_ERRORS = (
     TypeError,
     KeyError,
     OSError,
-    json.JSONDecodeError,
     AlgebraMismatchError,
     InvalidFrameError,
     UnsupportedAlgebraError,
@@ -106,7 +105,11 @@ def _cmd_connect(args):
     path = ss.connect(
         sset, x, y, q_path=q_path, steps=args.steps, tolerance=args.tolerance
     )
-    return jio.emit_polyline(path)
+    return {
+        "samples": jio._element_array(path.algebra, path.coords),
+        "max_step": path.max_step,
+        "tolerance": path.tolerance,
+    }
 
 
 def _cmd_fan(args):
@@ -127,10 +130,10 @@ def _cmd_components(args):
     comps = ss.components_finite(SpectralSet(algebra, q_set))
     # seven pieces per component, its representative, description and
     # element text at 1, 3 and 5
-    pieces = jio._Pieces(['{"representative": ', "", ', "description": ', "", ', "element": ', "", "}, "])
+    pieces = jio._Raw(['{"representative": ', "", ', "description": ', "", ', "element": ', "", "}, "])
     pieces *= len(comps)
     pieces[5::7] = jio._element_texts(algebra, comps.coords)
-    pieces[1::7] = jio._float_rows(comps.representatives)
+    pieces[1::7] = jio._element_texts(algebra.rank, comps.representatives)
     pieces[3::7] = map(jio._string, comps.descriptions)
     pieces.insert(0, "[")
     pieces[-1] = "}]" if len(comps) else "[]"  # over the last separator, or the "["
@@ -157,7 +160,7 @@ def _cmd_sum_split(args):
     q2 = jio.parse_numbers(_json(args.q2, "--q2"), "--q2")
     split = ss.sum_split(z, q1_set, q2_set, q1, q2)
     part1, part2 = jio._element_texts(z.algebra, [x.coords for x in split])
-    return {"part1": jio._Pieces([part1]), "part2": jio._Pieces([part2])}
+    return {"part1": jio._Raw([part1]), "part2": jio._Raw([part2])}
 
 
 def _cmd_pointed_check(args):

@@ -20,13 +20,10 @@ literal pieces of the document's template (descriptor text and the text
 between the numbers), padded with NUL to 4-byte words, and one word index
 over them and a chunk's number rows in document order; per chunk one
 gather, one deletion of the NUL bytes and one decode make the text of
-its elements, with no Python string per number.  A stack printed as a
-JSON array is an `_Items` of its chunks' decoded texts, a stack of
-element texts an `_Items` of one text per element, and `emit_element`
-is one element's text decoded.  The renderer appends a document's pieces
-to one list, the texts of a `_Json`, an `_Items` or a `_Pieces`
-unchanged.  `render_json` joins that list once; the CLI writes its
-pieces to stdout one by one once the whole document is rendered, so a
+its elements, with no Python string per number.  Text already rendered
+is a `_Raw`, a list of JSON text pieces that the renderer writes
+unchanged.  `render_json` joins a document's pieces once; the CLI writes
+them to stdout one by one once the whole document is rendered, so a
 stack's text is decoded once and never copied again.
 """
 
@@ -51,7 +48,6 @@ from .algebra import (
     SpinFactor,
 )
 from .errors import NumericError
-from .orbits import PathPolyline
 from .permsets import (
     PermSet,
     make_finite_orbit,
@@ -73,7 +69,6 @@ __all__ = [
     "parse_qpath",
     "parse_numbers",
     "parse_certificate",
-    "emit_polyline",
     "render_json",
 ]
 
@@ -255,15 +250,7 @@ def _entry_pairs(n: int, herm: bool):
             np.repeat([1.0, -1.0], p), lay.keep % 2 * p + lay.keep // 2)
 
 
-class _Json(str):
-    """JSON text that `_render` writes unchanged."""
-
-
-class _Items(list):
-    """JSON texts that `_render` writes unchanged as the items of one array."""
-
-
-class _Pieces(list):
+class _Raw(list):
     """JSON text as consecutive str pieces that `_render` writes unchanged."""
 
 
@@ -423,9 +410,10 @@ def _template(a: Algebra | int) -> _Template:
     number and the literal `0` of each Hermitian diagonal Im, and `order`
     maps each slot to its number.  A product concatenates its factors'
     templates."""
+    slot = _Raw(["%s"])
     if isinstance(a, int):
         zero, flip, order = np.full(a, -0.0), np.zeros(0, np.intp), np.arange(a)
-        return _Template(render_json([_Json("%s")] * a), zero, flip, order)
+        return _Template(render_json([slot] * a), zero, flip, order)
     if isinstance(a, ProductAlgebra):
         blocks = alg._blocks(a)
         parts = [_template(f) for f in a.factors]
@@ -436,13 +424,13 @@ def _template(a: Algebra | int) -> _Template:
             np.where(p.order < f.dim, p.order + c.start, p.order - f.dim + k)
             for p, (f, c, _), k in zip(parts, blocks, starts)
         ])
-        data = {"factors": [_Json(p.text) for p in parts]}
+        data = {"factors": [_Raw([p.text]) for p in parts]}
     elif isinstance(a, SpinFactor):
         zero, flip, order = np.full(a.dim, -0.0), np.zeros(0, np.intp), np.arange(a.dim)
-        data = {"x0": _Json("%s"), "xbar": [_Json("%s")] * (a.d - 1)}
+        data = {"x0": slot, "xbar": [slot] * (a.d - 1)}
     elif isinstance(a, RealSymmetric):
         zero, flip, order = np.zeros(a.dim), np.zeros(0, np.intp), a._layout.full.ravel()
-        data = [[_Json("%s")] * a.n] * a.n
+        data = [[slot] * a.n] * a.n
     else:
         # Re (i, j) and Re (j, i) are one coordinate; the lower Im (i, j) is
         # the next one, and the upper Im (j, i), in its Im slot in `full`,
@@ -455,8 +443,8 @@ def _template(a: Algebra | int) -> _Template:
         im = np.where(upper, negated[lay.full], lay.full + 1)
         zero, order = np.full(a.dim, -0.0), np.concatenate([(lay.full - upper).ravel(), im[~diag]])
         data = {
-            "re": [[_Json("%s")] * a.n] * a.n,
-            "im": [[_Json("0" if i == j else "%s") for j in range(a.n)] for i in range(a.n)],
+            "re": [[slot] * a.n] * a.n,
+            "im": [[_Raw(["0"]) if i == j else slot for j in range(a.n)] for i in range(a.n)],
         }
     return _Template(render_json({"alg": emit_algebra(a), "data": data}), zero, flip, order)
 
@@ -528,29 +516,25 @@ def _element_chunks(a: Algebra | int, coords):
         yield buffer.view("<u4").take(plan.index[: per_row * len(chunk)]).tobytes().translate(None, b"\0")
 
 
-def _element_texts(a: Algebra | int, coords) -> _Items:
+def _element_texts(a: Algebra | int, coords) -> list[str]:
     """The JSON text of each element of `a` with coordinates a row of
     coords, one str each: per chunk one decode and one split."""
-    out = _Items()
+    out = []
     for text in _element_chunks(a, coords):
         out += text.decode("ascii").split("\n")
         out.pop()  # after the last newline
     return out
 
 
-def _element_array(a: Algebra, coords) -> _Items:
+def _element_array(a: Algebra, coords) -> _Raw:
     """The JSON array of the elements of `a` with coordinates the rows of
-    coords, the text `render_json` writes for `_element_texts(a, coords)`,
-    with one item per chunk: its elements, its newlines made separators,
-    in one decoded text.  No text is joined."""
-    return _Items(text[:-1].replace(b"\n", b", ").decode("ascii") for text in _element_chunks(a, coords))
-
-
-def _float_rows(rows) -> _Items:
-    """JSON text of each row of floats [k, n], the text `_render` writes for
-    it, from the element assembler with the plan of an n-float row."""
-    rows = np.asarray(rows, dtype=float)
-    return _element_texts(rows.shape[1], rows)
+    coords: "[", its chunks' texts (newlines made separators) separated by
+    ", ", and "]".  No text is joined."""
+    out = _Raw(["["])
+    for text in _element_chunks(a, coords):
+        out += (text[:-1].replace(b"\n", b", ").decode("ascii"), ", ")
+    out[-1] = "]" if len(out) > 1 else "[]"  # over the last separator, or the "["
+    return out
 
 
 def emit_element(x: Element) -> dict:
@@ -598,33 +582,15 @@ def parse_certificate(doc) -> DecompositionCertificate:
     )
 
 
-def emit_polyline(path: PathPolyline) -> dict:
-    """The `connect` document of a path for the CLI, the only caller: its
-    `samples` are the pieces of element text that only `_render` writes."""
-    return {
-        "samples": _element_array(path.algebra, path.coords),
-        "max_step": path.max_step,
-        "tolerance": path.tolerance,
-    }
-
-
 # ---------------------------------------------------------------------------
 # deterministic rendering
 
 
 def _render(value, out: list) -> None:
-    """Append the JSON text of value to out; the texts of a `_Json`, an
-    `_Items` and a `_Pieces` go in as they are."""
+    """Append the JSON text of value to out, the pieces of a `_Raw` as they are."""
     kind = type(value)
-    if kind is _Json:
-        out.append(value)
-    elif kind is _Pieces:
+    if kind is _Raw:
         out += value
-    elif kind is _Items:
-        out.append("[")
-        for item in value:
-            out += (item, ", ")
-        out[-1] = "]" if value else "[]"
     elif kind is list or kind is tuple:
         out.append("[")
         for item in value:

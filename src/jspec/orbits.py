@@ -101,12 +101,14 @@ _ACT_MAX_EXP = 1000
 
 def _act(a: Algebra, mats: np.ndarray, x: Element) -> np.ndarray:
     """Coordinates [k, dim] of the images of x, an element of a simple kind,
-    under the stacked representations mats[k, r, r]; row i equals the call
-    on mats[i:i + 1], bit for bit.
+    under the stacked representations mats[k, r, r].
 
     Matrix kinds: U X for the whole stack is one GEMM, [k r, r] @ X, bit for
-    bit the per-matrix products; (U X) U^* is one product per matrix, as its
-    right operand differs for each.  Only the lower entries are symmetrized,
+    bit the per-matrix products, so that row i is the call on mats[i:i + 1],
+    for r <= 12, where Tier-1 checks it, but not for some real stacks with
+    r = 17-20, where the stacked GEMM rounds differently (OpenBLAS 0.3.31);
+    (U X) U^* is one product per matrix, as its right operand differs for
+    each.  Only the lower entries are symmetrized,
     (m_ij + conj(m_ji)) / 2.0, in complex arithmetic for a Hermitian kind:
     halving Re and Im apart would flip signed zeros.  A spin factor fixes x0
     and turns the vector part, one product per matrix.  Where the moved part

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import _lengths
+from .algebra import _exponents, _scaled_lengths
 from .errors import check_float_budget
 
 FINITE_TOL = 1e-12
@@ -75,6 +75,30 @@ def _lex_unique(rows: np.ndarray) -> np.ndarray:
     return rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
 
 
+def _cone_margin(margin: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """A cone's `margin`, which holds past the largest double, with no numpy
+    warning.  Where no row's margin overflows, it is `margin`'s, at its
+    cost.  Else each row whose margin is inf or nan is divided by its power
+    of two (`algebra._exponents`), which keeps the sign of a cone's margin,
+    and the margin of that row is scaled back, to +-inf where it is past the
+    largest double; the finite margins are `margin`'s, bit for bit."""
+
+    def safe(rows: np.ndarray) -> np.ndarray:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return margin(rows)
+        except FloatingPointError:  # inf or nan from finite rows
+            pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = margin(rows)
+            over = np.flatnonzero(~np.isfinite(out))
+            e = _exponents(rows[over])
+            out[over] = np.ldexp(margin(np.ldexp(rows[over], -e[:, None])), e)
+        return out
+
+    return safe
+
+
 def make_rearrangement_cone(n: int, m: int) -> PermSet:
     """{q : sum of the m smallest entries >= 0}; for m = 1 this is the
     coordinate-wise nonnegativity test, the preimage of the symmetric cone."""
@@ -88,7 +112,7 @@ def make_rearrangement_cone(n: int, m: int) -> PermSet:
         # exactly with the tail sum of the sorted vector
         return np.sort(rows, axis=1)[:, m - 1 :: -1].sum(axis=1)
 
-    return PermSet(n=n, tag=f"rearr({n},{m})", margin_fn=margin, convex=True, cone=True)
+    return PermSet(n=n, tag=f"rearr({n},{m})", margin_fn=_cone_margin(margin), convex=True, cone=True)
 
 
 def make_trace_norm_cone(n: int) -> PermSet:
@@ -98,9 +122,10 @@ def make_trace_norm_cone(n: int) -> PermSet:
     factor = np.sqrt(n / 2.0)
 
     def margin(rows: np.ndarray) -> np.ndarray:
-        return rows.sum(axis=1) - factor * _lengths(rows)
+        roots, k = _scaled_lengths(rows)  # scaled back here: past the largest double, inf
+        return rows.sum(axis=1) - factor * np.ldexp(roots, k)
 
-    return PermSet(n=n, tag=f"tracenorm({n})", margin_fn=margin, convex=True, cone=True)
+    return PermSet(n=n, tag=f"tracenorm({n})", margin_fn=_cone_margin(margin), convex=True, cone=True)
 
 
 def make_trace_halfspace(n: int) -> PermSet:
@@ -111,7 +136,7 @@ def make_trace_halfspace(n: int) -> PermSet:
     def margin(rows: np.ndarray) -> np.ndarray:
         return rows.sum(axis=1)
 
-    return PermSet(n=n, tag=f"halfspace-trace({n})", margin_fn=margin, convex=True, cone=True)
+    return PermSet(n=n, tag=f"halfspace-trace({n})", margin_fn=_cone_margin(margin), convex=True, cone=True)
 
 
 def make_finite_orbit(points) -> PermSet:
@@ -137,9 +162,11 @@ def make_finite_orbit(points) -> PermSet:
 
     def margin(rows: np.ndarray) -> np.ndarray:
         # FINITE_TOL minus the max-norm distance to the nearest orbit point: the
-        # permutation of a point nearest a row pairs sorted entries with sorted entries
+        # permutation of a point nearest a row pairs sorted entries with sorted
+        # entries; a gap past the largest double is +inf
         check_float_budget(len(rows) * ascending.size, f"{len(rows)} rows against the points")
-        gaps = np.abs(np.sort(rows, axis=1)[:, None, :] - ascending[None, :, :])
+        with np.errstate(over="ignore"):
+            gaps = np.abs(np.sort(rows, axis=1)[:, None, :] - ascending[None, :, :])
         return FINITE_TOL - gaps.max(axis=2).min(axis=1)
 
     return PermSet(

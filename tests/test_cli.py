@@ -35,6 +35,7 @@ from jspec import algebra, cli, errors, orbits, permsets, spectral
 from jspec import spectralsets as ss
 from jspec.algebra import distance, join_product, split_product
 from jspec.io import (
+    _element_array,
     _element_texts,
     emit_algebra,
     emit_element,
@@ -674,11 +675,50 @@ def test_sums_of_squares_far_from_one(tmp_path, run_cli, command, doc, expected)
         assert json.loads(proc.stdout) == expected
 
 
+@pytest.mark.parametrize(
+    "q_set, diagonal, member",
+    [
+        ({"set": "tracenorm", "n": 4}, [1e308, 1e308, 1e308, 0.0], True),
+        ({"set": "tracenorm", "n": 4}, [1.7e308, 1.7e308, 1.7e308, 0.0], True),
+        ({"set": "halfspace-trace", "n": 5}, [1.7e308, 1.7e308, -1.7e308, -1.7e308, -1e300], False),
+        ({"set": "halfspace-trace", "n": 5}, [x / 1024 for x in (1.7e308, 1.7e308, -1.7e308, -1.7e308, -1e300)], False),
+        ({"set": "finite", "points": [[-1.7e308, -1.7e308]]}, [1.7e308, 1.7e308], False),
+    ],
+    ids=["tracenorm-1e308", "tracenorm-1.7e308", "halfspace-1.7e308", "halfspace-1.7e308/2^10", "finite-1.7e308"],
+)
+def test_member_near_the_largest_double(tmp_path, run_cli, q_set, diagonal, member):
+    # margins that overflow: a cone's verdict is the sign of its margin at x
+    # divided by its power of two, 5.5e307 and 9.4e307 for the trace norm
+    # cones and -1e300 for the half-space, and a finite set's gap is +inf;
+    # in process, so any numpy warning fails the test
+    x = element_from_sym(RealSymmetric(len(diagonal)), np.diag(diagonal))
+    proc = run_cli(["member", write_json(tmp_path, "set.json", q_set)], stdin=json.dumps(emit_element(x)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"member": member}
+
+
+def test_connect_with_a_trace_past_the_largest_double(tmp_path, run_cli):
+    # the halfspace-trace margins of these herm3 endpoints, about 2.7e308,
+    # are past the largest double: +inf, with no numpy overflow warning
+    a = ComplexHermitian(3)
+    x, y = (np.ldexp(random_element(a, seed).coords + 4 * algebra.unit_element(a).coords, 1021) for seed in (1, 2))
+    paths = [write_json(tmp_path, f"{name}.json", emit_element(Element(a, z))) for name, z in (("x", x), ("y", y))]
+    set_path = write_json(tmp_path, "set.json", {"set": "halfspace-trace", "n": 3})
+    for argv in (["member", set_path, paths[0]], ["connect", set_path, *paths, "--steps", "4"]):
+        proc = run_cli(argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+
 def test_non_finite_number_after_a_stack_exits_3(tmp_path, capsys, monkeypatch):
     # the document is rendered whole before its first piece is written: a
     # NaN rendered after the pieces of the samples leaves stdout empty
-    emit = cli.jio.emit_polyline
-    monkeypatch.setattr(cli.jio, "emit_polyline", lambda path: {**emit(path), "tolerance": math.nan})
+    connect = cli.ss.connect
+
+    def nan_tolerance(*args, **kw):
+        path = connect(*args, **kw)
+        return orbits.PathPolyline(path.algebra, path.coords, math.nan)
+
+    monkeypatch.setattr(cli.ss, "connect", nan_tolerance)
     set_path = write_json(tmp_path, "set.json", {"set": "rearr", "n": 3, "m": 1})
     x = element_from_sym(RealSymmetric(3), np.diag([2.0, 1.0, 0.5]))
     y = element_from_sym(RealSymmetric(3), np.diag([1.0, 0.7, 0.3]))
@@ -2226,8 +2266,8 @@ def test_stacked_element_docs_are_emit_element_per_row(algebra_doc):
     xs = [random_element(a, seed) for seed in range(5)]
     texts = _element_texts(a, [x.coords for x in xs])
     assert texts == [render_json(emit_element(x)) for x in xs]
-    assert render_json(texts) == render_json([emit_element(x) for x in xs])
-    assert render_json(_element_texts(a, [])) == "[]"
+    assert render_json(_element_array(a, [x.coords for x in xs])) == render_json([emit_element(x) for x in xs])
+    assert render_json(_element_array(a, [])) == "[]"
 
 
 def test_render_json_float_style():

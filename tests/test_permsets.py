@@ -18,6 +18,7 @@ from jspec import (
     sort_desc,
 )
 from jspec import errors
+from jspec.algebra import _exponents
 from jspec.permsets import FINITE_TOL
 
 finite_vectors = st.lists(
@@ -67,6 +68,24 @@ def test_trace_norm_cone_examples():
     assert t3.member([0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         make_trace_norm_cone(2)
+
+
+@pytest.mark.parametrize("q_set", [make_rearrangement_cone(5, 2), make_trace_halfspace(5), make_trace_norm_cone(5)],
+                         ids=lambda q: q.tag)
+def test_cone_margins_scale_by_powers_of_two_up_to_the_largest_double(q_set):
+    # a cone's margin is positively homogeneous: at 2^j the rows' margins
+    # are their margins times 2^j, bit for bit where that is finite and of
+    # the same sign past the largest double, with no numpy warning
+    rows = np.random.default_rng(5).standard_normal((300, 5))
+    margins = q_set.margin_many(rows)
+    top = 1023 - int(_exponents(rows).max())  # the largest j with 2^j rows finite
+    for j in [*range(0, top, 50), *range(top - 8, top + 1)]:
+        got = q_set.margin_many(np.ldexp(rows, j))
+        with np.errstate(over="ignore"):
+            want = np.ldexp(margins, j)
+        finite = np.isfinite(want)
+        assert np.array_equal(got[finite], want[finite])
+        assert np.array_equal(np.sign(got[~finite]), np.sign(want[~finite]))
 
 
 def test_finite_orbit_examples():

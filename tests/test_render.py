@@ -2,9 +2,11 @@
 the element emitter against documents built in the test and rendered by
 that reference."""
 
+import ast
 import json
 import math
 import os
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import jspec
 from jspec.algebra import (
     ComplexHermitian,
     Element,
@@ -28,10 +31,9 @@ from jspec.io import (
     _CHUNK,
     _g17,
     _g17_digits,
-    _Json,
+    _Raw,
     _element_array,
     _element_texts,
-    _float_rows,
     _plan,
     emit_algebra,
     emit_element,
@@ -210,7 +212,7 @@ def test_float_matrix_cases(matrix):
                   elements=st.one_of(finite_floats, st.sampled_from(NON_FINITE))))
 def test_float_rows_match_reference(rows):
     # the rows a `components` representative is written with
-    assert outcome(lambda r: render_json(_float_rows(r)), rows) == outcome(oracle, rows)
+    assert outcome(lambda r: "[" + ", ".join(_element_texts(r.shape[1], r)) + "]", rows) == outcome(oracle, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +340,7 @@ def test_emitter_matches_reference(stack):
     a, coords = stack
     expected = [oracle(reference_doc(a, row)) for row in coords]
     assert _element_texts(a, coords) == expected
-    assert render_json(_element_texts(a, coords)) == oracle([reference_doc(a, c) for c in coords])
+    assert render_json(_element_array(a, coords)) == oracle([reference_doc(a, c) for c in coords])
     for row, text in zip(coords, expected):
         assert render_json(emit_element(Element(a, row))) == text
 
@@ -352,7 +354,7 @@ def test_emitter_names_the_first_non_finite_in_document_order(stack, data):
         coords[i, j] = data.draw(st.sampled_from(NON_FINITE))
     expected = outcome(oracle, [reference_doc(a, row) for row in coords])
     assert expected[0] is NumericError
-    assert outcome(lambda c: render_json(_element_texts(a, c)), coords) == expected
+    assert outcome(lambda c: render_json(_element_array(a, c)), coords) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -416,7 +418,7 @@ def test_emitter_matches_reference_across_chunks(a, rows):
     coords = _chunk_edge_stack(a, rows, rows)
     assert_same_text(_element_texts(a, coords), [oracle(reference_doc(a, row)) for row in coords])
     for k in (0, 1, rows):
-        assert_same_text(render_json(_element_array(a, coords[:k])), render_json(_element_texts(a, coords[:k])))
+        assert_same_text(render_json(_element_array(a, coords[:k])), "[" + ", ".join(_element_texts(a, coords[:k])) + "]")
 
 
 @pytest.mark.parametrize("a, coords", [
@@ -439,10 +441,24 @@ def test_element_texts_peak_near_their_output_length(a, coords):
     assert peak <= 3.5 * sum(map(len, texts))
 
 
+def test_pre_rendered_text_has_one_type():
+    # text the renderer writes unchanged is an `io._Raw`; no other class
+    # subclasses str or list
+    src = pathlib.Path(jspec.__file__).parent
+    offenders = sorted(
+        f"{f.stem}.{node.name}"
+        for f in src.glob("*.py")
+        for node in ast.walk(ast.parse(f.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).rpartition(".")[2] in ("str", "list") for base in node.bases)
+    )
+    assert offenders == ["io._Raw"], f"{offenders} subclass str or list"
+
+
 def test_render_json_peaks_near_its_output_length():
     # the pieces of a document are joined once: the writer holds no
     # whole-document copy beside the text it returns
-    row = _Json("[" + ", ".join(["0.12345678901234567"] * 5000) + "]")
+    row = _Raw(["[" + ", ".join(["0.12345678901234567"] * 5000) + "]"])
     payload = {"rows": [row] * 40, "values": [0.1 * i for i in range(2000)]}
     tracemalloc.start()
     try:

@@ -370,12 +370,16 @@ def inner_product(x: Element, y: Element) -> float:
 
 
 def _exponents(d: np.ndarray) -> np.ndarray:
-    """The k of each row of d [..., m] whose largest |entry| lies in [2^k,
-    2^(k + 1)), -1 for a zero row: `np.ldexp(d, -k)`, exact down to 2^-1074,
-    brings the row's largest |entry| into [1, 2).  `_lengths`, NNLS, `fan`
-    and the eigen layer scale by it, and `_scaled_back` scales their
-    results back."""
+    """The k of each row of d [..., m] whose largest |entry| is in [2^k, 2^(k + 1)), -1 for a zero row."""
     return np.frexp(np.abs(d).max(axis=-1, initial=0.0))[1] - 1
+
+
+def _scaled(d: np.ndarray):
+    """(d 2^-k, k [..., 1]): each row of d [..., m] divided by the power of two of `_exponents`,
+    exactly down to 2^-1074, so its largest |entry| is in [1, 2), and the exponents, which
+    broadcast against d.  The one place a power of two is derived; `_scaled_back` scales back."""
+    k = _exponents(d)[..., None]
+    return np.ldexp(d, -k), k
 
 
 def _scaled_back(values: np.ndarray, k, what: str) -> np.ndarray:
@@ -402,21 +406,18 @@ def _lapack(fn, *args, what: str, **kw):
 
 def _lengths(d: np.ndarray, w=1.0) -> np.ndarray:
     """Lengths sqrt(sum(w * d * d)) along the last axis of d [..., m], one per
-    row: the one scale-safe sum of squares.  Each row is scaled by the exact
-    power of two 2^-k of `_exponents`, which brings its largest |entry| into
-    [1, 2), so the sum neither overflows nor underflows, and the root is
-    scaled back by 2^k; a power-of-two scale is exact, so in the normal
-    range every length is bit for bit sqrt(np.vecdot(w * d, d)).  A length
-    past the largest double raises `NumericError` (`_scaled_back`)."""
+    row: the one scale-safe sum of squares.  Summed over the `_scaled` rows,
+    the sum neither overflows nor underflows, and the roots scale back: in
+    the normal range every length is bit for bit sqrt(np.vecdot(w * d, d)),
+    and one past the largest double raises `NumericError` (`_scaled_back`)."""
     return _scaled_back(*_scaled_lengths(d, w), "a length")
 
 
 def _scaled_lengths(d: np.ndarray, w=1.0):
     """The lengths of `_lengths` as r 2^k: the roots r of the scaled rows
     and the exponents k, for a caller that scales back on its own."""
-    k = _exponents(d)
-    d = np.ldexp(d, -k[..., None])
-    return np.sqrt(np.vecdot(w * d, d)), k
+    d, k = _scaled(d)
+    return np.sqrt(np.vecdot(w * d, d)), k[..., 0]
 
 
 def norm(x: Element) -> float:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .algebra import _exponents, _lapack, _scaled_back
+from .algebra import _lapack, _scaled, _scaled_back
 from .errors import NumericError, check_float_budget
 
 __all__ = ["nnls"]
@@ -11,13 +11,13 @@ __all__ = ["nnls"]
 def _nnls_rows(gmat, rhs):
     """(w[k, p], residuals[k], k_row[k], k_col[p]) for rhs[k, m] over gmat[m, p] by Lawson-Hanson
     (1974, ch. 23) in Bro-De Jong normal-equations form (1997), each column and each row scaled
-    by the exact power of two 2^-k of `algebra._exponents` (k_col, k_row), subnormal ones too:
+    by the exact power of two 2^-k of `algebra._scaled` (k_col, k_row), subnormal ones too:
     w solves the scaled problem, and w 2^(k_row - k_col), which may pass the largest double, is
     in input units.  A row ends at KKT: w >= 0, gradient >= -tol off the support, |gradient|,
     Newton decrement <= tol on it.  Its solves and residual norms go through `algebra._lapack`."""
-    (m, p), k, k_row, k_col = gmat.shape, len(rhs), _exponents(rhs), _exponents(gmat.T)
+    (m, p), k, (g, k_col), (rhs, k_row) = gmat.shape, len(rhs), _scaled(gmat.T), _scaled(rhs)
     check_float_budget(k * p * p, f"NNLS of {k} rows over {p} generators")  # the Gram stack
-    g, rhs = np.ldexp(gmat, -k_col), np.ldexp(rhs, -k_row[:, None])
+    g, k_col, k_row = g.T, k_col[:, 0], k_row[:, 0]
     gtg, w, passive, alpha = g.T @ g, np.zeros((k, p)), np.zeros((k, p), dtype=bool), 1.0
     for _ in range(4 * p + 16):  # finite in exact arithmetic; the cap ends a roundoff cycle
         grad = np.einsum("km,mp->kp", rhs - np.einsum("kp,mp->km", w, g), g)  # -gradient

@@ -111,15 +111,13 @@ def _act(a: Algebra, mats: np.ndarray, x: Element) -> np.ndarray:
     each.  Only the lower entries are symmetrized,
     (m_ij + conj(m_ji)) / 2.0, in complex arithmetic for a Hermitian kind:
     halving Re and Im apart would flip signed zeros.  A spin factor fixes x0
-    and turns the vector part, one product per matrix.  Where the moved part
-    has its largest |entry| in [2^e, 2^(e + 1)), e > _ACT_MAX_EXP, the action
-    is on it divided by 2^e and the images are scaled back
-    (`algebra._scaled_back`: one past the largest double raises)."""
+    and turns the vector part, one product per matrix.  A moved part whose
+    exponent passes _ACT_MAX_EXP is scaled by `algebra._scaled` and its
+    images back by `algebra._scaled_back` (one past the largest double raises)."""
     spin = isinstance(a, SpinFactor)
     v = x.coords[1:] if spin else x.coords
-    e = int(alg._exponents(v))
-    if e > _ACT_MAX_EXP:
-        v = np.ldexp(v, -e)
+    scaled, e = alg._scaled(v)
+    v = scaled if e[0] > _ACT_MAX_EXP else v
     if spin:
         images = mats @ v
     else:
@@ -129,7 +127,7 @@ def _act(a: Algebra, mats: np.ndarray, x: Element) -> np.ndarray:
         pairs = (m[lay.lower] + m[lay.mirror].conj()) / 2.0  # [len(lower), k]
         # C order: `fan` sums each row, and a sum over a strided row rounds differently
         images = np.ascontiguousarray(np.ascontiguousarray(pairs.T).view(float)[:, lay.keep])
-    if e > _ACT_MAX_EXP:
+    if v is scaled:
         images = alg._scaled_back(images, e, "an orbit image")
     return np.column_stack([np.full(len(mats), x.coords[0]), images]) if spin else images
 

@@ -1,13 +1,13 @@
 """Permutation-invariant subsets of R^n: built-in cones, finite orbits, and
 a randomized pointedness probe.
 
-Every set is a vectorized margin function m with membership ``m(q) >= 0``,
-asked one stack of rows at a time; margins let path audits shrink strict
-inequalities by a tolerance.  A caller's own set is a `PermSet` with its
-own `margin_fn`; a margin of -inf is out at any slack, so a 0/-inf margin
-is a membership test that no slack relaxes.  Its permutation invariance
-and flag honesty (convex, cone) are the caller's contract.  A finite set
-is stored as its sorted points, one per permutation orbit.
+Every set is a vectorized margin function m, asked one stack of rows at a
+time.  A row q is inside at slack t iff m(q) + t >= 0 (`_inside`), so a NaN
+margin is outside at every site, the path audit included, and a margin of
+-inf at any slack: a 0/-inf margin is a test that no slack relaxes.  A
+caller's own set is a `PermSet` with its own `margin_fn`; its permutation
+invariance and flag honesty (convex, cone) are the caller's contract.  A
+finite set is stored as its sorted points, one per permutation orbit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import _exponents, _scaled_lengths
+from .algebra import _scaled, _scaled_lengths
 from .errors import check_float_budget
 
 FINITE_TOL = 1e-12
@@ -57,9 +57,8 @@ class PermSet:
         return q.reshape(1, self.n)
 
     def member(self, q, slack: float = 0.0) -> bool:
-        """Membership; positive `slack` relaxes the margin by that amount.
-        A margin of -inf stays out: -inf + slack is -inf or nan, never >= 0."""
-        return bool(self.margin(q) + slack >= 0.0)
+        """Membership (`_inside`); positive `slack` relaxes the margin by that amount."""
+        return bool(_inside(self.margin(q), slack))
 
     def margin(self, q) -> float:
         return float(self.margin_fn(self._rows(q))[0])
@@ -67,6 +66,12 @@ class PermSet:
     def margin_many(self, rows: np.ndarray) -> np.ndarray:
         """Margins [k] of the rows [k, n], one call for the whole stack."""
         return self.margin_fn(np.asarray(rows, dtype=float))
+
+
+def _inside(margins, slack: float = 0.0):
+    """margins + slack >= 0, the one place where a margin meets a threshold:
+    for a margin that is not NaN, `not margin < -slack`; NaN is outside."""
+    return margins + slack >= 0.0
 
 
 def _lex_unique(rows: np.ndarray) -> np.ndarray:
@@ -78,10 +83,10 @@ def _lex_unique(rows: np.ndarray) -> np.ndarray:
 def _cone_margin(margin: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """A cone's `margin`, which holds past the largest double, with no numpy
     warning.  Where no row's margin overflows, it is `margin`'s, at its
-    cost.  Else each row whose margin is inf or nan is divided by its power
-    of two (`algebra._exponents`), which keeps the sign of a cone's margin,
-    and the margin of that row is scaled back, to +-inf where it is past the
-    largest double; the finite margins are `margin`'s, bit for bit."""
+    cost.  Else each row whose margin is inf or nan is scaled by
+    `algebra._scaled`, which keeps the sign of a cone's margin, and its
+    margin scaled back, to +-inf past the largest double; finite margins
+    are `margin`'s, bit for bit."""
 
     def safe(rows: np.ndarray) -> np.ndarray:
         try:
@@ -92,8 +97,8 @@ def _cone_margin(margin: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.nda
         with np.errstate(over="ignore", invalid="ignore"):
             out = margin(rows)
             over = np.flatnonzero(~np.isfinite(out))
-            e = _exponents(rows[over])
-            out[over] = np.ldexp(margin(np.ldexp(rows[over], -e[:, None])), e)
+            scaled, e = _scaled(rows[over])
+            out[over] = np.ldexp(margin(scaled), e[:, 0])
         return out
 
     return safe
@@ -206,7 +211,7 @@ def pointed_sample_check(q_set: PermSet, samples: int, seed: int):
         rows = np.empty((2 * count, n))
         rows[0::2] = g
         rows[1::2] = g - np.take_along_axis(g, perm, axis=1)
-        both = (q_set.margin_many(rows) >= 0.0) & (q_set.margin_many(-rows) >= 0.0)
+        both = _inside(q_set.margin_many(rows)) & _inside(q_set.margin_many(-rows))
         nonzero = np.abs(rows).max(axis=1) > FINITE_TOL
         hits = np.flatnonzero(both & nonzero)
         if hits.size:

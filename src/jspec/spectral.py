@@ -152,10 +152,9 @@ def _eigh_desc(m: np.ndarray, vectors: bool):
     which runs LAPACK on each matrix in turn: row i equals the result for
     matrix i on its own, bit for bit.
 
-    Each matrix is first divided by the power of two 2^k that brings its
-    largest |real or imaginary part| into [1, 2) (`algebra._exponents`; an
-    entry's modulus may overflow where its parts do not), and its eigenvalues
-    are scaled back by 2^k (`algebra._scaled_back`, which raises
+    Each matrix is first scaled by `algebra._scaled` of its real and
+    imaginary parts (an entry's modulus may overflow where its parts do
+    not), and its eigenvalues are scaled back (`algebra._scaled_back`, which raises
     `NumericError` past the largest double).  LAPACK would rescale a matrix
     whose norm is far from 1 by a factor that is not a power of two; this
     way the eigenvalues of 2^j m are bit for bit 2^j times those of m, and
@@ -165,12 +164,12 @@ def _eigh_desc(m: np.ndarray, vectors: bool):
     failure or a non-finite result anywhere in the stack raises `NumericError`.
     """
     flat = m.view(float)  # Re and Im as floats
-    k = alg._exponents(flat.reshape(m.shape[:-2] + (flat.shape[-2] * flat.shape[-1],)))
-    m = np.ldexp(flat, -k[..., None, None]).view(m.dtype)
+    scaled, k = alg._scaled(flat.reshape(m.shape[:-2] + (flat.shape[-2] * flat.shape[-1],)))
+    m = scaled.reshape(flat.shape).view(m.dtype)
     out = alg._lapack(np.linalg.eigh if vectors else np.linalg.eigvalsh, m, what="LAPACK eigensolver")
     values, vecs = out if vectors else (out, None)
     # reverse the eigenvalue axis, never the stack axis
-    values = alg._scaled_back(values[..., ::-1], k[..., None], "an eigenvalue")
+    values = alg._scaled_back(values[..., ::-1], k, "an eigenvalue")
     return values, None if vecs is None else vecs[..., ::-1]
 
 
@@ -185,12 +184,12 @@ def _simple_spectrum(a: Algebra, coords: np.ndarray, vectors: bool):
     once for all its factors.  A 1x1 matrix kind is its own eigenvalue with
     basis [[1]]: LAPACK returns that entry unchanged, so it is not called.
     A spin radius r is `alg._lengths` of the vector part, and x0 +- r is summed
-    divided by the power of two 2^k of [x0, r], as a matrix is in `_eigh_desc`:
-    it cannot overflow, an eigenvalue past the largest double raises
+    scaled by `alg._scaled` of [x0, r], as a matrix is in `_eigh_desc`: it
+    cannot overflow, an eigenvalue past the largest double raises
     `NumericError`, and every other value is the unscaled sum bit for bit.
-    The axis is the vector part divided by its own power of two, then by
-    that vector's length: a unit vector even where the vector part or r is
-    subnormal, and bit for bit xbar / r in the normal range.
+    The axis is the vector part scaled by `alg._scaled`, then divided by its
+    length: a unit vector even where the vector part or r is subnormal, and
+    bit for bit xbar / r in the normal range.
     Row i of a stack equals the call on row i alone, bit for bit, in every kind.
     """
     if not isinstance(a, SpinFactor) and a.n > 1:
@@ -198,14 +197,14 @@ def _simple_spectrum(a: Algebra, coords: np.ndarray, vectors: bool):
     if isinstance(a, SpinFactor):
         x0, xbar = coords[..., :1], coords[..., 1:]
         r = alg._lengths(xbar)[..., None]
-        k = alg._exponents(np.concatenate([x0, r], axis=-1))[..., None]
-        s0, sr = np.ldexp(x0, -k), np.ldexp(r, -k)
+        s, k = alg._scaled(np.concatenate([x0, r], axis=-1))
+        s0, sr = s[..., :1], s[..., 1:]
         values = alg._scaled_back(np.concatenate([s0 + sr, s0 - sr], axis=-1), k, "an eigenvalue")
         if not vectors:
             return values, None
         axis = np.zeros(xbar.shape)
         axis[..., 0] = 1.0
-        unit = np.ldexp(xbar, -alg._exponents(xbar)[..., None])  # max |entry| in [1, 2)
+        unit = alg._scaled(xbar)[0]  # max |entry| in [1, 2)
         return values, np.divide(unit, alg._lengths(unit)[..., None], out=axis, where=r > 0.0)
     # as in matrix_of, a stored -0.0 reads as +0.0 in the real kind only
     values = coords + 0.0 if isinstance(a, RealSymmetric) else coords.copy()

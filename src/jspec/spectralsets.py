@@ -30,7 +30,7 @@ from .errors import (
 )
 from .nnls import _nnls_rows
 from .orbits import PathPolyline, _orbit_coords, _orbit_leg
-from .permsets import FINITE_TOL, PermSet, _lex_unique
+from .permsets import FINITE_TOL, PermSet, _inside, _lex_unique
 from .spectral import (
     _compose,
     _decompositions,
@@ -189,14 +189,12 @@ def _interpolate_vertices(vertices: list[np.ndarray], steps: int) -> np.ndarray:
 def _audit_membership(sset: SpectralSet, coords: np.ndarray, tolerance: float):
     """Audit every sample [k, dim] of a path: one stacked eigenvalue pass
     (one LAPACK call per matrix factor) and one `margin_many`."""
-    lams = _eigenvalues(sset.algebra, coords)
-    margins = sset.q.margin_many(lams)
-    bad = np.flatnonzero(margins < -tolerance)
+    margins = sset.q.margin_many(_eigenvalues(sset.algebra, coords))
+    bad = np.flatnonzero(~_inside(margins, tolerance))
     if bad.size:
         k = int(bad[0])
         raise InfeasiblePathError(
-            f"path sample {k} leaves the set (margin {margins[k]:.3e} "
-            f"< -{tolerance:g})",
+            f"path sample {k} leaves the set (margin {margins[k]:.3e} < -{tolerance:g})",
             clause="path-membership-audit",
         )
 
@@ -241,8 +239,8 @@ def connect(
     a, xy = sset.algebra, np.array((x.coords, y.coords))
     # per-factor eigenvalue blocks of x and y; pooled and sorted for membership
     blocks = _eigenvalue_blocks(a, xy)
-    for name, margin in zip("xy", sset.q.margin_many(np.sort(blocks)[:, ::-1].copy())):
-        if not margin >= 0.0:
+    for name, inside in zip("xy", _inside(sset.q.margin_many(np.sort(blocks)[:, ::-1].copy()))):
+        if not inside:
             raise InfeasiblePathError(
                 f"endpoint {name} is not a member of the spectral set",
                 clause="endpoint-membership",
@@ -271,7 +269,7 @@ def connect(
             if v.shape != (a.rank,):
                 raise ValueError(f"q_path vertex {k} must have length {a.rank}")
         vertices = _block_sorted(np.array(vertices), a)
-        outside = np.flatnonzero(~(sset.q.margin_many(vertices) >= 0.0))  # a nan margin is out too
+        outside = np.flatnonzero(~_inside(sset.q.margin_many(vertices)))
         if outside.size:
             raise InfeasiblePathError(
                 f"q_path vertex {outside[0]} is not in Q", clause="qpath-membership"
@@ -380,10 +378,9 @@ def sum_split(
 
 def _fan(c: Element, a_el: Element, count: int | None = None, seed: int = 0, ends: bool = True):
     """The fan of <c, .> over the eigenvalue orbit of a_el from the stack
-    [c, a_el], checked and scaled once: each row divided by the exact power
-    of two 2^k_i that brings its largest |entry| into [1, 2), so no product
-    of their entries overflows.  Values come in units of 2^k, k = k_c + k_a;
-    in the normal range each is bit for bit the unscaled one.
+    [c, a_el], checked and scaled once, row by row (`algebra._scaled`), so
+    no product of their entries overflows.  Values come in units of 2^k,
+    k = k_c + k_a; in the normal range each is bit for bit the unscaled one.
 
     Returns three items.  With `ends` (simple algebras only) the first is
     the range [delta, Delta], scaled back, and the second the eigenvalues
@@ -400,8 +397,8 @@ def _fan(c: Element, a_el: Element, count: int | None = None, seed: int = 0, end
     a, ca = c.algebra, np.array((c.coords, a_el.coords))
     if ends and not a.is_simple():
         raise UnsupportedAlgebraError("the closed-form endpoints are established for simple algebras")
-    ks = alg._exponents(ca)[:, None]
-    scaled, k = np.ldexp(ca, -ks), int(ks.sum())
+    scaled, ks = alg._scaled(ca)
+    k = int(ks.sum())
     span = lam = None
     if ends:
         lam = _eigenvalues(a, ca)
@@ -449,9 +446,9 @@ def fan_sample(c: Element, a_el: Element, count: int, seed: int) -> np.ndarray:
 def _numerical_rank(rows: np.ndarray) -> int:
     """The count of singular values of rows [k >= 1, m] at least RANK_TOL times the largest (0
     for zero rows), by an SVD through `algebra._lapack`: a non-finite one raises NumericError.
-    The test is relative, so the rows are divided by the one power of two that brings their
-    largest |entry| into [1, 2) first: no singular value can overflow."""
-    rows = np.ldexp(rows, -alg._exponents(rows.ravel()))
+    The test is relative, so the rows are first scaled as one by `algebra._scaled`: no
+    singular value can overflow."""
+    rows = alg._scaled(rows.ravel())[0].reshape(rows.shape)
     sv = alg._lapack(np.linalg.svd, rows, compute_uv=False, what="rank SVD")
     return int(np.count_nonzero(sv >= RANK_TOL * sv[0])) if sv[0] > 0.0 else 0
 
@@ -495,7 +492,7 @@ def certificate_check(
                 f"ranks {rank_sum}"
             ),
         )
-    outside = np.flatnonzero(~(sset.q.margin_many(_eigenvalues(a, coords)) >= 0.0))  # nan is out
+    outside = np.flatnonzero(~_inside(sset.q.margin_many(_eigenvalues(a, coords))))
     if outside.size:
         pi = int(np.searchsorted(bounds, outside[0], side="right")) - 1
         return CertificateVerdict(
@@ -510,7 +507,7 @@ def certificate_check(
     while len(members) < samples and drawn < max_attempts:
         chunk = rng.standard_normal((min(max(drawn, samples), max_attempts - drawn), a.dim))
         drawn += len(chunk)
-        members = np.vstack([members, chunk[sset.q.margin_many(_eigenvalues(a, chunk)) >= 0.0]])
+        members = np.vstack([members, chunk[_inside(sset.q.margin_many(_eigenvalues(a, chunk)))]])
     # the first `samples` members' isometric coordinates, as `alg.isometric_coords` gives each
     residuals = _nnls_rows(stacked.T, np.sqrt(alg._inner_weights(a)) * members[:samples])[1]
     over = np.flatnonzero(residuals > NNLS_RESIDUAL)

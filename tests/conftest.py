@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import functools
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
+import jspec
 from jspec import (
     ComplexHermitian,
     ProductAlgebra,
@@ -53,3 +57,24 @@ def random_frame(algebra, seed):
 def element_with_eigenvalues(algebra, q, seed):
     """A member of the eigenvalue orbit of q, on a random frame."""
     return compose_theta(np.asarray(q, dtype=float), random_frame(algebra, seed))
+
+
+@functools.cache
+def _source_trees() -> tuple:
+    """(module name, AST) of each module of jspec's source, parsed once."""
+    src = pathlib.Path(jspec.__file__).parent
+    return tuple((f.stem, ast.parse(f.read_text())) for f in sorted(src.glob("*.py")))
+
+
+def source_offenders(find) -> list[str]:
+    """The sorted, distinct `module.function` around each node that
+    `find(tree)` yields from a module of jspec's source: the innermost def
+    or class around its line, `module.<module>` outside every one."""
+    found = set()
+    for stem, tree in _source_trees():
+        defs = [d for d in ast.walk(tree) if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+        for node in find(tree):
+            # ast.walk is breadth first: the last def around the line is the innermost
+            around = [d.name for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+            found.add(f"{stem}.{around[-1] if around else '<module>'}")
+    return sorted(found)

@@ -1,7 +1,5 @@
 import ast
 import math
-import pathlib
-import re
 
 import numpy as np
 import pytest
@@ -24,11 +22,10 @@ from jspec import (
     trace,
     unit_element,
 )
-import jspec
 from jspec.algebra import _lengths, coords_of, herm_matrix, matrix_of, sym_matrix
 from jspec.errors import NumericError
 
-from conftest import ALL_KINDS
+from conftest import ALL_KINDS, source_offenders
 
 
 def test_descriptor_dimensions():
@@ -274,11 +271,15 @@ def test_lengths_of_a_stack_are_its_rows_lengths():
 def test_only_algebra_sums_squares():
     # every length goes through `algebra._lengths`; nnls keeps its own
     # residual norms, whose rows it scales to max |entry| 1 first
-    src = pathlib.Path(jspec.__file__).parent
-    offenders = [
-        f.name for f in sorted(src.glob("*.py"))
-        if f.name not in ("algebra.py", "nnls.py") and re.search(r"linalg\.norm|vecdot", f.read_text())
-    ]
+    def squares(tree):
+        return (node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "vecdot"
+                or isinstance(node, ast.Name) and node.id == "vecdot"
+                or isinstance(node, ast.alias) and node.name.rpartition(".")[2] == "vecdot"
+                or isinstance(node, ast.Attribute) and node.attr == "norm"
+                and ast.unparse(node.value).endswith("linalg"))
+
+    offenders = sorted(set(source_offenders(squares)) - {"algebra._scaled_lengths", "nnls._nnls_rows"})
     assert not offenders, f"{offenders} sum squares outside algebra._lengths"
 
 
@@ -286,39 +287,46 @@ def test_every_lapack_call_goes_through_the_guard():
     # each np.linalg function is passed to `algebra._lapack`, never called
     # nor imported on its own: a LinAlgError is a ValueError, which the CLI
     # reads as an input error, and a NaN result could become a verdict
-    src = pathlib.Path(jspec.__file__).parent
-    offenders = []
-    for f in sorted(src.glob("*.py")):
-        tree = ast.parse(f.read_text())
+    def unguarded(tree):
         guarded = {id(fn) for node in ast.walk(tree) if isinstance(node, ast.Call)
                    and ast.unparse(node.func).endswith("_lapack") and node.args
                    for fn in ast.walk(node.args[0])}  # a conditional passes either branch
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(node):
-                offenders.append(f"{f.name}:{node.lineno}")
-            elif (isinstance(node, ast.Attribute) and ast.unparse(node.value).endswith("linalg")
-                  and node.attr != "LinAlgError" and id(node) not in guarded):
-                offenders.append(f"{f.name}:{node.lineno}")
-    assert not offenders, f"np.linalg used outside algebra._lapack at {offenders}"
+            if (isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(node)
+                    or isinstance(node, ast.Attribute) and ast.unparse(node.value).endswith("linalg")
+                    and node.attr != "LinAlgError" and id(node) not in guarded):
+                yield node
+
+    offenders = source_offenders(unguarded)
+    assert not offenders, f"np.linalg used outside algebra._lapack in {offenders}"
 
 
 def test_the_packed_order_has_one_derivation():
     # every reader of the packed lower triangle takes its entries from
     # `algebra._make_layout`, the one function that derives them
-    triangles = {"tril_indices", "triu_indices", "tril", "triu"}
-    src = pathlib.Path(jspec.__file__).parent
-    offenders = []
-    for f in sorted(src.glob("*.py")):
-        tree = ast.parse(f.read_text())
-        defs = [d for d in ast.walk(tree) if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr in triangles
-                    or isinstance(node, ast.alias) and node.name in triangles):
-                # ast.walk is breadth first: the last def around the line is the innermost
-                around = [d.name for d in defs if d.lineno <= node.lineno <= d.end_lineno]
-                offenders.append(f"{f.stem}.{around[-1] if around else '<module>'}")
-    offenders = sorted(set(offenders) - {"algebra._make_layout"})
+    names = {"tril_indices", "triu_indices", "tril", "triu"}
+
+    def triangles(tree):
+        return (node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.alias) and node.name in names)
+
+    offenders = sorted(set(source_offenders(triangles)) - {"algebra._make_layout"})
     assert not offenders, f"{offenders} derive a triangle outside algebra._make_layout"
+
+
+def test_only_algebra_derives_a_power_of_two():
+    # every scale by a power of two takes it from `algebra._scaled`
+    names = {"_exponents", "frexp"}
+
+    def exponents(tree):
+        return (node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.alias) and node.name in names)
+
+    offenders = [o for o in source_offenders(exponents) if not o.startswith("algebra.")]
+    assert not offenders, f"{offenders} derive a power of two outside algebra._scaled"
 
 
 def test_norm_of_a_subnormal_element():

@@ -505,11 +505,12 @@ def test_orbit_sample_deterministic_and_order_independent():
         assert np.array_equal(s.coords, t.coords)
 
 
-@pytest.mark.parametrize("algebra", [kind(n) for kind in (RealSymmetric, ComplexHermitian)
-                                     for n in (12, 16, 17, 18, 19, 20)], ids=str)
+@pytest.mark.parametrize("algebra", [kind(n) for kind in (RealSymmetric, ComplexHermitian) for n in range(1, 21)]
+                         + [SpinFactor(d) for d in range(3, 21)], ids=str)
 def test_a_longer_orbit_sample_extends_a_shorter_one(algebra):
-    # the prefix promise of `orbit_sample`, bit for bit, also at the sizes
-    # where a row of the stacked action is not the one-row call
+    # the prefix promise of `orbit_sample`, bit for bit, in every simple
+    # kind, also at the sizes where a row of the stacked action is not the
+    # one-row call
     x = random_element(algebra, 4)
     longer = _orbit_coords(x, 200, 6)
     for k in (1, 7, 64):

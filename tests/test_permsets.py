@@ -1,3 +1,4 @@
+import ast
 import itertools
 
 import numpy as np
@@ -20,6 +21,8 @@ from jspec import (
 from jspec import errors
 from jspec.algebra import _exponents
 from jspec.permsets import FINITE_TOL
+
+from conftest import source_offenders
 
 finite_vectors = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=2, max_size=7
@@ -309,6 +312,31 @@ def test_custom_predicate_support():
     assert ball.margin([0.0, 0.0, 0.0]) == 0.0
     assert ball.margin([2.0, 0.0, 0.0]) == -np.inf
     assert not ball.member([2.0, 0.0, 0.0], slack=1e9)
+
+
+def test_margins_meet_a_threshold_only_in_inside():
+    # a margin becomes a verdict in `permsets._inside` alone: outside its
+    # calls, no comparison holds a `margin` or `margin_many` result nor a
+    # name bound to one
+    def compared(tree):
+        for fn in (d for d in ast.walk(tree) if isinstance(d, ast.FunctionDef)):
+            verdicts = {id(n) for call in ast.walk(fn) if isinstance(call, ast.Call)
+                        and ast.unparse(call.func).endswith("_inside") for n in ast.walk(call)}
+
+            def margins(expr, names):
+                return any(id(n) not in verdicts and (
+                    isinstance(n, ast.Call) and ast.unparse(n.func).rpartition(".")[2] in ("margin", "margin_many")
+                    or isinstance(n, ast.Name) and n.id in names) for n in ast.walk(expr))
+
+            bound = {n.id for node in ast.walk(fn)
+                     if isinstance(node, (ast.Assign, ast.NamedExpr, ast.For, ast.comprehension))
+                     and margins(node.iter if hasattr(node, "iter") else node.value, ())
+                     for target in getattr(node, "targets", [getattr(node, "target", None)])
+                     for n in ast.walk(target) if isinstance(n, ast.Name)}
+            yield from (node for node in ast.walk(fn) if isinstance(node, ast.Compare) and margins(node, bound))
+
+    offenders = source_offenders(compared)
+    assert not offenders, f"{offenders} compare a margin outside permsets._inside"
 
 
 def test_custom_margin_asks_each_row_once_in_order():

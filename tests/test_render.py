@@ -6,7 +6,6 @@ import ast
 import json
 import math
 import os
-import pathlib
 import tracemalloc
 
 import numpy as np
@@ -15,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import jspec
 from jspec.algebra import (
     ComplexHermitian,
     Element,
@@ -42,6 +40,8 @@ from jspec.io import (
     render_json,
 )
 from jspec.spectral import _idempotent_coords, spectral_decompose
+
+from conftest import source_offenders
 
 
 def oracle(value) -> str:
@@ -444,14 +444,11 @@ def test_element_texts_peak_near_their_output_length(a, coords):
 def test_pre_rendered_text_has_one_type():
     # text the renderer writes unchanged is an `io._Raw`; no other class
     # subclasses str or list
-    src = pathlib.Path(jspec.__file__).parent
-    offenders = sorted(
-        f"{f.stem}.{node.name}"
-        for f in src.glob("*.py")
-        for node in ast.walk(ast.parse(f.read_text()))
-        if isinstance(node, ast.ClassDef)
-        and any(ast.unparse(base).rpartition(".")[2] in ("str", "list") for base in node.bases)
-    )
+    def text_types(tree):
+        return (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                and any(ast.unparse(base).rpartition(".")[2] in ("str", "list") for base in node.bases))
+
+    offenders = source_offenders(text_types)
     assert offenders == ["io._Raw"], f"{offenders} subclass str or list"
 
 

@@ -40,6 +40,7 @@ from jspec import (
     make_trace_norm_cone,
     norm,
     orbit_sample,
+    pointed_sample_check,
     random_element,
     random_g_automorphism,
     scale_element,
@@ -443,6 +444,36 @@ def test_connect_checks_the_qpath_vertices_as_one_stack(outside):
         connect(s, x, y, q_path=[[2.0, 1.0], [3.0, 1.0], [3.5, 1.0], [4.0, 0.5]])
     assert info.value.clause == "qpath-membership"
     assert rows == [2, 4]
+
+
+@pytest.mark.parametrize("value, inside", [(np.nan, False), (-np.inf, False), (-0.0, True), (np.inf, True)],
+                         ids=["nan", "-inf", "-0.0", "+inf"])
+def test_every_membership_site_reads_a_margin_alike(value, inside):
+    # a caller's margin on sym3 is 0 at the endpoints' eigenvalues and
+    # `value` at every other row: each site that makes it a verdict says in
+    # or out alike, slack or not; out, the segment's samples 11-14 leave Q
+    ends, mid = np.array([[2.0, 1.0, 0.5], [1.0, 0.7, 0.3]]), [1.5, 0.9, 0.4]
+
+    def margin(q):
+        return np.where(np.isclose(q[:, None, :], ends).all(axis=2).any(axis=1), 0.0, value)
+
+    a, q = RealSymmetric(3), PermSet(3, "ends", margin, convex=True, cone=True)
+    s = SpectralSet(a, q)
+    x, y, z = (element_from_sym(a, np.diag(d)) for d in (*ends, mid))
+    assert q.member(mid) == q.member(mid, slack=0.5) == ss_member(s, z, slack=0.5) == inside
+    cases = [((z, z), {}, "endpoint-membership", "^endpoint x is not a member"),
+             ((x, y), {"q_path": [ends[0], mid, ends[1]]}, "qpath-membership", "^q_path vertex 1 is not in Q$"),
+             ((x, y), {"steps": 6}, "path-membership-audit", "^path sample 11 leaves the set")]
+    for args, kwargs, clause, message in cases:
+        if inside:
+            connect(s, *args, **kwargs)
+        else:
+            with pytest.raises(InfeasiblePathError, match=message) as info:
+                connect(s, *args, **kwargs)
+            assert info.value.clause == clause
+    verdict = certificate_check(s, DecompositionCertificate(((z,),)), 2, 0)
+    assert verdict.failed_clause == ("nonnegative-reconstruction" if inside else "generator-membership")
+    assert (pointed_sample_check(q, 8, 0) is not None) == inside
 
 
 _FINITE_KINDS = [
